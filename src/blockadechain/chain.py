@@ -204,9 +204,7 @@ def evolve(spec: ChainSpec, schedule: ControlSchedule, include_long_range: bool 
         raise ValueError("schedule register size does not match the chain")
     dim = 2**spec.n_spins
     u = np.eye(dim, dtype=complex)
-    trace = []
     for seg in schedule.segments:
         ham = build_h_model(spec, seg) if include_long_range else build_h_ideal(spec, seg)
         u = expm_unitary(realize(ham), seg.duration).matrix @ u
-        trace.append((ham, seg.duration))
-    return Propagator(u, generator_trace=tuple(trace))
+    return Propagator(u)

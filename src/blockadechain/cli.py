@@ -95,6 +95,11 @@ def _check_keys(tree: dict, allowed: set, where: str) -> None:
         raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _finite(value, name: str) -> float:
     try:
         out = float(value)
@@ -150,12 +155,12 @@ def _validate_parameters(cfg: RunConfig) -> None:
     p = cfg.parameters
     if cfg.scenario == "deviation-sweep":
         _check_keys(p, {"n_min", "n_max", "j2", "t_points", "scenarios"}, "deviation-sweep parameters")
-        if not isinstance(p["n_min"], int) or not isinstance(p["n_max"], int):
+        if not _is_int(p["n_min"]) or not _is_int(p["n_max"]):
             raise ConfigError("n_min and n_max must be integers")
         if p["n_min"] < 2 or p["n_max"] < p["n_min"]:
             raise ConfigError("need 2 <= n_min <= n_max")
         p["j2"] = _finite_list(p["j2"], "j2")
-        if not isinstance(p["t_points"], int) or p["t_points"] < 1:
+        if not _is_int(p["t_points"]) or p["t_points"] < 1:
             raise ConfigError("t_points must be a positive integer (empty t-grids are invalid)")
         names = {s.value for s in Scenario}
         if not p["scenarios"] or any(s not in names for s in p["scenarios"]):
@@ -178,7 +183,7 @@ def _validate_parameters(cfg: RunConfig) -> None:
             raise ConfigError("schedule_out must be a path string")
     elif cfg.scenario == "josephson-map":
         _check_keys(p, {"n_boxes", "c_g", "c_j", "c_c", "gate_charges", "units"}, "josephson-map parameters")
-        if not isinstance(p["n_boxes"], int) or p["n_boxes"] < 2:
+        if not _is_int(p["n_boxes"]) or p["n_boxes"] < 2:
             raise ConfigError("n_boxes must be an integer >= 2")
         for key in ("c_g", "c_j", "c_c"):
             p[key] = _finite(p[key], key)
@@ -196,9 +201,9 @@ def _validate_parameters(cfg: RunConfig) -> None:
             _check_keys(chk, {"layout", "n_logical", "m", "couplings"}, f"checks[{i}]")
             if chk.get("layout") not in ("single-spin", "pair-encoded"):
                 raise ConfigError("layout must be 'single-spin' or 'pair-encoded'")
-            if not isinstance(chk.get("n_logical"), int) or chk["n_logical"] < 1:
+            if not _is_int(chk.get("n_logical")) or chk["n_logical"] < 1:
                 raise ConfigError("n_logical must be a positive integer")
-            if chk.get("m", 2) is not None and (not isinstance(chk.get("m", 2), int) or chk.get("m", 2) < 1):
+            if not _is_int(chk.get("m", 2)) or chk.get("m", 2) < 1:
                 raise ConfigError("m must be a positive integer")
             chk["couplings"] = _finite_list(chk.get("couplings"), "couplings")
     else:  # pragma: no cover

@@ -21,13 +21,13 @@ from .chain import ChainSpec, ControlSegment, build_h_ideal, build_h_long_range
 from .operators import (
     InvariantViolation,
     expm_unitary,
+    order_sums,
+    pattern_index,
     phase_set_distance,
     realize,
     spectral_norm,
+    spin_patterns,
 )
-
-#: Largest number of enumerated frozen-register patterns (2**20 states).
-PATTERN_CAP_BITS = 20
 
 #: Finite-difference stencil for the small-t deviation speed, in 1/|J1|.
 SPEED_STEPS = (1e-4, 2e-4)
@@ -138,6 +138,15 @@ def _frozen_configuration(scenario: Scenario, n: int, target: int | None):
     return template, free_sites, x_site
 
 
+def _free_patterns(template: np.ndarray, free_sites) -> np.ndarray:
+    """The frozen template with every free-qubit pattern filled in, one per row."""
+    free = spin_patterns(len(free_sites))
+    s = np.empty((free.shape[0], template.size), dtype=np.int8, order="F")
+    s[:] = template
+    s[:, free_sites] = free
+    return s
+
+
 def _next_nearest_sums(template: np.ndarray, free_sites, x_site) -> np.ndarray:
     """Integer sum_i s_i s_{i+2} for every free-qubit pattern.
 
@@ -145,27 +154,13 @@ def _next_nearest_sums(template: np.ndarray, free_sites, x_site) -> np.ndarray:
     its frozen neighbors; both target assignments are evaluated and
     checked to agree, which validates that cancellation exactly.
     """
-    if len(free_sites) > PATTERN_CAP_BITS:
-        raise ValueError(
-            f"{len(free_sites)} free qubits exceed the enumeration cap "
-            f"of 2**{PATTERN_CAP_BITS} patterns"
-        )
-    f = len(free_sites)
-    pats = np.arange(2**f, dtype=np.int64)
-
-    def sums(target_value: int) -> np.ndarray:
-        s = np.broadcast_to(template, (2**f, template.size)).copy()
-        if x_site is not None:
-            s[:, x_site] = target_value
-        for b, site in enumerate(free_sites):
-            s[:, site] = 2 * ((pats >> (f - 1 - b)) & 1) - 1
-        m = np.zeros(2**f, dtype=np.int64)
-        for i in range(template.size - 2):
-            m += s[:, i] * s[:, i + 2]
-        return m
-
-    m = sums(1)
-    if x_site is not None and not np.array_equal(m, sums(-1)):
+    s = _free_patterns(template, free_sites)
+    if x_site is None:
+        return order_sums(s, 2)
+    s[:, x_site] = 1
+    m = order_sums(s, 2)
+    s[:, x_site] = -1
+    if not np.array_equal(m, order_sums(s, 2)):
         raise InvariantViolation("x-rotation target couplings failed to cancel")
     return m
 
@@ -218,25 +213,23 @@ def idle_deviation(n: int, j2: float, t: float) -> ScenarioResult:
     return scenario_deviation(Scenario.IDLE, n, j2, t)
 
 
-def sigma_z_deviation(n: int, j2: float, t: float, bz: float = 0.0, target: int | None = None) -> ScenarioResult:
+def sigma_z_deviation(n: int, j2: float, t: float, target: int | None = None) -> ScenarioResult:
     """Deviation while a z-rotation runs on one qubit.
 
     The bz field acts identically in the intended and realistic
     evolutions restricted to the frozen subspace, so it cancels from the
-    deviation; it is accepted for interface completeness.
+    deviation.
     """
-    del bz
     return scenario_deviation(Scenario.SIGMA_Z, n, j2, t, target)
 
 
-def sigma_x_deviation(n: int, j2: float, t: float, bx: float = 0.0, target: int | None = None) -> ScenarioResult:
+def sigma_x_deviation(n: int, j2: float, t: float, target: int | None = None) -> ScenarioResult:
     """Deviation while an x-rotation runs on one qubit (n >= 4).
 
     The target's neighbors are frozen in opposite states so its own
     long-range couplings cancel; the bx drive then commutes with the
     restriction and drops out of the deviation like bz above.
     """
-    del bx
     return scenario_deviation(Scenario.SIGMA_X, n, j2, t, target)
 
 
@@ -265,25 +258,15 @@ def deviation_speed(n: int, j2: float) -> float:
 
 def _embedding(template: np.ndarray, free_sites, x_site) -> np.ndarray:
     """Isometry from free-qubit patterns into the full-chain Hilbert space."""
-    n_sites = template.size
-    f = len(free_sites)
-    dim = 2**n_sites
-    cols = np.zeros((dim, 2**f), dtype=complex)
-    weights = [(x_site, 1.0 / np.sqrt(2.0))] if x_site is not None else []
-    for p in range(2**f):
-        s = template.copy()
-        for b, site in enumerate(free_sites):
-            s[site] = 2 * ((p >> (f - 1 - b)) & 1) - 1
-        if x_site is None:
-            bits = (s + 1) // 2
-            idx = int("".join(str(int(b)) for b in bits), 2)
-            cols[idx, p] = 1.0
-        else:
-            for val in (-1, 1):
-                s[x_site] = val
-                bits = (s + 1) // 2
-                idx = int("".join(str(int(b)) for b in bits), 2)
-                cols[idx, p] = weights[0][1]
+    s = _free_patterns(template, free_sites)
+    p = np.arange(s.shape[0])
+    cols = np.zeros((2**template.size, p.size), dtype=complex)
+    if x_site is None:
+        cols[pattern_index(s), p] = 1.0
+    else:
+        for val in (-1, 1):
+            s[:, x_site] = val
+            cols[pattern_index(s), p] = 1.0 / np.sqrt(2.0)
     return cols
 
 

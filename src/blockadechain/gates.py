@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, ControlSchedule, ControlSegment, build_h_model
-from .operators import InvariantViolation, StateVector, realize
+from .operators import InvariantViolation, order_sums, pattern_index, realize, spin_patterns
 
 
 @dataclass(frozen=True)
@@ -91,25 +91,17 @@ def pair_encoded_layout(n_logical: int, m: int = 2) -> LogicalLayout:
     return LogicalLayout(n_logical, m, tuple(qubits), tuple(blockades))
 
 
-def _layout_patterns(layout: LogicalLayout):
-    """All logical basis patterns as full-chain sigma^z integer vectors."""
-    n = layout.n_sites
-    base = np.zeros(n, dtype=np.int64)
+def _layout_patterns(layout: LogicalLayout) -> np.ndarray:
+    """sigma^z of every site for every logical basis pattern, shape (2^n_logical, N)."""
+    logical = spin_patterns(layout.n_logical)  # +1 for logical |1>
+    s = np.empty((logical.shape[0], layout.n_sites), dtype=np.int8, order="F")
     for site, bit in layout.blockade_sites:
-        base[site - 1] = 2 * bit - 1
-    out = []
-    for code in range(2**layout.n_logical):
-        s = base.copy()
-        for q, pair in enumerate(layout.qubit_sites):
-            bit = (code >> (layout.n_logical - 1 - q)) & 1
-            if len(pair) == 1:
-                s[pair[0] - 1] = 2 * bit - 1
-            else:
-                a, b = pair
-                # |0>_L = |01>, |1>_L = |10>
-                s[a - 1], s[b - 1] = (-1, 1) if bit == 0 else (1, -1)
-        out.append(s)
-    return out
+        s[:, site - 1] = 2 * bit - 1
+    for q, pair in enumerate(layout.qubit_sites):
+        s[:, pair[0] - 1] = logical[:, q]
+        if len(pair) == 2:  # |0>_L = |01>, |1>_L = |10>
+            s[:, pair[1] - 1] = -logical[:, q]
+    return s
 
 
 def verify_blockade_cancellation(layout: LogicalLayout, couplings) -> float:
@@ -129,23 +121,16 @@ def verify_blockade_cancellation(layout: LogicalLayout, couplings) -> float:
         raise ValueError("need at least one coupling order")
     if layout.n_logical > 16:
         raise ValueError("residual enumeration is capped at 2**16 logical patterns")
-    patterns = _layout_patterns(layout)
-    n = layout.n_sites
-    order_sums = []
-    for s in patterns:
-        sums = []
-        for k in range(1, len(couplings) + 1):
-            sums.append(int(np.dot(s[: n - k], s[k:])) if k < n else 0)
-        order_sums.append(sums)
-    ref = order_sums[0]
-    if all(sums == ref for sums in order_sums):
+    s = _layout_patterns(layout)
+    sums = [order_sums(s, k) for k in range(1, len(couplings) + 1)]
+    if all((m == m[0]).all() for m in sums):
         return 0.0
-    # energy differences from integer deltas: orders whose sums coincide
-    # across patterns contribute exactly zero
-    deltas = [
-        sum(j * (mk - rk) for j, mk, rk in zip(couplings, sums, ref)) for sums in order_sums
-    ]
-    return (max(deltas) - min(deltas)) / 2.0
+    # energy differences from integer deltas, added order by order: orders
+    # whose sums coincide across patterns contribute exactly zero
+    deltas = np.zeros(s.shape[0])
+    for j, m in zip(couplings, sums):
+        deltas += j * (m - m[0])
+    return float(deltas.max() - deltas.min()) / 2.0
 
 
 @dataclass(frozen=True)
@@ -229,13 +214,9 @@ class ReducedHamiltonians:
 
 def logical_background_energy(spec: ChainSpec, layout: LogicalLayout) -> float:
     """Static Ising energy shared by all logical basis states."""
-    patterns = _layout_patterns(layout)
-    n = layout.n_sites
-    energies = []
-    for s in patterns:
-        e = spec.j1 * int(np.dot(s[: n - 1], s[1:])) + spec.j2 * int(np.dot(s[: n - 2], s[2:]))
-        energies.append(e)
-    if max(energies) - min(energies) > 1e-12:
+    s = _layout_patterns(layout)
+    energies = spec.j1 * order_sums(s, 1) + spec.j2 * order_sums(s, 2)
+    if energies.max() - energies.min() > 1e-12:
         raise InvariantViolation("logical basis states are not degenerate for this layout")
     return float(energies[0])
 
@@ -376,11 +357,10 @@ def _evolve_state(spec: ChainSpec, schedule: ControlSchedule, psi: np.ndarray) -
 
 def logical_basis_states(layout: LogicalLayout) -> list:
     """Full-chain basis vectors |q1 q2 ...>_L ordered by binary code."""
-    states = []
-    for s in _layout_patterns(layout):
-        bits = ((s + 1) // 2).tolist()
-        states.append(StateVector.basis_state(bits).amplitudes)
-    return states
+    idx = pattern_index(_layout_patterns(layout))
+    states = np.zeros((idx.size, 2**layout.n_sites), dtype=complex)
+    states[np.arange(idx.size), idx] = 1.0
+    return list(states)
 
 
 def simulate_gate(spec: ChainSpec, layout: LogicalLayout, schedule: ControlSchedule) -> GateReport:

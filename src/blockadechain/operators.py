@@ -15,18 +15,46 @@ import numpy as np
 
 #: Largest register realized as a dense 2^N x 2^N matrix.
 DIMENSION_CAP = 14
-#: Largest register handled by the diagonal (Z-only) fast path.
-DIAGONAL_CAP = 20
+#: Largest number of spins whose sigma^z patterns are enumerated (2**20 rows).
+PATTERN_CAP = 20
 
 HERMITICITY_TOL = 1e-12
 UNITARITY_TOL = 1e-10
 
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-PAULI_Y = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex)
-PAULI_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
+# i**k for the number k of Y letters in a Pauli string, exact in both parts
+_I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
 
-_PAULI = {"X": PAULI_X, "Y": PAULI_Y, "Z": PAULI_Z}
-_ID2 = np.eye(2, dtype=complex)
+
+def spin_patterns(n: int) -> np.ndarray:
+    """sigma^z of every site for all 2^n basis codes, shape (2^n, n), int8.
+
+    Row c holds the pattern of basis index c: site 1 is the most
+    significant bit and a set bit is ``sigma^z = +1``.
+    """
+    if n > PATTERN_CAP:
+        raise ValueError(f"2**{n} patterns exceed the enumeration cap of 2**{PATTERN_CAP}")
+    codes = np.arange(2**n, dtype=np.int64)
+    s = np.empty((codes.size, n), dtype=np.int8, order="F")
+    for j in range(n):
+        s[:, j] = 2 * ((codes >> (n - 1 - j)) & 1) - 1
+    return s
+
+
+def order_sums(s: np.ndarray, k: int) -> np.ndarray:
+    """Integer Ising order-k sum ``sum_i s_i s_{i+k}`` of every pattern row."""
+    out = np.zeros(s.shape[0], dtype=np.int64)
+    for i in range(s.shape[1] - k):
+        out += s[:, i] * s[:, i + k]
+    return out
+
+
+def pattern_index(s: np.ndarray) -> np.ndarray:
+    """Basis index of every sigma^z pattern row (site 1 most significant)."""
+    idx = np.zeros(s.shape[0], dtype=np.int64)
+    for j in range(s.shape[1]):
+        idx <<= 1
+        idx |= s[:, j] > 0
+    return idx
 
 
 class InvariantViolation(RuntimeError):
@@ -124,12 +152,10 @@ class StateVector:
     @staticmethod
     def basis_index(bits) -> int:
         """Index of the product state ``|b_1 b_2 ... b_N>`` (b_1 most significant)."""
-        idx = 0
-        for b in bits:
-            if b not in (0, 1):
-                raise ValueError("bits must be 0 or 1")
-            idx = (idx << 1) | b
-        return idx
+        bits = np.asarray(bits).reshape(1, -1)
+        if not np.isin(bits, (0, 1)).all():
+            raise ValueError("bits must be 0 or 1")
+        return int(pattern_index(2 * bits - 1)[0])
 
     @classmethod
     def basis_state(cls, bits) -> "StateVector":
@@ -144,7 +170,6 @@ class Propagator:
     """Unitary on the full register, with a certificate check at construction."""
 
     matrix: np.ndarray
-    generator_trace: tuple | None = None
 
     def __post_init__(self) -> None:
         u = np.asarray(self.matrix, dtype=complex)
@@ -161,19 +186,31 @@ class Propagator:
 
 
 def realize(op: OperatorSum) -> np.ndarray:
-    """Dense Hermitian matrix of an operator sum via tensor embedding."""
+    """Dense Hermitian matrix of an operator sum.
+
+    Each Pauli string maps basis index c to ``c ^ flip`` (X and Y flip
+    their bits) with amplitude ``coefficient * i**#Y`` times the sigma^z
+    value of every Z and Y site, so no tensor products are formed.
+    """
     if op.n_spins > DIMENSION_CAP:
         raise ValueError(
             f"register of {op.n_spins} spins exceeds the dense dimension cap {DIMENSION_CAP}"
         )
-    dim = 2**op.n_spins
+    n = op.n_spins
+    dim = 2**n
+    s = spin_patterns(n)
+    cols = np.arange(dim)
     out = np.zeros((dim, dim), dtype=complex)
     for term in op.terms:
-        letters = dict(term.letters)
-        acc = np.array([[1.0 + 0.0j]])
-        for site in range(1, op.n_spins + 1):
-            acc = np.kron(acc, _PAULI.get(letters.get(site), _ID2) if site in letters else _ID2)
-        out += term.coefficient * acc
+        flip = 0
+        sign = np.ones(dim, dtype=np.int8)
+        for site, pauli in term.letters:
+            if pauli != "Z":
+                flip |= 1 << (n - site)
+            if pauli != "X":
+                sign *= s[:, site - 1]
+        n_y = sum(p == "Y" for _, p in term.letters)
+        out[cols ^ flip, cols] += term.coefficient * _I_POWERS[n_y % 4] * sign
     defect = np.max(np.abs(out - out.conj().T)) if dim else 0.0
     if defect > 1e-14:
         raise InvariantViolation(f"realized matrix hermiticity defect {defect:.3e}")
@@ -184,23 +221,16 @@ def realize_diagonal(op: OperatorSum) -> np.ndarray:
     """Diagonal (length 2^N, real) of a Z-only operator sum.
 
     Fast path for purely Ising generators; supports registers up to
-    ``DIAGONAL_CAP`` spins without materializing matrices.
+    ``PATTERN_CAP`` spins without materializing matrices.
     """
     if not op.is_diagonal:
         raise ValueError("operator has non-Z terms; no diagonal fast path")
-    if op.n_spins > DIAGONAL_CAP:
-        raise ValueError(
-            f"register of {op.n_spins} spins exceeds the diagonal cap {DIAGONAL_CAP}"
-        )
-    n = op.n_spins
-    idx = np.arange(2**n, dtype=np.int64)
-    # sigma^z eigenvalue of site s: +1 when the bit is 1 (|1> is spin up)
-    zvals = [2.0 * ((idx >> (n - s)) & 1) - 1.0 for s in range(1, n + 1)]
-    diag = np.zeros(2**n)
+    s = spin_patterns(op.n_spins)
+    diag = np.zeros(s.shape[0])
     for term in op.terms:
-        contrib = np.full(2**n, term.coefficient)
+        contrib = np.full(s.shape[0], term.coefficient)
         for site, _ in term.letters:
-            contrib = contrib * zvals[site - 1]
+            contrib = contrib * s[:, site - 1]
         diag += contrib
     return diag
 

@@ -9,6 +9,7 @@ from blockadechain.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
     EXIT_OK,
+    DEFAULT_PARAMETERS,
     ConfigError,
     load_config,
     main,
@@ -64,6 +65,26 @@ def test_non_finite_parameter_rejected(tmp_path):
     path.write_text('{"scenario": "gate-fidelity", "parameters": {"j1": Infinity}}', encoding="utf-8")
     with pytest.raises(ConfigError, match="finite"):
         load_config("gate-fidelity", str(path), 0)
+
+
+@pytest.mark.parametrize(
+    "scenario, key",
+    [
+        ("deviation-sweep", "n_min"),
+        ("deviation-sweep", "n_max"),
+        ("deviation-sweep", "t_points"),
+        ("josephson-map", "n_boxes"),
+        ("blockade-check", "n_logical"),
+        ("blockade-check", "m"),
+    ],
+)
+def test_boolean_integer_parameter_rejected(tmp_path, scenario, key):
+    params = json.loads(json.dumps(DEFAULT_PARAMETERS[scenario]))
+    target = params["checks"][1] if scenario == "blockade-check" else params
+    target[key] = True  # JSON true loads as a Python bool, an int subclass
+    cfg = write_config(tmp_path, {"scenario": scenario, "parameters": params})
+    with pytest.raises(ConfigError, match=rf"{key}.*integer"):
+        load_config(scenario, cfg, 0)
 
 
 def test_missing_config_file(tmp_path):
@@ -237,6 +258,13 @@ def test_blockade_check_default_rows(tmp_path):
     assert float(rows[0]["residual"]) == 0.0  # single-spin, nearest order only
     assert float(rows[1]["residual"]) == 0.0  # pair encoding, both orders
     assert float(rows[2]["residual"]) > 0.0   # injected third order
+
+
+def test_blockade_check_null_m_rejected(tmp_path, capsys):
+    check = {"layout": "pair-encoded", "n_logical": 2, "m": None, "couplings": [1.0]}
+    cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
+    assert main(["blockade-check", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_exit_codes_are_distinct():

@@ -87,8 +87,8 @@ def test_idle_raw_monotone_onset():
 # z-rotation
 
 def test_sigma_z_trivial_cases():
-    assert sigma_z_deviation(5, 0.0, 0.7, bz=1.3).exact_phase_opt == pytest.approx(0.0, abs=1e-14)
-    assert sigma_z_deviation(5, 0.02, 0.0, bz=1.3).exact_raw == pytest.approx(0.0, abs=1e-14)
+    assert sigma_z_deviation(5, 0.0, 0.7).exact_phase_opt == pytest.approx(0.0, abs=1e-14)
+    assert sigma_z_deviation(5, 0.02, 0.0).exact_raw == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sigma_z_against_reduced_matrix_oracle():
@@ -118,7 +118,7 @@ def test_sigma_z_against_reduced_matrix_oracle():
 # x-rotation
 
 def test_sigma_x_trivial_and_bounds():
-    assert sigma_x_deviation(4, 0.0, 1.0, bx=0.2).exact_phase_opt == pytest.approx(0.0, abs=1e-14)
+    assert sigma_x_deviation(4, 0.0, 1.0).exact_phase_opt == pytest.approx(0.0, abs=1e-14)
     res = sigma_x_deviation(4, 0.03, 0.8)
     assert res.lower_bound == pytest.approx(2 * abs(np.sin(0.03 * 0.8 / 2)), abs=1e-12)
     with pytest.raises(ValueError, match="n >= 4"):

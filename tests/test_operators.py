@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockadechain.operators import (
+    PATTERN_CAP,
     InvariantViolation,
     OperatorSum,
     PauliTerm,
     Propagator,
     StateVector,
     expm_unitary,
+    order_sums,
+    pattern_index,
     phase_optimized_distance,
     phase_set_distance,
     realize,
     realize_diagonal,
     spectral_norm,
+    spin_patterns,
 )
 
 rng = np.random.default_rng(20260810)
@@ -104,6 +110,75 @@ def test_realize_diagonal_matches_dense():
 def test_realize_diagonal_rejects_offdiagonal_terms():
     with pytest.raises(ValueError, match="non-Z"):
         realize_diagonal(OperatorSum([PauliTerm(1.0, {1: "X"})], 2))
+
+
+def test_realize_diagonal_enumeration_cap():
+    with pytest.raises(ValueError, match="cap"):
+        realize_diagonal(OperatorSum([PauliTerm(1.0, {1: "Z"})], PATTERN_CAP + 1))
+
+
+# ---------------------------------------------------------------------------
+# property tests against loop references
+
+_KRON_PAULI = {
+    "X": np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex),
+    "Y": np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex),
+    "Z": np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex),
+}
+
+
+def realize_kron(op):
+    """Reference realization: every Pauli string as an explicit tensor-product chain."""
+    dim = 2**op.n_spins
+    out = np.zeros((dim, dim), dtype=complex)
+    for term in op.terms:
+        letters = dict(term.letters)
+        acc = np.array([[1.0 + 0.0j]])
+        for site in range(1, op.n_spins + 1):
+            acc = np.kron(acc, _KRON_PAULI.get(letters.get(site), np.eye(2, dtype=complex)))
+        out += term.coefficient * acc
+    return out
+
+
+@st.composite
+def pauli_sums(draw):
+    n = draw(st.integers(1, 6))
+    term = st.builds(
+        PauliTerm,
+        st.floats(-10.0, 10.0, allow_nan=False),
+        st.dictionaries(st.integers(1, n), st.sampled_from("XYZ"), max_size=n),
+    )
+    return OperatorSum(draw(st.lists(term, min_size=1, max_size=8)), n)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pauli_sums())
+def test_realize_matches_kron_chain_bytewise(op):
+    assert realize(op).tobytes() == realize_kron(op).tobytes()
+
+
+@given(st.integers(0, 10))
+def test_spin_patterns_match_code_loop(n):
+    expected = [[2 * ((c >> (n - 1 - j)) & 1) - 1 for j in range(n)] for c in range(2**n)]
+    s = spin_patterns(n)
+    assert s.dtype == np.int8 and s.shape == (2**n, n)
+    assert s.tolist() == expected
+    assert pattern_index(s).tolist() == list(range(2**n))
+
+
+@given(
+    st.lists(st.lists(st.sampled_from([-1, 1]), min_size=12, max_size=12), min_size=1, max_size=8),
+    st.integers(1, 12),
+    st.integers(1, 14),
+)
+def test_order_sums_and_pattern_index_match_row_loops(rows, width, k):
+    rows = [row[:width] for row in rows]
+    s = np.array(rows, dtype=np.int8)
+    sums = order_sums(s, k)
+    assert sums.dtype == np.int64
+    assert sums.tolist() == [sum(r[i] * r[i + k] for i in range(width - k)) for r in rows]
+    indices = [int("".join("1" if v > 0 else "0" for v in r), 2) for r in rows]
+    assert pattern_index(s).tolist() == indices
 
 
 # ---------------------------------------------------------------------------
