@@ -101,6 +101,8 @@ def _is_int(value) -> bool:
 
 
 def _finite(value, name: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, not a boolean")
     try:
         out = float(value)
     except (TypeError, ValueError) as exc:
@@ -140,11 +142,13 @@ def load_config(scenario: str, path: str | None, seed: int) -> RunConfig:
         raise ConfigError("parameters must be an object")
     merged = json.loads(json.dumps(DEFAULT_PARAMETERS[scenario]))
     merged.update(params)
+    if not _is_int(tree.get("seed", seed)):
+        raise ConfigError("seed must be an integer")
     cfg = RunConfig(
         scenario=scenario,
         parameters=merged,
         output_path=tree.get("output_path"),
-        seed=int(tree.get("seed", seed)),
+        seed=tree.get("seed", seed),
         json_mirror=tree.get("json_mirror"),
     )
     _validate_parameters(cfg)
@@ -163,7 +167,12 @@ def _validate_parameters(cfg: RunConfig) -> None:
         if not _is_int(p["t_points"]) or p["t_points"] < 1:
             raise ConfigError("t_points must be a positive integer (empty t-grids are invalid)")
         names = {s.value for s in Scenario}
-        if not p["scenarios"] or any(s not in names for s in p["scenarios"]):
+        scenarios = p["scenarios"]
+        if (
+            not isinstance(scenarios, list)
+            or not scenarios
+            or any(not isinstance(s, str) or s not in names for s in scenarios)
+        ):
             raise ConfigError(f"scenarios must be a nonempty subset of {sorted(names)}")
     elif cfg.scenario == "gate-fidelity":
         _check_keys(p, {"j1", "j2", "x1", "tau", "naive", "schedule_out"}, "gate-fidelity parameters")
@@ -325,7 +334,7 @@ def run_deviation_sweep(cfg: RunConfig, jobs: int = 1) -> tuple[list, list]:
 # gate-fidelity
 
 def run_gate_fidelity(cfg: RunConfig, jobs: int = 1) -> tuple[list, list]:
-    del jobs  # the eigendecomposition cache favors in-process reuse
+    del jobs
     p = cfg.parameters
     layout = pair_encoded_layout(2, 2)
     rows = []

@@ -17,7 +17,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, ControlSchedule, ControlSegment, build_h_model
-from .operators import InvariantViolation, order_sums, pattern_index, realize, spin_patterns
+from .operators import (
+    InvariantViolation,
+    expm_unitary,
+    order_sums,
+    pattern_index,
+    realize,
+    realize_diagonal,
+    spin_patterns,
+)
 
 
 @dataclass(frozen=True)
@@ -320,39 +328,47 @@ class GateReport:
     phase_phi: float
 
 
-# Cache of eigendecompositions keyed by the full control tuple; pulse
-# segments repeat across schedules (and across tau values), and the
-# eigh of the 2^N Hamiltonian dominates the cost of a simulation.
-_EIG_CACHE: dict = {}
-_EIG_CACHE_MAX = 24
-
-
-def _segment_propagator_parts(spec: ChainSpec, seg: ControlSegment):
-    key = (spec.n_spins, spec.j1, spec.j2, seg.bx, seg.bz, seg.jxy)
-    if key not in _EIG_CACHE:
-        if len(_EIG_CACHE) >= _EIG_CACHE_MAX:
-            _EIG_CACHE.pop(next(iter(_EIG_CACHE)))
-        h = realize(build_h_model(spec, seg, forbid_bz=True))
-        if not (h - np.diag(np.diag(h))).any():
-            _EIG_CACHE[key] = (np.real(np.diag(h)), None)
-        elif not h.imag.any():
-            w, v = np.linalg.eigh(h.real)
-            _EIG_CACHE[key] = (w, v)
-        else:
-            w, v = np.linalg.eigh(h)
-            _EIG_CACHE[key] = (w, v)
-    return _EIG_CACHE[key]
-
-
 def _evolve_state(spec: ChainSpec, schedule: ControlSchedule, psi: np.ndarray) -> np.ndarray:
+    """Apply the schedule's propagator to a state (2^N,) or to columns (2^N, k).
+
+    Idle segments are phases of the static Ising diagonal.  A single XY
+    bond of strength j couples each |..10..>, |..01..> pair of its sites
+    through the block [[E_a, 2j], [2j, E_c]], rotated in closed form;
+    |..00..> and |..11..> only pick up their phase.  Any other segment
+    (x fields, several bonds) takes one dense step.
+    """
+    n = spec.n_spins
+    energy = realize_diagonal(build_h_model(spec, ControlSegment.idle(n, 1.0)))
+    codes = np.arange(energy.size)
+    shape = np.shape(psi)
+    psi = np.asarray(psi, dtype=complex).reshape(energy.size, -1)
     for seg in schedule.segments:
-        w, v = _segment_propagator_parts(spec, seg)
-        phase = np.exp(-1j * seg.duration * w)
-        if v is None:
-            psi = phase * psi
-        else:
-            psi = v @ (phase * (v.conj().T @ psi))
-    return psi
+        bonds = [b for b, j in enumerate(seg.jxy, start=1) if j]
+        t = seg.duration
+        if any(seg.bx) or any(seg.bz) or len(bonds) > 1:
+            u = expm_unitary(realize(build_h_model(spec, seg, forbid_bz=True)), t)
+            psi = u.matrix @ psi
+            continue
+        out = np.exp(-1j * t * energy)[:, None] * psi
+        if bonds:
+            hi = 1 << (n - bonds[0])  # bit of the bond's first site
+            pair = hi | (hi >> 1)
+            a = codes[(codes & pair) == hi]  # |..10..>
+            c = a ^ pair  # |..01..>
+            g = 2.0 * seg.jxy[bonds[0] - 1]
+            ea, ec = energy[a, None], energy[c, None]
+            half = (ea - ec) / 2.0
+            w = np.hypot(half, g)
+            cos = np.cos(w * t)
+            sinc = np.sin(w * t) / w
+            phase = np.exp(-0.5j * t * (ea + ec))
+            u_aa = phase * (cos - 1j * sinc * half)
+            u_cc = phase * (cos + 1j * sinc * half)
+            u_ac = phase * (-1j * sinc * g)
+            out[a] = u_aa * psi[a] + u_ac * psi[c]
+            out[c] = u_ac * psi[a] + u_cc * psi[c]
+        psi = out
+    return psi.reshape(shape)
 
 
 def logical_basis_states(layout: LogicalLayout) -> list:
@@ -377,9 +393,8 @@ def simulate_gate(spec: ChainSpec, layout: LogicalLayout, schedule: ControlSched
         raise ValueError("gate simulation reports the two-logical-qubit register")
     if layout.n_sites != spec.n_spins or schedule.n_spins != spec.n_spins:
         raise ValueError("chain, layout, and schedule sizes must agree")
-    basis = logical_basis_states(layout)
-    columns = [_evolve_state(spec, schedule, b.copy()) for b in basis]
-    m = np.array([[b.conj() @ c for c in columns] for b in basis])
+    basis = np.array(logical_basis_states(layout))
+    m = basis.conj() @ _evolve_state(spec, schedule, basis.T)
     leakage = float(max(1.0 - np.linalg.norm(m[:, k]) ** 2 for k in range(4)))
     a00 = m[0, 0]
     if abs(a00) < 1e-12:

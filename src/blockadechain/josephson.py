@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec
+from .operators import InvariantViolation
 
 #: Cooper-pair charge squared, (2e)^2 in coulombs^2, for SI-mode energies.
 COOPER_PAIR_CHARGE_SQ = (2.0 * 1.602176634e-19) ** 2
@@ -112,7 +113,11 @@ def build_capacitance_matrix(spec: JosephsonArraySpec) -> np.ndarray:
 
 
 def invert_capacitance(c: np.ndarray) -> np.ndarray:
-    """Symmetric inverse with a residual certificate C C^{-1} = I to 1e-12."""
+    """Symmetric inverse with a residual certificate C C^{-1} = I to 1e-12.
+
+    Malformed or singular input raises ``ValueError``; a failed residual
+    certificate raises ``InvariantViolation``.
+    """
     c = np.asarray(c, dtype=float)
     if c.ndim != 2 or c.shape[0] != c.shape[1]:
         raise ValueError("capacitance matrix must be square")
@@ -125,7 +130,7 @@ def invert_capacitance(c: np.ndarray) -> np.ndarray:
     inv = (inv + inv.T) / 2.0
     residual = np.max(np.abs(c @ inv - np.eye(c.shape[0])))
     if residual > 1e-12:
-        raise ValueError(f"inversion residual {residual:.3e} exceeds 1e-12 (ill-conditioned input)")
+        raise InvariantViolation(f"inversion residual {residual:.3e} exceeds 1e-12 (ill-conditioned input)")
     return inv
 
 

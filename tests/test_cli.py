@@ -87,6 +87,28 @@ def test_boolean_integer_parameter_rejected(tmp_path, scenario, key):
         load_config(scenario, cfg, 0)
 
 
+@pytest.mark.parametrize("seed", [None, True])
+def test_non_integer_seed_rejected(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, dict(SMALL_SWEEP, seed=seed))
+    assert main(["deviation-sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+    assert "config error: seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("params", [{"j2": [True]}, {"x1": True}], ids=["j2", "x1"])
+def test_boolean_float_parameter_rejected(tmp_path, capsys, params):
+    cfg = write_config(tmp_path, {"scenario": "gate-fidelity", "parameters": params})
+    assert main(["gate-fidelity", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+    assert "boolean" in capsys.readouterr().err
+
+
+def test_non_string_scenario_entry_rejected(tmp_path, capsys):
+    bad = json.loads(json.dumps(SMALL_SWEEP))
+    bad["parameters"]["scenarios"] = [["idle"]]
+    cfg = write_config(tmp_path, bad)
+    assert main(["deviation-sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+    assert "config error: scenarios" in capsys.readouterr().err
+
+
 def test_missing_config_file(tmp_path):
     assert (
         main(["deviation-sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")])

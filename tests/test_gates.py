@@ -1,7 +1,11 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment, build_h_model
+from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment, build_h_model, evolve
 from blockadechain.gates import (
     _evolve_state,
     compile_cphase,
@@ -291,6 +295,67 @@ def test_compiled_schedule_conserves_magnetization():
     mags = np.array([bin(i).count("1") for i in range(2**10)])
     off_sector = np.abs(psi[mags != 2])
     assert np.max(off_sector) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# structured propagation against the dense oracle
+
+@st.composite
+def single_bond_runs(draw):
+    n = draw(st.integers(3, 8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # |j2| >= |j1| is allowed here
+        spec = ChainSpec(n, j1=draw(st.floats(-2.0, 2.0)), j2=draw(st.floats(-2.0, 2.0)))
+    duration = st.floats(0.01, 3.0)
+    idle = st.builds(ControlSegment.idle, st.just(n), duration)
+    pulse = st.builds(
+        ControlSegment.bond_pulse, st.just(n), st.integers(1, n - 1), st.floats(-1.5, 1.5), duration
+    )
+    sched = ControlSchedule(draw(st.lists(idle | pulse, min_size=1, max_size=6)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return spec, sched, seed
+
+
+def random_states(dim, k, seed):
+    g = np.random.default_rng(seed)
+    psi = g.normal(size=(dim, k)) + 1j * g.normal(size=(dim, k))
+    return psi / np.linalg.norm(psi, axis=0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(single_bond_runs())
+def test_structured_propagation_matches_dense_evolve(run):
+    spec, sched, seed = run
+    psi = random_states(2**spec.n_spins, 3, seed)
+    u = evolve(spec, sched).matrix
+    assert np.max(np.abs(_evolve_state(spec, sched, psi) - u @ psi)) < 1e-12
+    single = _evolve_state(spec, sched, psi[:, 0])
+    assert single.shape == (2**spec.n_spins,)
+    assert np.max(np.abs(single - u @ psi[:, 0])) < 1e-12
+
+
+def test_general_segments_take_the_dense_step():
+    spec = ChainSpec(5, j1=1.0, j2=0.05)
+    bx = ControlSegment(0.7, [0.3, 0.0, -0.2, 0.0, 0.1], [0.0] * 5, [0.0, 0.25, 0.0, 0.0])
+    two_bonds = ControlSegment(0.4, [0.0] * 5, [0.0] * 5, [0.2, 0.0, -0.35, 0.0])
+    sched = ControlSchedule([ControlSegment.bond_pulse(5, 2, 0.3, 0.5), bx, two_bonds])
+    psi = random_states(32, 2, 5)
+    expected = evolve(spec, sched).matrix @ psi
+    assert np.max(np.abs(_evolve_state(spec, sched, psi) - expected)) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "seg",
+    [
+        ControlSegment(0.5, [0.0] * 10, [0.0] * 9 + [0.1], [0.0] * 9),
+        ControlSegment(0.5, [0.0] * 10, [0.1] + [0.0] * 9, [0.0, 0.0, 0.0, 0.2] + [0.0] * 5),
+        ControlSegment(0.5, [0.2] + [0.0] * 9, [0.1] + [0.0] * 9, [0.0] * 9),
+    ],
+    ids=["idle", "single-bond", "x-field"],
+)
+def test_z_fields_rejected_on_every_path(seg):
+    with pytest.raises(ValueError, match="bz == 0"):
+        simulate_gate(SPEC, LAYOUT, ControlSchedule([seg]))
 
 
 # ---------------------------------------------------------------------------

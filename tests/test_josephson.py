@@ -9,7 +9,7 @@ from blockadechain.josephson import (
     extract_couplings,
     invert_capacitance,
 )
-from blockadechain.operators import OperatorSum, PauliTerm, realize
+from blockadechain.operators import InvariantViolation, OperatorSum, PauliTerm, realize
 
 
 def array_spec(n, eps, c0=1.0, gate_charges=None):
@@ -120,6 +120,13 @@ def test_inverse_against_column_solve_oracle():
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError, match="singular"):
         invert_capacitance(np.zeros((3, 3)))
+
+
+def test_inverse_residual_failure_is_an_invariant_violation():
+    k = np.arange(8)
+    hilbert = 1.0 / (k[:, None] + k[None, :] + 1.0)  # residual about 3e-7
+    with pytest.raises(InvariantViolation, match="residual"):
+        invert_capacitance(hilbert)
 
 
 # ---------------------------------------------------------------------------
