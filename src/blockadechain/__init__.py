@@ -20,12 +20,8 @@ from .deviation import (
     ScenarioResult,
     deviation_speed,
     full_chain_deviation,
-    idle_deviation,
-    interqubit_deviation,
     lower_bound,
     scenario_deviation,
-    sigma_x_deviation,
-    sigma_z_deviation,
 )
 from .gates import (
     GateReport,
@@ -96,8 +92,6 @@ __all__ = [
     "expm_unitary",
     "extract_couplings",
     "full_chain_deviation",
-    "idle_deviation",
-    "interqubit_deviation",
     "invert_capacitance",
     "logical_background_energy",
     "logical_sigma_x",
@@ -111,8 +105,6 @@ __all__ = [
     "realize_diagonal",
     "reduced_hamiltonians",
     "scenario_deviation",
-    "sigma_x_deviation",
-    "sigma_z_deviation",
     "simulate_gate",
     "single_spin_layout",
     "solve_pulse_parameters",

@@ -40,6 +40,13 @@ class Scenario(str, Enum):
     INTER_QUBIT = "inter_qubit"
 
 
+#: Fewest logical qubits each scenario runs on.  The bound factor
+#: k = n + 1 - MIN_QUBITS counts the qubit-qubit next-nearest terms that
+#: survive the frozen configuration, so the minimum is the smallest n
+#: with a nonzero bound.
+MIN_QUBITS = {Scenario.IDLE: 2, Scenario.SIGMA_Z: 2, Scenario.SIGMA_X: 4, Scenario.INTER_QUBIT: 3}
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     """Deviation of one scenario at one (n, j2, t) point.
@@ -74,68 +81,57 @@ def _blockade_z(k: int) -> int:
 
 def default_target(scenario: Scenario, n: int) -> int:
     """Default qubit position for the scenario; mid-chain where allowed."""
-    if scenario in (Scenario.IDLE,):
+    if scenario is Scenario.IDLE:
         raise ValueError("idle scenario has no target qubit")
     if scenario in (Scenario.SIGMA_Z, Scenario.SIGMA_X):
         return (n + 1) // 2
     # inter-qubit gate acts on (i, i+1); even i keeps the middle blockade
     # in |0> so the exchange pulses annihilate the frozen subspace
-    candidates = [i for i in range(2, n, 2)]
+    candidates = range(2, n, 2)
     if not candidates:
         raise ValueError("no valid inter-qubit position")
     mid = (n + 1) / 2
     return min(candidates, key=lambda i: (abs(i - mid), i))
 
 
-def _frozen_configuration(scenario: Scenario, n: int, target: int | None):
+def _frozen_configuration(scenario: Scenario, n: int):
     """Frozen sigma^z template and free-qubit site list for a scenario.
 
-    Returns ``(template, free_sites, x_site)`` where ``template`` is a
+    Returns ``(template, free_sites, x_site, i0)`` where ``template`` is a
     length-(2n+1) int array (0 marks a free site), ``free_sites`` are the
-    0-based positions enumerated over, and ``x_site`` is the 0-based site
-    held in |+> for the x-rotation scenario (None otherwise).
+    0-based positions enumerated over, ``x_site`` is the 0-based site
+    held in |+> for the x-rotation scenario (None otherwise), and ``i0``
+    is the scenario's target qubit (None for idle).
     """
-    if n < 2:
-        raise ValueError("need at least two logical qubits")
-    n_sites = 2 * n + 1
-    template = np.zeros(n_sites, dtype=np.int64)
+    if n < MIN_QUBITS[scenario]:
+        raise ValueError(f"{scenario.value} scenario needs n >= {MIN_QUBITS[scenario]}")
+    template = np.zeros(2 * n + 1, dtype=np.int64)
     for k in range(1, n + 2):
         template[2 * k - 2] = _blockade_z(k)
     qubit_site = {i: 2 * i - 1 for i in range(1, n + 1)}  # 0-based site of qubit i
 
     free = set(range(1, n + 1))
+    i0 = None if scenario is Scenario.IDLE else default_target(scenario, n)
     x_site = None
-    if scenario is Scenario.IDLE:
-        pass
-    elif scenario is Scenario.SIGMA_Z:
-        i0 = default_target(scenario, n) if target is None else target
-        if not 1 <= i0 <= n:
-            raise ValueError("target qubit out of range")
+    if scenario is Scenario.SIGMA_Z:
+        # The bz field acts identically in the intended and realistic
+        # evolutions restricted to the frozen subspace, so it cancels.
         template[qubit_site[i0]] = -1  # frozen |0>
         free.discard(i0)
     elif scenario is Scenario.SIGMA_X:
-        if n < 4:
-            raise ValueError("x-rotation scenario needs n >= 4")
-        i0 = default_target(scenario, n) if target is None else target
-        if not 2 <= i0 <= n - 1:
-            raise ValueError("x-rotation target needs qubits on both sides")
+        # The target's neighbors are frozen in opposite states so its own
+        # long-range couplings cancel; the bx drive then commutes with the
+        # restriction and drops out of the deviation like bz.
         template[qubit_site[i0 - 1]] = -1  # |0>
         template[qubit_site[i0 + 1]] = 1   # |1>
         x_site = qubit_site[i0]
         free -= {i0 - 1, i0, i0 + 1}
     elif scenario is Scenario.INTER_QUBIT:
-        if n < 3:
-            raise ValueError("inter-qubit scenario needs n >= 3")
-        i0 = default_target(scenario, n) if target is None else target
-        if not 1 <= i0 <= n - 1:
-            raise ValueError("inter-qubit position out of range")
         template[qubit_site[i0]] = -1
         template[qubit_site[i0 + 1]] = -1
         free -= {i0, i0 + 1}
-    else:  # pragma: no cover
-        raise ValueError(f"unknown scenario {scenario}")
     free_sites = [qubit_site[i] for i in sorted(free)]
-    return template, free_sites, x_site
+    return template, free_sites, x_site, i0
 
 
 def _free_patterns(template: np.ndarray, free_sites) -> np.ndarray:
@@ -165,23 +161,12 @@ def _next_nearest_sums(template: np.ndarray, free_sites, x_site) -> np.ndarray:
     return m
 
 
-def _bound_factor(scenario: Scenario, n: int) -> int:
-    return {
-        Scenario.IDLE: n - 1,
-        Scenario.SIGMA_Z: n - 1,
-        Scenario.SIGMA_X: n - 3,
-        Scenario.INTER_QUBIT: n - 2,
-    }[scenario]
-
-
 def lower_bound(scenario: Scenario, n: int, j2: float, t: float) -> float:
     """Analytic deviation bound 2|sin(J2 t k / 2)| for the scenario."""
-    return 2.0 * abs(np.sin(j2 * t * _bound_factor(scenario, n) / 2.0))
+    return 2.0 * abs(np.sin(j2 * t * (n + 1 - MIN_QUBITS[scenario]) / 2.0))
 
 
-def scenario_deviation(
-    scenario: Scenario, n: int, j2: float, t: float, target: int | None = None
-) -> ScenarioResult:
+def scenario_deviation(scenario: Scenario, n: int, j2: float, t: float) -> ScenarioResult:
     """Exact deviation in the scenario's frozen subspace.
 
     The realistic propagator restricted to the frozen configuration is
@@ -192,7 +177,7 @@ def scenario_deviation(
     scenario = Scenario(scenario)
     if t < 0:
         raise ValueError("time must be nonnegative")
-    template, free_sites, x_site = _frozen_configuration(scenario, n, target)
+    template, free_sites, x_site, _ = _frozen_configuration(scenario, n)
     m = np.unique(_next_nearest_sums(template, free_sites, x_site))
     phases = -j2 * t * m
     raw = float(np.max(2.0 * np.abs(np.sin(phases / 2.0))))
@@ -208,47 +193,15 @@ def scenario_deviation(
     )
 
 
-def idle_deviation(n: int, j2: float, t: float) -> ScenarioResult:
-    """Deviation of the idle chain (all controls off)."""
-    return scenario_deviation(Scenario.IDLE, n, j2, t)
+def deviation_speed(scenario: Scenario, n: int, j2: float) -> float:
+    """Small-t growth rate of the scenario's phase-optimized deviation.
 
-
-def sigma_z_deviation(n: int, j2: float, t: float, target: int | None = None) -> ScenarioResult:
-    """Deviation while a z-rotation runs on one qubit.
-
-    The bz field acts identically in the intended and realistic
-    evolutions restricted to the frozen subspace, so it cancels from the
-    deviation.
+    Finite difference over t in SPEED_STEPS; for the idle chain the
+    measured law is (n - 1) * |J2| exactly, the slope of its lower bound.
     """
-    return scenario_deviation(Scenario.SIGMA_Z, n, j2, t, target)
-
-
-def sigma_x_deviation(n: int, j2: float, t: float, target: int | None = None) -> ScenarioResult:
-    """Deviation while an x-rotation runs on one qubit (n >= 4).
-
-    The target's neighbors are frozen in opposite states so its own
-    long-range couplings cancel; the bx drive then commutes with the
-    restriction and drops out of the deviation like bz above.
-    """
-    return scenario_deviation(Scenario.SIGMA_X, n, j2, t, target)
-
-
-def interqubit_deviation(n: int, j2: float, t: float, target: int | None = None) -> ScenarioResult:
-    """Deviation while a two-qubit gate runs on a qubit pair (n >= 3)."""
-    return scenario_deviation(Scenario.INTER_QUBIT, n, j2, t, target)
-
-
-def deviation_speed(n: int, j2: float) -> float:
-    """Small-t growth rate of the idle phase-optimized deviation.
-
-    Finite difference over t in SPEED_STEPS; the measured law is
-    (n - 1) * |J2| exactly, the slope of the idle lower bound.
-    """
-    if n < 2:
-        raise ValueError("need at least two logical qubits")
     t1, t2 = SPEED_STEPS
-    d1 = idle_deviation(n, j2, t1).exact_phase_opt
-    d2 = idle_deviation(n, j2, t2).exact_phase_opt
+    d1 = scenario_deviation(scenario, n, j2, t1).exact_phase_opt
+    d2 = scenario_deviation(scenario, n, j2, t2).exact_phase_opt
     return (d2 - d1) / (t2 - t1)
 
 
@@ -270,43 +223,31 @@ def _embedding(template: np.ndarray, free_sites, x_site) -> np.ndarray:
     return cols
 
 
-def full_chain_deviation(
-    scenario: Scenario,
-    n: int,
-    j2: float,
-    t: float,
-    j1: float = 1.0,
-    bz: float = 0.3,
-    bx: float = 0.2,
-    j_gate: float = 0.15,
-    target: int | None = None,
-) -> tuple[float, float]:
+def full_chain_deviation(scenario: Scenario, n: int, j2: float, t: float) -> tuple[float, float]:
     """(raw, phase-optimized) deviation from full-chain propagators.
 
     Builds exp(-i t H_ideal) and exp(-i t (H_ideal + H_L)) on all
-    2n+1 spins with the scenario's actual controls switched on,
-    restricts both to the frozen configuration, and measures the same
-    two deviations as the reduced-space path.  Serves as the
-    independent consistency oracle for chains of up to 9 spins.
+    2n+1 spins with the scenario's actual controls switched on (J1 = 1,
+    bz = 0.3, bx = 0.2, exchange 0.15), restricts both to the frozen
+    configuration, and measures the same two deviations as the
+    reduced-space path.  Serves as the independent consistency oracle
+    for chains of up to 9 spins.
     """
     scenario = Scenario(scenario)
-    template, free_sites, x_site = _frozen_configuration(scenario, n, target)
+    template, free_sites, x_site, i0 = _frozen_configuration(scenario, n)
     n_sites = template.size
-    spec = ChainSpec(n_sites, j1=j1, j2=j2, x1_max=1.0)
+    spec = ChainSpec(n_sites, j1=1.0, j2=j2, x1_max=1.0)
 
     bxv = [0.0] * n_sites
     bzv = [0.0] * n_sites
     jxy = [0.0] * (n_sites - 1)
     if scenario is Scenario.SIGMA_Z:
-        i0 = default_target(scenario, n) if target is None else target
-        bzv[2 * i0 - 1] = bz  # qubit i0 sits on site 2 i0
+        bzv[2 * i0 - 1] = 0.3  # qubit i0 sits on site 2 i0
     elif scenario is Scenario.SIGMA_X:
-        i0 = default_target(scenario, n) if target is None else target
-        bxv[2 * i0 - 1] = bx
+        bxv[2 * i0 - 1] = 0.2
     elif scenario is Scenario.INTER_QUBIT:
-        i0 = default_target(scenario, n) if target is None else target
-        jxy[2 * i0 - 1] = j_gate   # bond (2 i0, 2 i0 + 1)
-        jxy[2 * i0] = j_gate       # bond (2 i0 + 1, 2 i0 + 2)
+        jxy[2 * i0 - 1] = 0.15  # bond (2 i0, 2 i0 + 1)
+        jxy[2 * i0] = 0.15      # bond (2 i0 + 1, 2 i0 + 2)
     seg = ControlSegment(max(t, 1.0), bxv, bzv, jxy)
 
     h_ideal = realize(build_h_ideal(spec, seg))

@@ -57,9 +57,6 @@ class LogicalLayout:
     def n_sites(self) -> int:
         return len(self.blockade_sites) + sum(len(p) for p in self.qubit_sites)
 
-    def frozen_bits(self) -> dict:
-        return {site: bit for site, bit in self.blockade_sites}
-
 
 def single_spin_layout(n_logical: int) -> LogicalLayout:
     """Single-spin qubits on even sites, alternating frozen blockades.

@@ -75,7 +75,7 @@ def test_criterion_02a_slope_doubles_with_coupling():
     worst = 0.0
     for n in range(3, 9):
         for j2 in (0.005, 0.01):
-            ratio = deviation_speed(n, 2 * j2) / deviation_speed(n, j2)
+            ratio = deviation_speed(Scenario.IDLE, n, 2 * j2) / deviation_speed(Scenario.IDLE, n, j2)
             worst = max(worst, abs(ratio / 2.0 - 1.0))
     ok = worst <= 1e-6
     assert report("02a", ok, f"max relative error of slope(2 j2)/slope(j2) = 2: {worst:.3e}")
@@ -83,7 +83,7 @@ def test_criterion_02a_slope_doubles_with_coupling():
 
 def test_criterion_02b_slope_over_n_constant():
     j2 = 0.01
-    ratios = [deviation_speed(n, j2) / n for n in range(3, 9)]
+    ratios = [deviation_speed(Scenario.IDLE, n, j2) / n for n in range(3, 9)]
     spread = (max(ratios) - min(ratios)) / np.mean(ratios)
     ok = spread <= 0.05
     detail = (

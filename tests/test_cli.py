@@ -109,6 +109,15 @@ def test_non_string_scenario_entry_rejected(tmp_path, capsys):
     assert "config error: scenarios" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["output_path", "json_mirror"])
+def test_non_string_output_path_rejected(tmp_path, capsys, key):
+    cfg = write_config(tmp_path, {"scenario": "blockade-check", key: 5})
+    out = tmp_path / "o.csv"
+    assert main(["blockade-check", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert f"config error: {key}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path):
     assert (
         main(["deviation-sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")])
@@ -237,6 +246,26 @@ def test_gate_fidelity_tau_zero_identity_row(tmp_path):
     (row,) = read_rows(out)
     assert float(row["fidelity"]) >= 1 - 1e-9
     assert min(float(row["phi"]), 2 * np.pi - float(row["phi"])) < 1e-8
+
+
+def test_gate_fidelity_imprecise_phase_is_invariant_failure(tmp_path, capsys):
+    # 4 J1 tau mod 2 pi carries no precision at tau = 1e300; the row is
+    # still written, and the run reports the failed phase check
+    tree = {"scenario": "gate-fidelity", "parameters": {"tau": [1e300]}}
+    cfg = write_config(tmp_path, tree)
+    out = str(tmp_path / "big.csv")
+    assert main(["gate-fidelity", "--config", cfg, "--out", out]) == EXIT_INVARIANT
+    assert "phase residual" in capsys.readouterr().err
+    (row,) = read_rows(out)
+    assert abs(float(row["phi_residual"])) > 1e-12
+    # naive mode reports its residual without failing
+    assert main(["gate-fidelity", "--config", cfg, "--out", out, "--naive"]) == EXIT_OK
+
+
+def test_gate_fidelity_checked_in_config_phase_exact(tmp_path):
+    out = str(tmp_path / "gate.csv")
+    assert main(["gate-fidelity", "--config", str(REPO_CONFIGS / "gate_fidelity.json"), "--out", out]) == EXIT_OK
+    assert all(abs(float(row["phi_residual"])) <= 1e-12 for row in read_rows(out))
 
 
 # ---------------------------------------------------------------------------

@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from blockadechain.deviation import (
+    MIN_QUBITS,
     Scenario,
     default_target,
     deviation_speed,
     full_chain_deviation,
-    idle_deviation,
-    interqubit_deviation,
     lower_bound,
     scenario_deviation,
-    sigma_x_deviation,
-    sigma_z_deviation,
 )
 from blockadechain.operators import expm_unitary, phase_set_distance, spectral_norm
 
@@ -36,7 +33,10 @@ def idle_phases_by_loop(n, j2, t):
 # idle
 
 def test_idle_zero_coupling_and_zero_time():
-    for res in (idle_deviation(4, 0.0, 1.0), idle_deviation(4, 0.02, 0.0)):
+    for res in (
+        scenario_deviation(Scenario.IDLE, 4, 0.0, 1.0),
+        scenario_deviation(Scenario.IDLE, 4, 0.02, 0.0),
+    ):
         assert res.exact_raw == pytest.approx(0.0, abs=1e-14)
         assert res.exact_phase_opt == pytest.approx(0.0, abs=1e-14)
         assert res.lower_bound == pytest.approx(0.0, abs=1e-14)
@@ -44,7 +44,7 @@ def test_idle_zero_coupling_and_zero_time():
 
 def test_idle_against_enumeration_and_grid_oracle():
     n, j2, t = 4, 0.01, 1.0
-    res = idle_deviation(n, j2, t)
+    res = scenario_deviation(Scenario.IDLE, n, j2, t)
     assert res.lower_bound == pytest.approx(2 * abs(np.sin(0.015)), abs=1e-12)
 
     phases = idle_phases_by_loop(n, j2, t)
@@ -72,14 +72,14 @@ def test_idle_phase_opt_equals_bound_on_safe_grid():
     for n in range(2, 7):
         for j2 in (0.005, 0.05):
             for t in np.linspace(0, np.pi / (2 * j2 * n), 7):
-                res = idle_deviation(n, j2, float(t))
+                res = scenario_deviation(Scenario.IDLE, n, j2, float(t))
                 assert res.exact_phase_opt == pytest.approx(res.lower_bound, abs=1e-12)
 
 
 def test_idle_raw_monotone_onset():
     n, j2 = 5, 0.01
     ts = np.linspace(0.0, np.pi / (2 * j2 * (2 * n - 1)), 15)  # all phases inside (-pi, pi)
-    values = [idle_deviation(n, j2, float(t)).exact_raw for t in ts]
+    values = [scenario_deviation(Scenario.IDLE, n, j2, float(t)).exact_raw for t in ts]
     assert all(b >= a - 1e-12 for a, b in zip(values, values[1:]))
 
 
@@ -87,13 +87,13 @@ def test_idle_raw_monotone_onset():
 # z-rotation
 
 def test_sigma_z_trivial_cases():
-    assert sigma_z_deviation(5, 0.0, 0.7).exact_phase_opt == pytest.approx(0.0, abs=1e-14)
-    assert sigma_z_deviation(5, 0.02, 0.0).exact_raw == pytest.approx(0.0, abs=1e-14)
+    assert scenario_deviation(Scenario.SIGMA_Z, 5, 0.0, 0.7).exact_phase_opt == pytest.approx(0.0, abs=1e-14)
+    assert scenario_deviation(Scenario.SIGMA_Z, 5, 0.02, 0.0).exact_raw == pytest.approx(0.0, abs=1e-14)
 
 
 def test_sigma_z_against_reduced_matrix_oracle():
     n, j2, t = 5, 0.02, 0.5
-    res = sigma_z_deviation(n, j2, t)
+    res = scenario_deviation(Scenario.SIGMA_Z, n, j2, t)
     assert res.exact_phase_opt >= 2 * abs(np.sin(j2 * t * (n - 1) / 2)) - 1e-12
 
     # brute force in the frozen subspace: dense diagonal matrices
@@ -118,11 +118,9 @@ def test_sigma_z_against_reduced_matrix_oracle():
 # x-rotation
 
 def test_sigma_x_trivial_and_bounds():
-    assert sigma_x_deviation(4, 0.0, 1.0).exact_phase_opt == pytest.approx(0.0, abs=1e-14)
-    res = sigma_x_deviation(4, 0.03, 0.8)
+    assert scenario_deviation(Scenario.SIGMA_X, 4, 0.0, 1.0).exact_phase_opt == pytest.approx(0.0, abs=1e-14)
+    res = scenario_deviation(Scenario.SIGMA_X, 4, 0.03, 0.8)
     assert res.lower_bound == pytest.approx(2 * abs(np.sin(0.03 * 0.8 / 2)), abs=1e-12)
-    with pytest.raises(ValueError, match="n >= 4"):
-        sigma_x_deviation(3, 0.03, 0.8)
 
 
 def test_sigma_x_against_qubit_space_propagator():
@@ -130,7 +128,7 @@ def test_sigma_x_against_qubit_space_propagator():
     # diagonal, no commutation assumed) and restrict to the frozen slice
     n, j2, t, bx = 6, 0.02, 1.0, 0.2
     i0 = default_target(Scenario.SIGMA_X, n)
-    res = sigma_x_deviation(n, j2, t)
+    res = scenario_deviation(Scenario.SIGMA_X, n, j2, t)
 
     dim = 2**n
     diag = np.zeros(dim)
@@ -174,18 +172,17 @@ def test_sigma_x_against_qubit_space_propagator():
 # inter-qubit
 
 def test_interqubit_trivial_and_bound_value():
-    assert interqubit_deviation(5, 0.0, 2.0).exact_phase_opt == pytest.approx(0.0, abs=1e-14)
-    assert interqubit_deviation(5, 0.01, 0.0).exact_raw == pytest.approx(0.0, abs=1e-14)
-    res = interqubit_deviation(5, 0.01, 2.0)
+    res = scenario_deviation(Scenario.INTER_QUBIT, 5, 0.0, 2.0)
+    assert res.exact_phase_opt == pytest.approx(0.0, abs=1e-14)
+    assert scenario_deviation(Scenario.INTER_QUBIT, 5, 0.01, 0.0).exact_raw == pytest.approx(0.0, abs=1e-14)
+    res = scenario_deviation(Scenario.INTER_QUBIT, 5, 0.01, 2.0)
     assert res.lower_bound == pytest.approx(2 * abs(np.sin(0.03)), abs=1e-12)
-    with pytest.raises(ValueError, match="n >= 3"):
-        interqubit_deviation(2, 0.01, 1.0)
 
 
 def test_interqubit_against_enumeration_oracle():
     n, j2, t = 5, 0.01, 2.0
     i0 = default_target(Scenario.INTER_QUBIT, n)
-    res = interqubit_deviation(n, j2, t)
+    res = scenario_deviation(Scenario.INTER_QUBIT, n, j2, t)
     phases = []
     free = [q for q in range(1, n + 1) if q not in (i0, i0 + 1)]
     for bits in itertools.product([0, 1], repeat=len(free)):
@@ -202,20 +199,20 @@ def test_interqubit_against_enumeration_oracle():
 # deviation speed
 
 def test_speed_zero_coupling():
-    assert deviation_speed(4, 0.0) == pytest.approx(0.0, abs=1e-14)
+    assert deviation_speed(Scenario.IDLE, 4, 0.0) == pytest.approx(0.0, abs=1e-14)
 
 
 def test_speed_linear_in_j2():
     for n in (3, 6):
-        s1 = deviation_speed(n, 0.01)
-        s2 = deviation_speed(n, 0.02)
+        s1 = deviation_speed(Scenario.IDLE, n, 0.01)
+        s2 = deviation_speed(Scenario.IDLE, n, 0.02)
         assert s2 / s1 == pytest.approx(2.0, rel=1e-6)
 
 
 def test_speed_measured_law_is_j2_times_n_minus_one():
     j2 = 0.01
     for n in range(3, 9):
-        assert deviation_speed(n, j2) == pytest.approx(j2 * (n - 1), rel=1e-7)
+        assert deviation_speed(Scenario.IDLE, n, j2) == pytest.approx(j2 * (n - 1), rel=1e-7)
 
 
 # ---------------------------------------------------------------------------
@@ -248,6 +245,19 @@ def test_reduced_equals_full_chain_restriction(scenario):
             assert res.exact_phase_opt == pytest.approx(opt, abs=1e-9)
 
 
+@pytest.mark.parametrize(
+    "scenario, n_min",
+    [(Scenario.IDLE, 2), (Scenario.SIGMA_Z, 2), (Scenario.SIGMA_X, 4), (Scenario.INTER_QUBIT, 3)],
+)
+def test_scenario_minimum_qubits(scenario, n_min):
+    # the smallest n with a nonzero bound: one surviving qubit-qubit term
+    assert MIN_QUBITS[scenario] == n_min
+    with pytest.raises(ValueError, match=f"n >= {n_min}"):
+        scenario_deviation(scenario, n_min - 1, 0.01, 1.0)
+    res = scenario_deviation(scenario, n_min, 0.01, 1.0)
+    assert res.lower_bound == pytest.approx(2 * abs(np.sin(0.01 / 2)), abs=1e-15)
+
+
 def test_lower_bound_formula_factors():
     j2, t = 0.02, 0.7
     assert lower_bound(Scenario.IDLE, 5, j2, t) == pytest.approx(2 * abs(np.sin(j2 * t * 4 / 2)))
@@ -258,4 +268,4 @@ def test_lower_bound_formula_factors():
 
 def test_enumeration_cap():
     with pytest.raises(ValueError, match="cap"):
-        idle_deviation(21, 0.01, 0.1)
+        scenario_deviation(Scenario.IDLE, 21, 0.01, 0.1)

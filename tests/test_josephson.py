@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from blockadechain.deviation import idle_deviation
+from blockadechain.deviation import Scenario, scenario_deviation
 from blockadechain.josephson import (
     JosephsonArraySpec,
     build_capacitance_matrix,
@@ -243,7 +243,7 @@ def test_pipeline_consistency_with_deviation_module():
     spec = array_spec(8, 0.01)
     report = extract_couplings(spec, invert_capacitance(build_capacitance_matrix(spec)))
     j2 = report.effective_chain.j2
-    direct = idle_deviation(4, j2, 0.8)
-    via_chain = idle_deviation(4, report.effective_chain.j2, 0.8)
+    direct = scenario_deviation(Scenario.IDLE, 4, j2, 0.8)
+    via_chain = scenario_deviation(Scenario.IDLE, 4, report.effective_chain.j2, 0.8)
     assert direct.lower_bound == via_chain.lower_bound
     assert direct.exact_phase_opt == via_chain.exact_phase_opt
