@@ -258,32 +258,18 @@ def _deviation_task(args) -> list:
     t_max = np.pi / (2.0 * abs(j2) * n) if j2 != 0 else 1.0
     rows = []
     for t in np.linspace(0.0, t_max, t_points):
+        row = {"record": "deviation", "scenario": name, "n": n, "j2": j2, "t": float(t)}
         try:
             res = scenario_deviation(scenario, n, j2, float(t))
-            rows.append(
-                {
-                    "record": "deviation",
-                    "scenario": name,
-                    "n": n,
-                    "j2": j2,
-                    "t": float(t),
-                    "exact_raw": res.exact_raw,
-                    "exact_phase_opt": res.exact_phase_opt,
-                    "lower_bound": res.lower_bound,
-                    "bound_ok": "pass",
-                }
+            row.update(
+                exact_raw=res.exact_raw,
+                exact_phase_opt=res.exact_phase_opt,
+                lower_bound=res.lower_bound,
+                bound_ok="pass",
             )
         except InvariantViolation as exc:
-            rows.append(
-                {
-                    "record": "deviation",
-                    "scenario": name,
-                    "n": n,
-                    "j2": j2,
-                    "t": float(t),
-                    "bound_ok": f"fail: {exc}",
-                }
-            )
+            row["bound_ok"] = f"fail: {exc}"
+        rows.append(row)
     rows.append(
         {
             "record": "slope",

@@ -12,12 +12,14 @@ global phase on the realistic side.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from .chain import ChainSpec, ControlSegment, build_h_ideal, build_h_long_range
+from .gates import LogicalLayout, layout_patterns, single_spin_layout
 from .operators import (
     InvariantViolation,
     expm_unitary,
@@ -26,7 +28,6 @@ from .operators import (
     phase_set_distance,
     realize,
     spectral_norm,
-    spin_patterns,
 )
 
 #: Finite-difference stencil for the small-t deviation speed, in 1/|J1|.
@@ -46,6 +47,30 @@ class Scenario(str, Enum):
 #: with a nonzero bound.
 MIN_QUBITS = {Scenario.IDLE: 2, Scenario.SIGMA_Z: 2, Scenario.SIGMA_X: 4, Scenario.INTER_QUBIT: 3}
 
+#: Qubits each scenario freezes, as offset from its target qubit -> frozen
+#: bit; the scenario's layout is ``single_spin_layout(n)`` with these
+#: qubits turned into blockades.
+FROZEN = {
+    Scenario.IDLE: {},
+    # The bz field acts identically in the intended and realistic
+    # evolutions restricted to the frozen subspace, so it cancels.
+    Scenario.SIGMA_Z: {0: 0},
+    # The target's neighbors are frozen in opposite states so its own
+    # long-range couplings cancel; the target stays free, held in |+>,
+    # and the bx drive then commutes with the restriction and drops out
+    # of the deviation like bz.
+    Scenario.SIGMA_X: {-1: 0, 1: 1},
+    Scenario.INTER_QUBIT: {0: 0, 1: 0},
+}
+
+#: Control the full-chain oracle switches on, as (field, strength, offsets
+#: from the 0-based index 2 i0 - 1 of the target's site or bond).
+CONTROL = {
+    Scenario.SIGMA_Z: ("bz", 0.3, (0,)),
+    Scenario.SIGMA_X: ("bx", 0.2, (0,)),
+    Scenario.INTER_QUBIT: ("jxy", 0.15, (0, 1)),
+}
+
 
 @dataclass(frozen=True)
 class ScenarioResult:
@@ -53,7 +78,8 @@ class ScenarioResult:
 
     ``exact_raw`` is ||U - V||; ``exact_phase_opt`` additionally
     minimizes over a global phase on V; ``lower_bound`` is the analytic
-    bound 2|sin(J2 t k / 2)| with k the scenario's surviving-term count.
+    bound 2|sin(J2 t k / 2)| with k the scenario's surviving-term count,
+    checked to hold while (k+1)|J2|t <= pi.
     """
 
     scenario: Scenario
@@ -67,16 +93,18 @@ class ScenarioResult:
     def __post_init__(self) -> None:
         if self.exact_phase_opt > self.exact_raw + 1e-12:
             raise InvariantViolation("phase-optimized deviation exceeds raw deviation")
-        if self.exact_phase_opt < self.lower_bound - 1e-9:
+        # The reachable next-nearest sums are m_max - 2j, j = 0..k: k+1
+        # phases 2|J2|t apart.  While (k+1)|J2|t <= pi the widest circular
+        # gap closes the ends, the points span 2k|J2|t and the optimum is
+        # exactly 2|sin(J2 t k / 2)|; past that they wrap around, can bunch
+        # into a shorter arc, and the bound no longer holds.
+        k = self.n_logical + 1 - MIN_QUBITS[self.scenario]
+        in_window = (k + 1) * abs(self.j2) * self.t <= np.pi
+        if in_window and self.exact_phase_opt < self.lower_bound - 1e-9:
             raise InvariantViolation(
                 f"deviation {self.exact_phase_opt:.3e} undercuts the lower bound "
                 f"{self.lower_bound:.3e} for {self.scenario.value}"
             )
-
-
-def _blockade_z(k: int) -> int:
-    # blockade k (1-based) sits at site 2k-1, frozen alternately |0>,|1>
-    return -1 if k % 2 == 1 else 1
 
 
 def default_target(scenario: Scenario, n: int) -> int:
@@ -94,71 +122,39 @@ def default_target(scenario: Scenario, n: int) -> int:
     return min(candidates, key=lambda i: (abs(i - mid), i))
 
 
-def _frozen_configuration(scenario: Scenario, n: int):
-    """Frozen sigma^z template and free-qubit site list for a scenario.
+@functools.lru_cache(maxsize=1)
+def _scenario_layout(scenario: Scenario, n: int) -> tuple[LogicalLayout, int | None]:
+    """The scenario's layout and target qubit (None for idle).
 
-    Returns ``(template, free_sites, x_site, i0)`` where ``template`` is a
-    length-(2n+1) int array (0 marks a free site), ``free_sites`` are the
-    0-based positions enumerated over, ``x_site`` is the 0-based site
-    held in |+> for the x-rotation scenario (None otherwise), and ``i0``
-    is the scenario's target qubit (None for idle).
+    The layout is ``single_spin_layout(n)`` with the FROZEN qubits made
+    blockades.  The last one is kept, since a sweep asks for each layout
+    at many (j2, t) in a row.
     """
     if n < MIN_QUBITS[scenario]:
         raise ValueError(f"{scenario.value} scenario needs n >= {MIN_QUBITS[scenario]}")
-    template = np.zeros(2 * n + 1, dtype=np.int64)
-    for k in range(1, n + 2):
-        template[2 * k - 2] = _blockade_z(k)
-    qubit_site = {i: 2 * i - 1 for i in range(1, n + 1)}  # 0-based site of qubit i
-
-    free = set(range(1, n + 1))
+    base = single_spin_layout(n)
     i0 = None if scenario is Scenario.IDLE else default_target(scenario, n)
-    x_site = None
-    if scenario is Scenario.SIGMA_Z:
-        # The bz field acts identically in the intended and realistic
-        # evolutions restricted to the frozen subspace, so it cancels.
-        template[qubit_site[i0]] = -1  # frozen |0>
-        free.discard(i0)
-    elif scenario is Scenario.SIGMA_X:
-        # The target's neighbors are frozen in opposite states so its own
-        # long-range couplings cancel; the bx drive then commutes with the
-        # restriction and drops out of the deviation like bz.
-        template[qubit_site[i0 - 1]] = -1  # |0>
-        template[qubit_site[i0 + 1]] = 1   # |1>
-        x_site = qubit_site[i0]
-        free -= {i0 - 1, i0, i0 + 1}
-    elif scenario is Scenario.INTER_QUBIT:
-        template[qubit_site[i0]] = -1
-        template[qubit_site[i0 + 1]] = -1
-        free -= {i0, i0 + 1}
-    free_sites = [qubit_site[i] for i in sorted(free)]
-    return template, free_sites, x_site, i0
+    frozen = {i0 + d: bit for d, bit in FROZEN[scenario].items()}
+    qubits = tuple(q for i, q in enumerate(base.qubit_sites, 1) if i not in frozen)
+    blockades = base.blockade_sites + tuple((base.qubit_sites[i - 1][0], b) for i, b in frozen.items())
+    return LogicalLayout(len(qubits), 1, qubits, blockades), i0
 
 
-def _free_patterns(template: np.ndarray, free_sites) -> np.ndarray:
-    """The frozen template with every free-qubit pattern filled in, one per row."""
-    free = spin_patterns(len(free_sites))
-    s = np.empty((free.shape[0], template.size), dtype=np.int8, order="F")
-    s[:] = template
-    s[:, free_sites] = free
-    return s
+def _scenario_rows(scenario: Scenario, n: int):
+    """sigma^z rows of the scenario's layout and the halves of each state.
 
-
-def _next_nearest_sums(template: np.ndarray, free_sites, x_site) -> np.ndarray:
-    """Integer sum_i s_i s_{i+2} for every free-qubit pattern.
-
-    For the x-rotation scenario the target's couplings cancel between
-    its frozen neighbors; both target assignments are evaluated and
-    checked to agree, which validates that cancellation exactly.
+    Returns ``(s, halves, i0)``: ``s`` has one row of all 2n+1 sites per
+    pattern of the free qubits, and each of ``halves`` selects one row
+    per frozen-subspace state, in the same order.  The x-rotation target
+    is free and held in |+>, so its halves are the rows with the target
+    down and up; otherwise one half holds every row.
     """
-    s = _free_patterns(template, free_sites)
-    if x_site is None:
-        return order_sums(s, 2)
-    s[:, x_site] = 1
-    m = order_sums(s, 2)
-    s[:, x_site] = -1
-    if not np.array_equal(m, order_sums(s, 2)):
-        raise InvariantViolation("x-rotation target couplings failed to cancel")
-    return m
+    layout, i0 = _scenario_layout(scenario, n)
+    s = layout_patterns(layout)
+    if scenario is not Scenario.SIGMA_X:
+        return s, (slice(None),), i0
+    up = s[:, 2 * i0 - 1] > 0
+    return s, (~up, up), i0
 
 
 def lower_bound(scenario: Scenario, n: int, j2: float, t: float) -> float:
@@ -177,9 +173,13 @@ def scenario_deviation(scenario: Scenario, n: int, j2: float, t: float) -> Scena
     scenario = Scenario(scenario)
     if t < 0:
         raise ValueError("time must be nonnegative")
-    template, free_sites, x_site, _ = _frozen_configuration(scenario, n)
-    m = np.unique(_next_nearest_sums(template, free_sites, x_site))
-    phases = -j2 * t * m
+    s, halves, _ = _scenario_rows(scenario, n)
+    m = order_sums(s, 2)
+    # x-rotation: the target's couplings cancel between its frozen
+    # neighbors, so both target halves must give the same sums exactly
+    if not all(np.array_equal(m[halves[0]], m[h]) for h in halves[1:]):
+        raise InvariantViolation("x-rotation target couplings failed to cancel")
+    phases = -j2 * t * np.unique(m[halves[0]])
     raw = float(np.max(2.0 * np.abs(np.sin(phases / 2.0))))
     _, opt = phase_set_distance(phases)
     return ScenarioResult(
@@ -209,17 +209,12 @@ def deviation_speed(scenario: Scenario, n: int, j2: float) -> float:
 # Full-chain oracle: the same deviations from 2^(2n+1)-dimensional propagators
 # restricted to the frozen configuration.
 
-def _embedding(template: np.ndarray, free_sites, x_site) -> np.ndarray:
-    """Isometry from free-qubit patterns into the full-chain Hilbert space."""
-    s = _free_patterns(template, free_sites)
-    p = np.arange(s.shape[0])
-    cols = np.zeros((2**template.size, p.size), dtype=complex)
-    if x_site is None:
-        cols[pattern_index(s), p] = 1.0
-    else:
-        for val in (-1, 1):
-            s[:, x_site] = val
-            cols[pattern_index(s), p] = 1.0 / np.sqrt(2.0)
+def _embedding(s: np.ndarray, halves) -> np.ndarray:
+    """Isometry from the frozen-subspace states into the full-chain Hilbert space."""
+    cols = np.zeros((2 ** s.shape[1], s[halves[0]].shape[0]), dtype=complex)
+    p = np.arange(cols.shape[1])
+    for h in halves:
+        cols[pattern_index(s[h]), p] = 1.0 / np.sqrt(len(halves))
     return cols
 
 
@@ -227,35 +222,28 @@ def full_chain_deviation(scenario: Scenario, n: int, j2: float, t: float) -> tup
     """(raw, phase-optimized) deviation from full-chain propagators.
 
     Builds exp(-i t H_ideal) and exp(-i t (H_ideal + H_L)) on all
-    2n+1 spins with the scenario's actual controls switched on (J1 = 1,
-    bz = 0.3, bx = 0.2, exchange 0.15), restricts both to the frozen
-    configuration, and measures the same two deviations as the
-    reduced-space path.  Serves as the independent consistency oracle
-    for chains of up to 9 spins.
+    2n+1 spins with J1 = 1 and the scenario's CONTROL switched on,
+    restricts both to the frozen configuration, and measures the same
+    two deviations as the reduced-space path.  Serves as the independent
+    consistency oracle for chains of up to 9 spins.
     """
     scenario = Scenario(scenario)
-    template, free_sites, x_site, i0 = _frozen_configuration(scenario, n)
-    n_sites = template.size
+    s, halves, i0 = _scenario_rows(scenario, n)
+    n_sites = s.shape[1]
     spec = ChainSpec(n_sites, j1=1.0, j2=j2, x1_max=1.0)
-
-    bxv = [0.0] * n_sites
-    bzv = [0.0] * n_sites
-    jxy = [0.0] * (n_sites - 1)
-    if scenario is Scenario.SIGMA_Z:
-        bzv[2 * i0 - 1] = 0.3  # qubit i0 sits on site 2 i0
-    elif scenario is Scenario.SIGMA_X:
-        bxv[2 * i0 - 1] = 0.2
-    elif scenario is Scenario.INTER_QUBIT:
-        jxy[2 * i0 - 1] = 0.15  # bond (2 i0, 2 i0 + 1)
-        jxy[2 * i0] = 0.15      # bond (2 i0 + 1, 2 i0 + 2)
-    seg = ControlSegment(max(t, 1.0), bxv, bzv, jxy)
+    fields = {"bx": [0.0] * n_sites, "bz": [0.0] * n_sites, "jxy": [0.0] * (n_sites - 1)}
+    if scenario in CONTROL:
+        name, strength, offsets = CONTROL[scenario]
+        for d in offsets:
+            fields[name][2 * i0 - 1 + d] = strength
+    seg = ControlSegment(max(t, 1.0), **fields)
 
     h_ideal = realize(build_h_ideal(spec, seg))
     h_real = h_ideal + realize(build_h_long_range(spec))
     u = expm_unitary(h_ideal, t).matrix
     v = expm_unitary(h_real, t).matrix
 
-    e = _embedding(template, free_sites, x_site)
+    e = _embedding(s, halves)
     u_sub = e.conj().T @ u @ e
     v_sub = e.conj().T @ v @ e
     closure = max(

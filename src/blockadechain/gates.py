@@ -96,7 +96,7 @@ def pair_encoded_layout(n_logical: int, m: int = 2) -> LogicalLayout:
     return LogicalLayout(n_logical, m, tuple(qubits), tuple(blockades))
 
 
-def _layout_patterns(layout: LogicalLayout) -> np.ndarray:
+def layout_patterns(layout: LogicalLayout) -> np.ndarray:
     """sigma^z of every site for every logical basis pattern, shape (2^n_logical, N)."""
     logical = spin_patterns(layout.n_logical)  # +1 for logical |1>
     s = np.empty((logical.shape[0], layout.n_sites), dtype=np.int8, order="F")
@@ -126,7 +126,7 @@ def verify_blockade_cancellation(layout: LogicalLayout, couplings) -> float:
         raise ValueError("need at least one coupling order")
     if layout.n_logical > 16:
         raise ValueError("residual enumeration is capped at 2**16 logical patterns")
-    s = _layout_patterns(layout)
+    s = layout_patterns(layout)
     sums = [order_sums(s, k) for k in range(1, len(couplings) + 1)]
     if all((m == m[0]).all() for m in sums):
         return 0.0
@@ -219,7 +219,7 @@ class ReducedHamiltonians:
 
 def logical_background_energy(spec: ChainSpec, layout: LogicalLayout) -> float:
     """Static Ising energy shared by all logical basis states."""
-    s = _layout_patterns(layout)
+    s = layout_patterns(layout)
     energies = spec.j1 * order_sums(s, 1) + spec.j2 * order_sums(s, 2)
     if energies.max() - energies.min() > 1e-12:
         raise InvariantViolation("logical basis states are not degenerate for this layout")
@@ -370,7 +370,7 @@ def _evolve_state(spec: ChainSpec, schedule: ControlSchedule, psi: np.ndarray) -
 
 def logical_basis_states(layout: LogicalLayout) -> list:
     """Full-chain basis vectors |q1 q2 ...>_L ordered by binary code."""
-    idx = pattern_index(_layout_patterns(layout))
+    idx = pattern_index(layout_patterns(layout))
     states = np.zeros((idx.size, 2**layout.n_sites), dtype=complex)
     states[np.arange(idx.size), idx] = 1.0
     return list(states)

@@ -196,6 +196,19 @@ def test_sweep_json_mirror(tmp_path):
     assert data["rows"]
 
 
+def test_sweep_slope_past_bound_window(tmp_path):
+    # at J2 = 1e5 the slope stencil's t = 2e-4 lies far past (k+1)|J2|t = pi,
+    # where the phases wrap around and the bound is not a theorem
+    tree = json.loads(json.dumps(SMALL_SWEEP))
+    tree["parameters"].update(n_min=3, n_max=3, j2=[1e5])
+    cfg = write_config(tmp_path, tree)
+    out = str(tmp_path / "o.csv")
+    assert main(["deviation-sweep", "--config", cfg, "--out", out]) == EXIT_OK
+    rows = read_rows(out)
+    assert [r["record"] for r in rows] == ["deviation"] * 5 + ["slope"]
+    assert all(r["bound_ok"] == "pass" for r in rows[:5])
+
+
 # ---------------------------------------------------------------------------
 # gate fidelity
 

@@ -6,13 +6,14 @@ import pytest
 from blockadechain.deviation import (
     MIN_QUBITS,
     Scenario,
+    ScenarioResult,
     default_target,
     deviation_speed,
     full_chain_deviation,
     lower_bound,
     scenario_deviation,
 )
-from blockadechain.operators import expm_unitary, phase_set_distance, spectral_norm
+from blockadechain.operators import InvariantViolation, expm_unitary, phase_set_distance, spectral_norm
 
 
 def idle_phases_by_loop(n, j2, t):
@@ -256,6 +257,51 @@ def test_scenario_minimum_qubits(scenario, n_min):
         scenario_deviation(scenario, n_min - 1, 0.01, 1.0)
     res = scenario_deviation(scenario, n_min, 0.01, 1.0)
     assert res.lower_bound == pytest.approx(2 * abs(np.sin(0.01 / 2)), abs=1e-15)
+
+
+def next_nearest_sums_by_loop(scenario, n):
+    """Sorted distinct sum_i s_i s_{i+2} over the frozen subspace, by brute force."""
+    frozen = {}
+    if scenario is not Scenario.IDLE:
+        i0 = default_target(scenario, n)
+        frozen = {
+            Scenario.SIGMA_Z: {i0: 0},
+            Scenario.SIGMA_X: {i0 - 1: 0, i0 + 1: 1},  # the target itself stays free
+            Scenario.INTER_QUBIT: {i0: 0, i0 + 1: 0},
+        }[scenario]
+    free = [q for q in range(1, n + 1) if q not in frozen]
+    sums = set()
+    for bits in itertools.product([0, 1], repeat=len(free)):
+        s = {2 * k - 1: (-1 if k % 2 == 1 else 1) for k in range(1, n + 2)}
+        s.update({2 * q: 2 * b - 1 for q, b in frozen.items()})
+        s.update({2 * q: 2 * b - 1 for q, b in zip(free, bits)})
+        sums.add(sum(s[i] * s[i + 2] for i in range(1, 2 * n)))
+    return sorted(sums)
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_reachable_sums_are_k_plus_one_steps_of_two(scenario):
+    # the bound is exact because the sums are m_max - 2j, j = 0..k; inside
+    # (k+1)|J2|t <= pi the phase-optimized deviation then equals it
+    for n in range(MIN_QUBITS[scenario], 13):
+        k = n + 1 - MIN_QUBITS[scenario]
+        sums = next_nearest_sums_by_loop(scenario, n)
+        assert sums == [sums[-1] - 2 * j for j in range(k, -1, -1)]
+        for j2 in (0.01, -0.05):
+            for t in np.linspace(0.0, np.pi / ((k + 1) * abs(j2)), 9):
+                res = scenario_deviation(scenario, n, j2, float(t))
+                assert res.exact_phase_opt == pytest.approx(res.lower_bound, abs=1e-15)
+
+
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_bound_dominance_checked_inside_its_window(scenario):
+    n, j2 = MIN_QUBITS[scenario] + 2, 0.05
+    window = np.pi / ((n + 2 - MIN_QUBITS[scenario]) * j2)  # (k+1)|J2|t = pi
+    # past the window the phases wrap around and undercut the bound
+    res = scenario_deviation(scenario, n, j2, 1.5 * window)
+    assert res.exact_phase_opt < res.lower_bound - 1e-9
+    with pytest.raises(InvariantViolation, match="undercuts the lower bound"):
+        ScenarioResult(scenario, n, j2, window, exact_raw=1.0, exact_phase_opt=0.5, lower_bound=0.6)
 
 
 def test_lower_bound_formula_factors():
