@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -252,8 +251,7 @@ def _write_outputs(cfg: RunConfig, header: list, rows: list, out_path: str) -> N
 # ---------------------------------------------------------------------------
 # deviation-sweep
 
-def _deviation_task(args) -> list:
-    name, n, j2, t_points = args
+def _deviation_rows(name: str, n: int, j2: float, t_points: int) -> list:
     scenario = Scenario(name)
     t_max = np.pi / (2.0 * abs(j2) * n) if j2 != 0 else 1.0
     rows = []
@@ -282,20 +280,14 @@ def _deviation_task(args) -> list:
     return rows
 
 
-def run_deviation_sweep(cfg: RunConfig, jobs: int = 1) -> tuple[list, list]:
+def run_deviation_sweep(cfg: RunConfig) -> tuple[list, list]:
     p = cfg.parameters
-    tasks = []
+    rows = []
     for name in sorted(p["scenarios"], key=_SCENARIO_ORDER.get):
         n_lo = max(p["n_min"], MIN_QUBITS[Scenario(name)])
         for n in range(n_lo, p["n_max"] + 1):
             for j2 in p["j2"]:
-                tasks.append((name, n, j2, p["t_points"]))
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(_deviation_task, tasks))
-    else:
-        chunks = [_deviation_task(t) for t in tasks]
-    rows = [row for chunk in chunks for row in chunk]
+                rows += _deviation_rows(name, n, j2, p["t_points"])
     rows.sort(
         key=lambda r: (
             _SCENARIO_ORDER[r["scenario"]],
@@ -318,8 +310,7 @@ def run_deviation_sweep(cfg: RunConfig, jobs: int = 1) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 # gate-fidelity
 
-def run_gate_fidelity(cfg: RunConfig, jobs: int = 1) -> tuple[list, list]:
-    del jobs
+def run_gate_fidelity(cfg: RunConfig) -> tuple[list, list]:
     p = cfg.parameters
     layout = pair_encoded_layout(2, 2)
     rows = []
@@ -367,8 +358,7 @@ def run_gate_fidelity(cfg: RunConfig, jobs: int = 1) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 # josephson-map
 
-def run_josephson_map(cfg: RunConfig, jobs: int = 1) -> tuple[list, list]:
-    del jobs
+def run_josephson_map(cfg: RunConfig) -> tuple[list, list]:
     p = cfg.parameters
     spec = JosephsonArraySpec(
         n_boxes=p["n_boxes"],
@@ -415,8 +405,7 @@ def run_josephson_map(cfg: RunConfig, jobs: int = 1) -> tuple[list, list]:
 # ---------------------------------------------------------------------------
 # blockade-check
 
-def run_blockade_check(cfg: RunConfig, jobs: int = 1) -> tuple[list, list]:
-    del jobs
+def run_blockade_check(cfg: RunConfig) -> tuple[list, list]:
     rows = []
     for chk in cfg.parameters["checks"]:
         if chk["layout"] == "single-spin":
@@ -462,7 +451,7 @@ def build_parser() -> argparse.ArgumentParser:
         )
         sp.add_argument("--config", type=str, default=None, help="JSON config file (defaults used when omitted)")
         sp.add_argument("--out", type=str, default=None, help=f"output CSV path (default {name}.csv)")
-        sp.add_argument("--jobs", type=int, default=1, help="worker processes for sweep points")
+        sp.add_argument("--jobs", type=int, default=1, help="accepted and ignored; every run is one process")
         sp.add_argument("--seed", type=int, default=0, help="seed recorded with the run (randomized tests only)")
         if name == "gate-fidelity":
             sp.add_argument("--naive", action="store_true", help="disable the long-range tilt compensation")
@@ -478,7 +467,7 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
         out_path = args.out or cfg.output_path or f"{args.scenario}.csv"
-        header, rows = _RUNNERS[args.scenario](cfg, jobs=args.jobs)
+        header, rows = _RUNNERS[args.scenario](cfg)
         _write_outputs(cfg, header, rows, out_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -23,14 +23,15 @@ from .gates import LogicalLayout, layout_patterns, single_spin_layout
 from .operators import (
     InvariantViolation,
     expm_unitary,
-    order_sums,
     pattern_index,
     phase_set_distance,
     realize,
     spectral_norm,
 )
 
-#: Finite-difference stencil for the small-t deviation speed, in 1/|J1|.
+#: Finite-difference stencil for the small-t deviation speed, in 1/|J1|;
+#: divided by (k+1)|J2| where that exceeds 1, so both points stay inside
+#: the bound's window.
 SPEED_STEPS = (1e-4, 2e-4)
 
 
@@ -122,13 +123,11 @@ def default_target(scenario: Scenario, n: int) -> int:
     return min(candidates, key=lambda i: (abs(i - mid), i))
 
 
-@functools.lru_cache(maxsize=1)
 def _scenario_layout(scenario: Scenario, n: int) -> tuple[LogicalLayout, int | None]:
     """The scenario's layout and target qubit (None for idle).
 
     The layout is ``single_spin_layout(n)`` with the FROZEN qubits made
-    blockades.  The last one is kept, since a sweep asks for each layout
-    at many (j2, t) in a row.
+    blockades.
     """
     if n < MIN_QUBITS[scenario]:
         raise ValueError(f"{scenario.value} scenario needs n >= {MIN_QUBITS[scenario]}")
@@ -140,8 +139,46 @@ def _scenario_layout(scenario: Scenario, n: int) -> tuple[LogicalLayout, int | N
     return LogicalLayout(len(qubits), 1, qubits, blockades), i0
 
 
+@functools.lru_cache(maxsize=1)
+def _reachable_sums(scenario: Scenario, n: int) -> np.ndarray:
+    """Sorted distinct next-nearest sums m over the frozen subspace, read-only int64.
+
+    A dynamic program along sites 1..2n+1: the state is the sigma^z of
+    the last two sites, mapped to its set of reachable partial sums.
+    Blockades take one value and free qubits two.  Every site carries a
+    (target down, target up) pair of values, equal but for the x-rotation
+    target's (-1, +1), so each path sums both halves of one frozen-subspace
+    state side by side, and the target's couplings must cancel on every
+    path.  The last result is kept, since a sweep asks for each (scenario,
+    n) at many (j2, t) in a row.
+    """
+    layout, i0 = _scenario_layout(scenario, n)
+    values = [((-1, -1), (1, 1))] * layout.n_sites
+    for site, bit in layout.blockade_sites:
+        values[site - 1] = ((2 * bit - 1,) * 2,)
+    if scenario is Scenario.SIGMA_X:
+        values[2 * i0 - 1] = ((-1, 1),)
+    states = {(a, b): {(0, 0)} for a in values[0] for b in values[1]}
+    for site_values in values[2:]:
+        nxt: dict = {}
+        for (a, b), sums in states.items():
+            for c in site_values:
+                da, db = a[0] * c[0], a[1] * c[1]
+                nxt.setdefault((b, c), set()).update((x + da, y + db) for x, y in sums)
+        states = nxt
+    final = set().union(*states.values())
+    if any(x != y for x, y in final):
+        raise InvariantViolation("x-rotation target couplings failed to cancel")
+    m = np.array(sorted({x for x, _ in final}), dtype=np.int64)
+    m.setflags(write=False)
+    return m
+
+
 def _scenario_rows(scenario: Scenario, n: int):
     """sigma^z rows of the scenario's layout and the halves of each state.
+
+    The enumeration behind the full-chain oracle and the check on
+    ``_reachable_sums``; capped at ``PATTERN_CAP`` spins.
 
     Returns ``(s, halves, i0)``: ``s`` has one row of all 2n+1 sites per
     pattern of the free qubits, and each of ``halves`` selects one row
@@ -167,19 +204,13 @@ def scenario_deviation(scenario: Scenario, n: int, j2: float, t: float) -> Scena
 
     The realistic propagator restricted to the frozen configuration is
     diagonal, so the deviation reduces to phases exp(-i J2 t m) with m
-    the integer next-nearest sigma^z sums enumerated over all free-qubit
+    the integer next-nearest sigma^z sums reachable over the free-qubit
     patterns.
     """
     scenario = Scenario(scenario)
     if t < 0:
         raise ValueError("time must be nonnegative")
-    s, halves, _ = _scenario_rows(scenario, n)
-    m = order_sums(s, 2)
-    # x-rotation: the target's couplings cancel between its frozen
-    # neighbors, so both target halves must give the same sums exactly
-    if not all(np.array_equal(m[halves[0]], m[h]) for h in halves[1:]):
-        raise InvariantViolation("x-rotation target couplings failed to cancel")
-    phases = -j2 * t * np.unique(m[halves[0]])
+    phases = -j2 * t * _reachable_sums(scenario, n)
     raw = float(np.max(2.0 * np.abs(np.sin(phases / 2.0))))
     _, opt = phase_set_distance(phases)
     return ScenarioResult(
@@ -196,10 +227,13 @@ def scenario_deviation(scenario: Scenario, n: int, j2: float, t: float) -> Scena
 def deviation_speed(scenario: Scenario, n: int, j2: float) -> float:
     """Small-t growth rate of the scenario's phase-optimized deviation.
 
-    Finite difference over t in SPEED_STEPS; for the idle chain the
-    measured law is (n - 1) * |J2| exactly, the slope of its lower bound.
+    Finite difference over t in SPEED_STEPS, scaled down for large |J2|;
+    for the idle chain the measured law is (n - 1) * |J2| exactly, the
+    slope of its lower bound.
     """
-    t1, t2 = SPEED_STEPS
+    k = n + 1 - MIN_QUBITS[Scenario(scenario)]
+    scale = max(1.0, (k + 1) * abs(j2))
+    t1, t2 = (t / scale for t in SPEED_STEPS)
     d1 = scenario_deviation(scenario, n, j2, t1).exact_phase_opt
     d2 = scenario_deviation(scenario, n, j2, t2).exact_phase_opt
     return (d2 - d1) / (t2 - t1)

@@ -197,8 +197,8 @@ def test_sweep_json_mirror(tmp_path):
 
 
 def test_sweep_slope_past_bound_window(tmp_path):
-    # at J2 = 1e5 the slope stencil's t = 2e-4 lies far past (k+1)|J2|t = pi,
-    # where the phases wrap around and the bound is not a theorem
+    # at J2 = 1e5 an unscaled slope stencil's t = 2e-4 lies far past
+    # (k+1)|J2|t = pi, where the phases wrap around and the bound is not a theorem
     tree = json.loads(json.dumps(SMALL_SWEEP))
     tree["parameters"].update(n_min=3, n_max=3, j2=[1e5])
     cfg = write_config(tmp_path, tree)
@@ -207,6 +207,28 @@ def test_sweep_slope_past_bound_window(tmp_path):
     rows = read_rows(out)
     assert [r["record"] for r in rows] == ["deviation"] * 5 + ["slope"]
     assert all(r["bound_ok"] == "pass" for r in rows[:5])
+
+
+def test_sweep_slope_at_large_coupling(tmp_path):
+    # idle n = 3: the slope is (n - 1)|J2|; the fixed stencil wrote 5901.008
+    tree = json.loads(json.dumps(SMALL_SWEEP))
+    tree["parameters"].update(n_min=3, n_max=3, j2=[1e5])
+    cfg = write_config(tmp_path, tree)
+    out = str(tmp_path / "o.csv")
+    assert main(["deviation-sweep", "--config", cfg, "--out", out]) == EXIT_OK
+    (slope,) = [r for r in read_rows(out) if r["record"] == "slope"]
+    assert float(slope["slope"]) == pytest.approx(2e5, rel=1e-6)
+
+
+def test_sweep_past_the_enumeration_cap(tmp_path):
+    tree = json.loads(json.dumps(SMALL_SWEEP))
+    tree["parameters"].update(n_max=30, t_points=5, scenarios=DEFAULT_PARAMETERS["deviation-sweep"]["scenarios"])
+    cfg = write_config(tmp_path, tree)
+    out = str(tmp_path / "o.csv")
+    assert main(["deviation-sweep", "--config", cfg, "--out", out]) == EXIT_OK
+    dev = [r for r in read_rows(out) if r["record"] == "deviation"]
+    assert max(int(r["n"]) for r in dev) == 30
+    assert all(r["bound_ok"] == "pass" for r in dev)
 
 
 # ---------------------------------------------------------------------------

@@ -2,18 +2,29 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockadechain.deviation import (
+    FROZEN,
     MIN_QUBITS,
     Scenario,
     ScenarioResult,
+    _reachable_sums,
+    _scenario_rows,
     default_target,
     deviation_speed,
     full_chain_deviation,
     lower_bound,
     scenario_deviation,
 )
-from blockadechain.operators import InvariantViolation, expm_unitary, phase_set_distance, spectral_norm
+from blockadechain.operators import (
+    InvariantViolation,
+    expm_unitary,
+    order_sums,
+    phase_set_distance,
+    spectral_norm,
+)
 
 
 def idle_phases_by_loop(n, j2, t):
@@ -216,6 +227,16 @@ def test_speed_measured_law_is_j2_times_n_minus_one():
         assert deviation_speed(Scenario.IDLE, n, j2) == pytest.approx(j2 * (n - 1), rel=1e-7)
 
 
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_speed_stays_in_the_bound_window_at_large_coupling(scenario):
+    # the stencil shrinks by (k+1)|J2| when that exceeds 1; at the fixed
+    # t = 2e-4 a J2 of 1e5 wrapped the phases and gave a slope of 5901
+    for j2 in (1e5, -3e3, 0.05):
+        for n in (MIN_QUBITS[scenario], MIN_QUBITS[scenario] + 3):
+            k = n + 1 - MIN_QUBITS[scenario]
+            assert deviation_speed(scenario, n, j2) == pytest.approx(k * abs(j2), rel=1e-7)
+
+
 # ---------------------------------------------------------------------------
 # bound dominance and consistency
 
@@ -313,5 +334,54 @@ def test_lower_bound_formula_factors():
 
 
 def test_enumeration_cap():
+    # only the enumeration behind the oracle is capped; scenario_deviation
+    # runs past it (test_reachable_sums_past_the_enumeration_cap)
     with pytest.raises(ValueError, match="cap"):
-        scenario_deviation(Scenario.IDLE, 21, 0.01, 0.1)
+        _scenario_rows(Scenario.IDLE, 21)
+    with pytest.raises(ValueError, match="cap"):
+        full_chain_deviation(Scenario.IDLE, 21, 0.01, 0.1)
+
+
+# ---------------------------------------------------------------------------
+# reachable-sum dynamic program against the enumeration
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from(list(Scenario)).flatmap(
+        lambda sc: st.tuples(st.just(sc), st.integers(MIN_QUBITS[sc], 14))
+    )
+)
+def test_reachable_sums_match_enumeration(case):
+    scenario, n = case
+    s, halves, _ = _scenario_rows(scenario, n)
+    m = order_sums(s, 2)
+    assert all(np.array_equal(m[halves[0]], m[h]) for h in halves[1:])
+    expected = np.unique(m[halves[0]])
+    got = _reachable_sums(scenario, n)
+    assert got.dtype == expected.dtype
+    assert np.array_equal(got, expected)
+    assert not got.flags.writeable
+
+
+def test_reachable_sums_catch_uncancelled_x_target(monkeypatch):
+    # both target neighbors down: the target's couplings add to -2 s_t
+    monkeypatch.setitem(FROZEN, Scenario.SIGMA_X, {-1: 0, 1: 0})
+    _reachable_sums.cache_clear()
+    try:
+        with pytest.raises(InvariantViolation, match="failed to cancel"):
+            scenario_deviation(Scenario.SIGMA_X, 5, 0.01, 1.0)
+    finally:
+        _reachable_sums.cache_clear()
+
+
+@pytest.mark.parametrize("n", [21, 40])
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_reachable_sums_past_the_enumeration_cap(scenario, n):
+    k = n + 1 - MIN_QUBITS[scenario]
+    sums = _reachable_sums(scenario, n)
+    assert sums.tolist() == [sums[-1] - 2 * j for j in range(k, -1, -1)]
+    for j2 in (0.01, -0.05):
+        for t in np.linspace(0.0, np.pi / ((k + 1) * abs(j2)), 9):
+            res = scenario_deviation(scenario, n, j2, float(t))
+            assert res.exact_phase_opt == pytest.approx(res.lower_bound, abs=1e-15)
