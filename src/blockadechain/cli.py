@@ -12,6 +12,7 @@ configuration errors, and 2 when a numerical invariant fails.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass, field
@@ -230,18 +231,72 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_outputs(cfg: RunConfig, header: list, rows: list, out_path: str) -> None:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col, "")) for col in header))
-    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+@dataclass
+class Table:
+    """Output rows held column by column; ``len()`` is the row count.
+
+    ``columns`` maps a header name to one value, the same on every row,
+    or to a list with one cell per row.  ``None`` marks a missing cell,
+    and a name absent from ``columns`` is missing on every row.
+    """
+
+    columns: dict = field(default_factory=dict)
+    n_rows: int = 0
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def append(self, n: int, **cells) -> None:
+        """Add ``n`` rows; a list gives one cell per row, anything else
+        repeats on each of them, and an unnamed list column gets ``None``."""
+        for name, column in self.columns.items():
+            if isinstance(column, list):
+                cell = cells.get(name)
+                column += cell if isinstance(cell, list) else [cell] * n
+        self.n_rows += n
+
+    @classmethod
+    def from_rows(cls, header: list, rows: list) -> Table:
+        return cls({col: [row.get(col) for row in rows] for col in header}, len(rows))
+
+
+def _cells(column, n_rows: int):
+    return column if isinstance(column, list) else itertools.repeat(column, n_rows)
+
+
+def _format_column(column, n_rows: int):
+    """CSV cells of one column: a constant is formatted once and repeated,
+    a list in one pass that formats each distinct cell once."""
+    if not isinstance(column, list):
+        return itertools.repeat("" if column is None else _fmt(column), n_rows)
+    memo = {}
+    cells = []
+    last = text = object()
+    for value in column:
+        if value is not last:  # the runners repeat one object over runs of rows
+            last = value
+            # the type keeps True apart from 1, the sign -0.0 apart from 0.0
+            key = (type(value), value, value == 0 and str(value).startswith("-"))
+            text = memo.get(key)
+            if text is None:
+                text = memo[key] = "" if value is None else _fmt(value)
+        cells.append(text)
+    return cells
+
+
+def _write_outputs(cfg: RunConfig, header: list, table: Table, out_path: str) -> None:
+    n = len(table)
+    columns = [table.columns.get(col) for col in header]
+    with open(out_path, "w", encoding="utf-8") as fh:
+        fh.write(",".join(header) + "\n")
+        fh.writelines(",".join(cells) + "\n" for cells in zip(*(_format_column(c, n) for c in columns)))
     if cfg.json_mirror:
         mirror = {
             "scenario": cfg.scenario,
             "seed": cfg.seed,
             "parameters": cfg.parameters,
             "columns": header,
-            "rows": [{k: row.get(k, None) for k in header} for row in rows],
+            "rows": [dict(zip(header, row)) for row in zip(*(_cells(c, n) for c in columns))],
         }
         Path(cfg.json_mirror).write_text(
             json.dumps(mirror, sort_keys=True, indent=1, default=float) + "\n", encoding="utf-8"
@@ -280,7 +335,7 @@ def _deviation_rows(name: str, n: int, j2: float, t_points: int) -> list:
     return rows
 
 
-def run_deviation_sweep(cfg: RunConfig) -> tuple[list, list]:
+def run_deviation_sweep(cfg: RunConfig) -> tuple[list, Table]:
     p = cfg.parameters
     rows = []
     for name in sorted(p["scenarios"], key=_SCENARIO_ORDER.get):
@@ -304,13 +359,13 @@ def run_deviation_sweep(cfg: RunConfig) -> tuple[list, list]:
         "record", "scenario", "n", "j2", "t",
         "exact_raw", "exact_phase_opt", "lower_bound", "bound_ok", "slope",
     ]
-    return header, rows
+    return header, Table.from_rows(header, rows)
 
 
 # ---------------------------------------------------------------------------
 # gate-fidelity
 
-def run_gate_fidelity(cfg: RunConfig) -> tuple[list, list]:
+def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
     p = cfg.parameters
     layout = pair_encoded_layout(2, 2)
     rows = []
@@ -352,13 +407,13 @@ def run_gate_fidelity(cfg: RunConfig) -> tuple[list, list]:
         "mode", "j1", "j2", "x1", "tau",
         "fidelity", "deficit", "leakage", "phi", "phi_target", "phi_residual",
     ]
-    return header, rows
+    return header, Table.from_rows(header, rows)
 
 
 # ---------------------------------------------------------------------------
 # josephson-map
 
-def run_josephson_map(cfg: RunConfig) -> tuple[list, list]:
+def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
     p = cfg.parameters
     spec = JosephsonArraySpec(
         n_boxes=p["n_boxes"],
@@ -371,41 +426,43 @@ def run_josephson_map(cfg: RunConfig) -> tuple[list, list]:
     cinv = invert_capacitance(cmat)
     report = extract_couplings(spec, cinv, units=p["units"])
 
-    base = {"n_boxes": spec.n_boxes, "c_g": spec.c_g, "c_j": spec.c_j, "c_c": spec.c_c, "epsilon": spec.epsilon}
-    rows = []
-    for i in range(spec.n_boxes):
-        for j in range(spec.n_boxes):
-            rows.append(dict(base, record="capacitance", i=i + 1, j=j + 1, value=cmat[i, j]))
-    for i in range(spec.n_boxes):
-        for j in range(spec.n_boxes):
-            rows.append(dict(base, record="inverse", i=i + 1, j=j + 1, value=cinv[i, j]))
-    for order, value in sorted(report.couplings_by_order.items()):
-        rows.append(dict(base, record="coupling", order=order, value=value))
-    for k, ratio in enumerate(report.decay_ratios):
-        rows.append(dict(base, record="decay_ratio", order=k, value=ratio))
     if not report.decay_in_regime:
         status = "out-of-regime"
+    elif not report.decay_ratios:
+        status = "unchecked"  # no ratio was computed, as below five boxes
     elif report.decay_in_band:
         status = "pass"
     else:
         status = "fail"
         cfg.invariant_failures.append("decay ratios left the epsilon band in regime")
-    rows.append(dict(base, record="decay_check", status=status))
-    rows.append(dict(base, record="residual_bound", value=report.residual_bound))
-    for i, h in enumerate(report.linear_coeffs):
-        rows.append(dict(base, record="linear_field", i=i + 1, value=float(h)))
-    chain = report.effective_chain
-    rows.append(dict(base, record="chain_j1", value=chain.j1))
-    rows.append(dict(base, record="chain_j2", value=chain.j2))
-    rows.append(dict(base, record="chain_x1_max", value=chain.x1_max))
+
+    n = spec.n_boxes
     header = ["n_boxes", "c_g", "c_j", "c_c", "epsilon", "record", "i", "j", "order", "value", "status"]
-    return header, rows
+    table = Table(dict(n_boxes=n, c_g=spec.c_g, c_j=spec.c_j, c_c=spec.c_c, epsilon=spec.epsilon,
+                       record=[], i=[], j=[], order=[], value=[], status=[]))
+    index = list(range(1, n + 1))
+    row_index = [i for i in index for _ in index]
+    table.append(n * n, record="capacitance", i=row_index, j=index * n, value=cmat.ravel().tolist())
+    table.append(n * n, record="inverse", i=row_index, j=index * n, value=cinv.ravel().tolist())
+    orders = sorted(report.couplings_by_order)
+    table.append(len(orders), record="coupling", order=orders,
+                 value=[report.couplings_by_order[k] for k in orders])
+    ratios = list(report.decay_ratios)
+    table.append(len(ratios), record="decay_ratio", order=list(range(len(ratios))), value=ratios)
+    table.append(1, record="decay_check", status=status)
+    table.append(1, record="residual_bound", value=report.residual_bound)
+    table.append(n, record="linear_field", i=index, value=report.linear_coeffs.tolist())
+    chain = report.effective_chain
+    table.append(1, record="chain_j1", value=chain.j1)
+    table.append(1, record="chain_j2", value=chain.j2)
+    table.append(1, record="chain_x1_max", value=chain.x1_max)
+    return header, table
 
 
 # ---------------------------------------------------------------------------
 # blockade-check
 
-def run_blockade_check(cfg: RunConfig) -> tuple[list, list]:
+def run_blockade_check(cfg: RunConfig) -> tuple[list, Table]:
     rows = []
     for chk in cfg.parameters["checks"]:
         if chk["layout"] == "single-spin":
@@ -424,7 +481,7 @@ def run_blockade_check(cfg: RunConfig) -> tuple[list, list]:
             }
         )
     header = ["layout", "m", "n_logical", "n_sites", "couplings", "residual"]
-    return header, rows
+    return header, Table.from_rows(header, rows)
 
 
 _RUNNERS = {
@@ -467,8 +524,8 @@ def main(argv=None) -> int:
         if args.jobs < 1:
             raise ConfigError("--jobs must be at least 1")
         out_path = args.out or cfg.output_path or f"{args.scenario}.csv"
-        header, rows = _RUNNERS[args.scenario](cfg)
-        _write_outputs(cfg, header, rows, out_path)
+        header, table = _RUNNERS[args.scenario](cfg)
+        _write_outputs(cfg, header, table, out_path)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -181,10 +181,7 @@ def extract_couplings(
     if c_inv.shape != (n, n):
         raise ValueError("inverse matrix size does not match the array")
 
-    zz = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            zz[i, j] = e2 * c_inv[i, j] / 4.0
+    zz = e2 * np.triu(c_inv, 1) / 4.0
     d = 0.5 - spec.gate_charge_vector()
     linear = e2 / 2.0 * (c_inv @ d)
     constant = float(e2 / 8.0 * np.trace(c_inv) + e2 / 2.0 * d @ c_inv @ d)

@@ -10,9 +10,21 @@ from blockadechain.cli import (
     EXIT_INVARIANT,
     EXIT_OK,
     DEFAULT_PARAMETERS,
+    SCENARIOS,
     ConfigError,
+    Table,
+    _RUNNERS,
+    _fmt,
+    _format_column,
+    _write_outputs,
     load_config,
     main,
+)
+from blockadechain.josephson import (
+    JosephsonArraySpec,
+    build_capacitance_matrix,
+    extract_couplings,
+    invert_capacitance,
 )
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -327,6 +339,19 @@ def test_josephson_out_of_regime_reported(tmp_path):
     assert check["status"] == "out-of-regime"
 
 
+@pytest.mark.parametrize("n_boxes", [2, 4])
+def test_josephson_small_array_decay_unchecked(tmp_path, n_boxes):
+    # below five boxes there is no central-row ratio to hold to the band
+    tree = {"scenario": "josephson-map", "parameters": {"n_boxes": n_boxes}}
+    cfg = write_config(tmp_path, tree)
+    out = str(tmp_path / "jj.csv")
+    assert main(["josephson-map", "--config", cfg, "--out", out]) == EXIT_OK
+    rows = read_rows(out)
+    (check,) = [r for r in rows if r["record"] == "decay_check"]
+    assert check["status"] == "unchecked"
+    assert not [r for r in rows if r["record"] == "decay_ratio"]
+
+
 def test_josephson_rejects_single_box(tmp_path):
     tree = {"scenario": "josephson-map", "parameters": {"n_boxes": 1}}
     cfg = write_config(tmp_path, tree)
@@ -351,6 +376,129 @@ def test_blockade_check_null_m_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
     assert main(["blockade-check", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# column-wise writer against the row-wise one it replaced
+
+def reference_write(cfg, header, rows, out_path):
+    """The row-wise writer: one dict per row, ``_fmt`` on every cell."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(_fmt(row.get(col, "")) for col in header))
+    Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    if cfg.json_mirror:
+        mirror = {
+            "scenario": cfg.scenario,
+            "seed": cfg.seed,
+            "parameters": cfg.parameters,
+            "columns": header,
+            "rows": [{k: row.get(k, None) for k in header} for row in rows],
+        }
+        Path(cfg.json_mirror).write_text(
+            json.dumps(mirror, sort_keys=True, indent=1, default=float) + "\n", encoding="utf-8"
+        )
+
+
+def table_rows(table):
+    """Per-row dicts of a table; a missing cell is an absent key."""
+    columns = {k: v if isinstance(v, list) else [v] * len(table) for k, v in table.columns.items()}
+    return [{k: col[r] for k, col in columns.items() if col[r] is not None} for r in range(len(table))]
+
+
+def reference_josephson_rows(p):
+    """Rows of josephson-map built one dict at a time, as the row-wise runner did."""
+    spec = JosephsonArraySpec(p["n_boxes"], p["c_g"], p["c_j"], p["c_c"], tuple(p["gate_charges"]))
+    cmat = build_capacitance_matrix(spec)
+    cinv = invert_capacitance(cmat)
+    report = extract_couplings(spec, cinv, units=p["units"])
+    base = {"n_boxes": spec.n_boxes, "c_g": spec.c_g, "c_j": spec.c_j, "c_c": spec.c_c, "epsilon": spec.epsilon}
+    rows = []
+    for record, mat in (("capacitance", cmat), ("inverse", cinv)):
+        for i in range(spec.n_boxes):
+            for j in range(spec.n_boxes):
+                rows.append(dict(base, record=record, i=i + 1, j=j + 1, value=mat[i, j]))
+    for order, value in sorted(report.couplings_by_order.items()):
+        rows.append(dict(base, record="coupling", order=order, value=value))
+    for k, ratio in enumerate(report.decay_ratios):
+        rows.append(dict(base, record="decay_ratio", order=k, value=ratio))
+    assert report.decay_in_regime and report.decay_in_band
+    rows.append(dict(base, record="decay_check", status="pass"))
+    rows.append(dict(base, record="residual_bound", value=report.residual_bound))
+    for i, h in enumerate(report.linear_coeffs):
+        rows.append(dict(base, record="linear_field", i=i + 1, value=float(h)))
+    chain = report.effective_chain
+    for record, value in (("chain_j1", chain.j1), ("chain_j2", chain.j2), ("chain_x1_max", chain.x1_max)):
+        rows.append(dict(base, record=record, value=value))
+    return rows
+
+
+def assert_same_outputs(tmp_path, cfg, header, table, rows):
+    cfg.json_mirror = str(tmp_path / "new.json")
+    _write_outputs(cfg, header, table, str(tmp_path / "new.csv"))
+    cfg.json_mirror = str(tmp_path / "ref.json")
+    reference_write(cfg, header, rows, str(tmp_path / "ref.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert (tmp_path / "new.json").read_bytes() == (tmp_path / "ref.json").read_bytes()
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_writer_matches_row_wise_reference(tmp_path, scenario):
+    cfg = load_config(scenario, None, 0)
+    header, table = _RUNNERS[scenario](cfg)
+    assert_same_outputs(tmp_path, cfg, header, table, table_rows(table))
+
+
+def test_josephson_columns_match_row_wise_runner(tmp_path):
+    rng = np.random.default_rng(11)
+    params = {"n_boxes": 40, "c_g": 0.4, "c_j": 0.6, "c_c": 0.02,
+              "gate_charges": list(0.5 + rng.uniform(-0.02, 0.02, 40))}
+    mirror = tmp_path / "mirror.json"
+    cfg_path = write_config(tmp_path, {"scenario": "josephson-map", "parameters": params, "json_mirror": str(mirror)})
+    out = tmp_path / "jj.csv"
+    assert main(["josephson-map", "--config", cfg_path, "--out", str(out)]) == EXIT_OK
+    cfg = load_config("josephson-map", cfg_path, 0)
+    cfg.json_mirror = str(tmp_path / "ref.json")
+    header = ["n_boxes", "c_g", "c_j", "c_c", "epsilon", "record", "i", "j", "order", "value", "status"]
+    reference_write(cfg, header, reference_josephson_rows(cfg.parameters), str(tmp_path / "ref.csv"))
+    assert out.read_bytes() == (tmp_path / "ref.csv").read_bytes()
+    assert mirror.read_bytes() == (tmp_path / "ref.json").read_bytes()
+    assert len(json.loads(mirror.read_text(encoding="utf-8"))["rows"]) == len(read_rows(out))
+
+
+MIXED = [-0.0, 0.0, -0.0, True, 1, True, np.float64(-0.0), np.float64(0.0), np.float64(2.5), 2.5,
+         np.int64(1), np.int64(-3), False, 0, float("nan"), float("inf"), -float("inf"), "inf", "0", "",
+         None, "pass", np.bool_(True), 0.1 + 0.2]
+
+
+def test_format_column_mixed_cells():
+    expected = ["-0", "0", "-0", "true", "1", "true", "-0", "0", "2.5", "2.5",
+                "1", "-3", "false", "0", "nan", "inf", "-inf", "inf", "0", "",
+                "", "pass", "true", "0.3"]
+    assert list(_format_column(MIXED, len(MIXED))) == expected
+    assert list(_format_column(MIXED[::-1], len(MIXED))) == expected[::-1]
+    assert list(_format_column(-0.0, 3)) == ["-0"] * 3
+    assert list(_format_column(None, 2)) == ["", ""]
+
+
+def test_writer_mixed_column_matches_reference(tmp_path):
+    n = len(MIXED)
+    table = Table({"k": list(range(n)), "mixed": MIXED, "flag": True, "zero": -0.0}, n)
+    header = ["k", "mixed", "flag", "zero", "absent"]
+    cfg = load_config("blockade-check", None, 0)
+    assert_same_outputs(tmp_path, cfg, header, table, table_rows(table))
+
+
+@pytest.mark.parametrize("scenario", SCENARIOS)
+def test_runner_length_is_row_count(tmp_path, scenario):
+    # the benchmark tracer counts rows as len() of a runner's second result
+    cfg = load_config(scenario, None, 0)
+    cfg.json_mirror = str(tmp_path / "m.json")
+    result = _RUNNERS[scenario](cfg)
+    _write_outputs(cfg, *result, str(tmp_path / "o.csv"))
+    n_rows = len(read_rows(tmp_path / "o.csv"))
+    assert len(result[1]) == n_rows == len(json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["rows"])
+    assert all(len(col) == n_rows for col in result[1].columns.values() if isinstance(col, list))
 
 
 def test_exit_codes_are_distinct():

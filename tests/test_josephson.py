@@ -166,6 +166,21 @@ def test_decoupled_array_has_zero_couplings():
     assert np.all(report.zz_matrix == 0.0)
 
 
+@pytest.mark.parametrize("n", [2, 5, 40])
+@pytest.mark.parametrize("units", ["reduced", "si"])
+def test_zz_matrix_matches_pairwise_loop(n, units):
+    # the upper-triangle fill by pairs, kept as the reference: same bytes
+    spec = array_spec(n, 0.03) if units == "reduced" else JosephsonArraySpec(n, 0.5e-15, 0.5e-15, 0.03e-15)
+    cinv = invert_capacitance(build_capacitance_matrix(spec))
+    report = extract_couplings(spec, cinv, units=units)
+    e2 = spec.c0 if units == "reduced" else (2 * 1.602176634e-19) ** 2
+    expected = np.zeros((n, n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            expected[i, j] = e2 * cinv[i, j] / 4.0
+    assert report.zz_matrix.tobytes() == expected.tobytes()
+
+
 def test_two_box_coupling_closed_form():
     # adjugate inverse off-diagonal eps/(1+2 eps) in units of 1/C0
     spec = array_spec(2, 0.1)
