@@ -183,18 +183,12 @@ def build_h_long_range(spec: ChainSpec) -> OperatorSum:
     return OperatorSum(terms, spec.n_spins)
 
 
-def build_h_model(spec: ChainSpec, seg: ControlSegment, forbid_bz: bool = False) -> OperatorSum:
-    """Full model Hamiltonian including the long-range coupling.
-
-    ``forbid_bz`` enforces the encoded-gate constraint that all z-fields
-    stay off for the whole quantum-information process.
-    """
-    if forbid_bz and any(seg.bz):
-        raise ValueError("encoded-gate pathway requires bz == 0 on every site")
+def build_h_model(spec: ChainSpec, seg: ControlSegment) -> OperatorSum:
+    """Full model Hamiltonian including the long-range coupling."""
     return build_h_ideal(spec, seg) + build_h_long_range(spec)
 
 
-def evolve(spec: ChainSpec, schedule: ControlSchedule, include_long_range: bool = True) -> Propagator:
+def evolve(spec: ChainSpec, schedule: ControlSchedule) -> Propagator:
     """Time-ordered propagator U = U_K ... U_2 U_1 of a control schedule.
 
     Segment k contributes U_k = exp(-i * duration_k * H_k); the first
@@ -205,6 +199,5 @@ def evolve(spec: ChainSpec, schedule: ControlSchedule, include_long_range: bool 
     dim = 2**spec.n_spins
     u = np.eye(dim, dtype=complex)
     for seg in schedule.segments:
-        ham = build_h_model(spec, seg) if include_long_range else build_h_ideal(spec, seg)
-        u = expm_unitary(realize(ham), seg.duration).matrix @ u
+        u = expm_unitary(realize(build_h_model(spec, seg)), seg.duration).matrix @ u
     return Propagator(u)

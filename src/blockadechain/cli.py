@@ -212,6 +212,8 @@ def _validate_parameters(cfg: RunConfig) -> None:
             _check_keys(chk, {"layout", "n_logical", "m", "couplings"}, f"checks[{i}]")
             if chk.get("layout") not in ("single-spin", "pair-encoded"):
                 raise ConfigError("layout must be 'single-spin' or 'pair-encoded'")
+            if chk["layout"] == "single-spin" and "m" in chk:
+                raise ConfigError(f"checks[{i}]: m applies only to the pair-encoded layout")
             if not _is_int(chk.get("n_logical")) or chk["n_logical"] < 1:
                 raise ConfigError("n_logical must be a positive integer")
             if not _is_int(chk.get("m", 2)) or chk.get("m", 2) < 1:

@@ -17,15 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, ControlSchedule, ControlSegment, build_h_model
-from .operators import (
-    InvariantViolation,
-    expm_unitary,
-    order_sums,
-    pattern_index,
-    realize,
-    realize_diagonal,
-    spin_patterns,
-)
+from .operators import InvariantViolation, order_sums, pattern_index, realize_diagonal, spin_patterns
 
 
 @dataclass(frozen=True)
@@ -124,16 +116,16 @@ def verify_blockade_cancellation(layout: LogicalLayout, couplings) -> float:
     couplings = [float(j) for j in couplings]
     if not couplings:
         raise ValueError("need at least one coupling order")
+    if not np.all(np.isfinite(couplings)):
+        raise ValueError("couplings must be finite")
     if layout.n_logical > 16:
         raise ValueError("residual enumeration is capped at 2**16 logical patterns")
     s = layout_patterns(layout)
-    sums = [order_sums(s, k) for k in range(1, len(couplings) + 1)]
-    if all((m == m[0]).all() for m in sums):
-        return 0.0
     # energy differences from integer deltas, added order by order: orders
-    # whose sums coincide across patterns contribute exactly zero
+    # whose sums coincide across patterns contribute exactly +0.0
     deltas = np.zeros(s.shape[0])
-    for j, m in zip(couplings, sums):
+    for k, j in enumerate(couplings, start=1):
+        m = order_sums(s, k)
         deltas += j * (m - m[0])
     return float(deltas.max() - deltas.min()) / 2.0
 
@@ -331,9 +323,11 @@ def _evolve_state(spec: ChainSpec, schedule: ControlSchedule, psi: np.ndarray) -
     Idle segments are phases of the static Ising diagonal.  A single XY
     bond of strength j couples each |..10..>, |..01..> pair of its sites
     through the block [[E_a, 2j], [2j, E_c]], rotated in closed form;
-    |..00..> and |..11..> only pick up their phase.  Any other segment
-    (x fields, several bonds) takes one dense step.
+    |..00..> and |..11..> only pick up their phase.  Encoded gates keep
+    every field off, so any other segment raises ``ValueError``.
     """
+    if any(any(seg.bx) or any(seg.bz) or np.count_nonzero(seg.jxy) > 1 for seg in schedule.segments):
+        raise ValueError("encoded gates need bx == 0, bz == 0 and at most one XY bond per segment")
     n = spec.n_spins
     energy = realize_diagonal(build_h_model(spec, ControlSegment.idle(n, 1.0)))
     codes = np.arange(energy.size)
@@ -342,10 +336,6 @@ def _evolve_state(spec: ChainSpec, schedule: ControlSchedule, psi: np.ndarray) -
     for seg in schedule.segments:
         bonds = [b for b, j in enumerate(seg.jxy, start=1) if j]
         t = seg.duration
-        if any(seg.bx) or any(seg.bz) or len(bonds) > 1:
-            u = expm_unitary(realize(build_h_model(spec, seg, forbid_bz=True)), t)
-            psi = u.matrix @ psi
-            continue
         out = np.exp(-1j * t * energy)[:, None] * psi
         if bonds:
             hi = 1 << (n - bonds[0])  # bit of the bond's first site

@@ -137,16 +137,14 @@ class StateVector:
 
     amplitudes: np.ndarray
     n_spins: int
-    unnormalized: bool = False
 
     def __post_init__(self) -> None:
         amp = np.asarray(self.amplitudes, dtype=complex)
         if amp.shape != (2**self.n_spins,):
             raise ValueError("amplitude vector has wrong length")
-        if not self.unnormalized:
-            norm = np.linalg.norm(amp)
-            if abs(norm - 1.0) > 1e-12:
-                raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-12")
+        norm = np.linalg.norm(amp)
+        if abs(norm - 1.0) > 1e-12:
+            raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-12")
         object.__setattr__(self, "amplitudes", amp)
 
     @staticmethod
@@ -235,14 +233,12 @@ def realize_diagonal(op: OperatorSum) -> np.ndarray:
     return diag
 
 
-def expm_unitary(h: np.ndarray, t: float, sign: int = 1) -> Propagator:
-    """``exp(sign * (-i) * t * H)`` for Hermitian H via eigendecomposition.
+def expm_unitary(h: np.ndarray, t: float) -> Propagator:
+    """``exp(-i t H)`` for Hermitian H via eigendecomposition.
 
     Uses a phase-only path for diagonal H and a real symmetric
     eigensolver when H has no imaginary part.
     """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
     h = np.asarray(h, dtype=complex)
     if h.ndim != 2 or h.shape[0] != h.shape[1]:
         raise ValueError("H must be a square matrix")
@@ -254,13 +250,13 @@ def expm_unitary(h: np.ndarray, t: float, sign: int = 1) -> Propagator:
 
     offdiag = h - np.diag(np.diag(h))
     if not offdiag.any():
-        u = np.diag(np.exp(-1j * sign * t * np.real(np.diag(h))))
+        u = np.diag(np.exp(-1j * t * np.real(np.diag(h))))
         return Propagator(u)
     if not h.imag.any():
         w, v = np.linalg.eigh(h.real)
     else:
         w, v = np.linalg.eigh(h)
-    u = (v * np.exp(-1j * sign * t * w)) @ v.conj().T
+    u = (v * np.exp(-1j * t * w)) @ v.conj().T
     return Propagator(u)
 
 
@@ -291,11 +287,11 @@ def phase_set_distance(phases) -> tuple[float, float]:
     return float((-centre) % (2.0 * np.pi)), float(dist)
 
 
-def phase_optimized_distance(u, v, refine_to: float = 1e-12) -> tuple[float, float]:
+def phase_optimized_distance(u, v) -> tuple[float, float]:
     """Minimize ``|| U - e^{i phi} V ||`` over the global phase of V.
 
     Coarse 512-point grid over [0, 2pi) followed by window refinement
-    until the grid step drops below ``refine_to``.  Returns
+    until the window is narrower than 1e-12.  Returns
     ``(phi*, d*)``; the phase multiplies V, matching the freedom of
     choosing an energy zero point for the realistic evolution.
     """
@@ -313,7 +309,7 @@ def phase_optimized_distance(u, v, refine_to: float = 1e-12) -> tuple[float, flo
     step = phis[1] - phis[0]
     lo, hi = phis[best] - step, phis[best] + step
     best_phi, best_val = phis[best], vals[best]
-    while hi - lo > refine_to:
+    while hi - lo > 1e-12:
         phis = np.linspace(lo, hi, 33)
         vals = np.array([objective(p) for p in phis])
         k = int(np.argmin(vals))

@@ -10,7 +10,7 @@ from blockadechain.chain import (
     build_h_model,
     evolve,
 )
-from blockadechain.operators import OperatorSum, PauliTerm, realize, spectral_norm
+from blockadechain.operators import OperatorSum, PauliTerm, expm_unitary, realize, spectral_norm
 
 rng = np.random.default_rng(42)
 
@@ -136,14 +136,6 @@ def test_h_model_all_zero_is_zero_operator():
     assert len(op.terms) == 0
 
 
-def test_h_model_bz_constraint_flag():
-    spec = ChainSpec(3, j1=1.0, j2=0.05)
-    seg = ControlSegment(1.0, [0.0] * 3, [0.0, 0.1, 0.0], [0.0, 0.0])
-    build_h_model(spec, seg)  # allowed without the flag
-    with pytest.raises(ValueError, match="bz == 0"):
-        build_h_model(spec, seg, forbid_bz=True)
-
-
 # ---------------------------------------------------------------------------
 # evolution
 
@@ -211,13 +203,13 @@ def test_evolve_time_ordering_first_segment_rightmost():
 def test_long_range_flag_changes_evolution_only_with_j2():
     seg = random_segment(4, duration=0.8)
     spec0 = ChainSpec(4, j1=1.0, j2=0.0)
-    u_on = evolve(spec0, ControlSchedule([seg]), include_long_range=True)
-    u_off = evolve(spec0, ControlSchedule([seg]), include_long_range=False)
+    u_on = evolve(spec0, ControlSchedule([seg]))
+    u_off = expm_unitary(realize(build_h_ideal(spec0, seg)), seg.duration)
     assert spectral_norm(u_on.matrix - u_off.matrix) < 1e-12
 
     spec = ChainSpec(4, j1=1.0, j2=0.05)
-    v_on = evolve(spec, ControlSchedule([seg]), include_long_range=True)
-    v_off = evolve(spec, ControlSchedule([seg]), include_long_range=False)
+    v_on = evolve(spec, ControlSchedule([seg]))
+    v_off = expm_unitary(realize(build_h_ideal(spec, seg)), seg.duration)
     assert spectral_norm(v_on.matrix - v_off.matrix) > 1e-4
 
 

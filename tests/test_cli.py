@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blockadechain.chain import ChainSpec
 from blockadechain.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -20,6 +21,7 @@ from blockadechain.cli import (
     load_config,
     main,
 )
+from blockadechain.gates import logical_sigma_z, pair_encoded_layout, simulate_gate
 from blockadechain.josephson import (
     JosephsonArraySpec,
     build_capacitance_matrix,
@@ -268,6 +270,20 @@ def test_gate_fidelity_naive_flag(tmp_path):
     assert float(row["deficit"]) > 1e-3
 
 
+def test_gate_path_does_no_dense_linear_algebra(tmp_path, monkeypatch):
+    def eigh(*args, **kwargs):
+        raise AssertionError("dense eigendecomposition on the gate path")
+
+    monkeypatch.setattr(np.linalg, "eigh", eigh)
+    out = str(tmp_path / "gate.csv")
+    assert main(["gate-fidelity", "--out", out]) == EXIT_OK
+    assert main(["gate-fidelity", "--out", out, "--naive"]) == EXIT_OK
+    spec = ChainSpec(10, j1=1.0, j2=0.05, x1_max=0.5)
+    layout = pair_encoded_layout(2, 2)
+    report = simulate_gate(spec, layout, logical_sigma_z(spec, layout, 1, 0.3))
+    assert report.leakage < 1e-10
+
+
 def test_gate_fidelity_schedule_interchange(tmp_path):
     from blockadechain.chain import ControlSchedule
 
@@ -376,6 +392,15 @@ def test_blockade_check_null_m_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
     assert main(["blockade-check", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+def test_blockade_check_single_spin_m_rejected(tmp_path, capsys):
+    check = {"layout": "single-spin", "n_logical": 4, "m": 3, "couplings": [1.0]}
+    cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
+    out = tmp_path / "o.csv"
+    assert main(["blockade-check", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: checks[0]: m " in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -251,6 +251,24 @@ def test_bound_dominance_across_grid(scenario):
                 assert res.exact_phase_opt <= res.exact_raw + 1e-12
 
 
+@st.composite
+def bound_window_cases(draw):
+    """A scenario, n up to 60, |J2| in [1e-4, 0.5] and t with (k+1)|J2|t <= pi."""
+    scenario = draw(st.sampled_from(list(Scenario)))
+    n = draw(st.integers(MIN_QUBITS[scenario], 60))
+    j2 = draw(st.floats(1e-4, 0.5)) * draw(st.sampled_from([1.0, -1.0]))
+    k = n + 1 - MIN_QUBITS[scenario]
+    t = draw(st.floats(0.0, 1.0)) * np.pi / ((k + 1) * abs(j2))
+    return scenario, n, j2, t
+
+
+@settings(max_examples=60, deadline=None)
+@given(bound_window_cases())
+def test_bound_dominance_property(case):
+    res = scenario_deviation(*case)
+    assert res.exact_raw >= res.exact_phase_opt >= res.lower_bound - 1e-9
+
+
 @pytest.mark.parametrize("scenario", list(Scenario))
 def test_reduced_equals_full_chain_restriction(scenario):
     n_values = {

@@ -204,13 +204,6 @@ def test_expm_against_taylor_oracle():
         assert np.max(np.abs(u - ref)) < 1e-10
 
 
-def test_expm_sign_argument():
-    h = random_hermitian(4)
-    forward = expm_unitary(h, 0.5, sign=1).matrix
-    backward = expm_unitary(h, 0.5, sign=-1).matrix
-    assert np.allclose(forward @ backward, np.eye(4), atol=1e-12)
-
-
 def test_expm_semigroup_property():
     h = random_hermitian(8)
     u1 = expm_unitary(h, 0.4).matrix
@@ -358,4 +351,3 @@ def test_basis_state_indexing():
 def test_state_norm_validation():
     with pytest.raises(ValueError, match="norm"):
         StateVector(np.array([1.0, 1.0]), 1)
-    StateVector(np.array([1.0, 1.0]), 1, unnormalized=True)
