@@ -54,12 +54,10 @@ from .operators import (
     OperatorSum,
     PauliTerm,
     Propagator,
-    StateVector,
     expm_unitary,
     phase_optimized_distance,
     phase_set_distance,
     realize,
-    realize_diagonal,
     spectral_norm,
 )
 
@@ -79,7 +77,6 @@ __all__ = [
     "ReducedHamiltonians",
     "Scenario",
     "ScenarioResult",
-    "StateVector",
     "build_capacitance_matrix",
     "build_h_ideal",
     "build_h_long_range",
@@ -102,7 +99,6 @@ __all__ = [
     "phase_set_distance",
     "pulse_rotation",
     "realize",
-    "realize_diagonal",
     "reduced_hamiltonians",
     "scenario_deviation",
     "simulate_gate",

@@ -23,6 +23,7 @@ import numpy as np
 from .chain import ChainSpec
 from .deviation import MIN_QUBITS, Scenario, deviation_speed, scenario_deviation
 from .gates import (
+    LOGICAL_CAP,
     compile_cphase,
     pair_encoded_layout,
     simulate_gate,
@@ -216,6 +217,8 @@ def _validate_parameters(cfg: RunConfig) -> None:
                 raise ConfigError(f"checks[{i}]: m applies only to the pair-encoded layout")
             if not _is_int(chk.get("n_logical")) or chk["n_logical"] < 1:
                 raise ConfigError("n_logical must be a positive integer")
+            if chk["n_logical"] > LOGICAL_CAP:
+                raise ConfigError(f"checks[{i}]: n_logical is capped at {LOGICAL_CAP} (2**n_logical patterns)")
             if not _is_int(chk.get("m", 2)) or chk.get("m", 2) < 1:
                 raise ConfigError("m must be a positive integer")
             chk["couplings"] = _finite_list(chk.get("couplings"), "couplings")
@@ -528,13 +531,10 @@ def main(argv=None) -> int:
         out_path = args.out or cfg.output_path or f"{args.scenario}.csv"
         header, table = _RUNNERS[args.scenario](cfg)
         _write_outputs(cfg, header, table, out_path)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
     except (InvariantViolation, np.linalg.LinAlgError) as exc:
         print(f"numerical invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    except ValueError as exc:
+    except (ConfigError, ValueError, OSError) as exc:  # OSError: unreadable config or unwritable output
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if cfg.invariant_failures:

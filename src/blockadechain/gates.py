@@ -16,8 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .chain import ChainSpec, ControlSchedule, ControlSegment, build_h_model
-from .operators import InvariantViolation, order_sums, pattern_index, realize_diagonal, spin_patterns
+from .chain import ChainSpec, ControlSchedule, ControlSegment
+from .operators import InvariantViolation, order_sums, pattern_index, spin_patterns
+
+#: Largest n_logical whose 2**n_logical patterns the blockade residual enumerates.
+LOGICAL_CAP = 16
 
 
 @dataclass(frozen=True)
@@ -118,8 +121,8 @@ def verify_blockade_cancellation(layout: LogicalLayout, couplings) -> float:
         raise ValueError("need at least one coupling order")
     if not np.all(np.isfinite(couplings)):
         raise ValueError("couplings must be finite")
-    if layout.n_logical > 16:
-        raise ValueError("residual enumeration is capped at 2**16 logical patterns")
+    if layout.n_logical > LOGICAL_CAP:
+        raise ValueError(f"residual enumeration is capped at 2**{LOGICAL_CAP} logical patterns")
     s = layout_patterns(layout)
     # energy differences from integer deltas, added order by order: orders
     # whose sums coincide across patterns contribute exactly +0.0
@@ -209,10 +212,14 @@ class ReducedHamiltonians:
     background_energy: float
 
 
+def _ising_energy(spec: ChainSpec, s: np.ndarray) -> np.ndarray:
+    """Static J1 + J2 Ising energy of every sigma^z pattern row."""
+    return spec.j1 * order_sums(s, 1) + spec.j2 * order_sums(s, 2)
+
+
 def logical_background_energy(spec: ChainSpec, layout: LogicalLayout) -> float:
     """Static Ising energy shared by all logical basis states."""
-    s = layout_patterns(layout)
-    energies = spec.j1 * order_sums(s, 1) + spec.j2 * order_sums(s, 2)
+    energies = _ising_energy(spec, layout_patterns(layout))
     if energies.max() - energies.min() > 1e-12:
         raise InvariantViolation("logical basis states are not degenerate for this layout")
     return float(energies[0])
@@ -270,8 +277,8 @@ def compile_cphase(
     schemes that omit the long-range coupling; simulated against the
     true chain this leaves a measurable fidelity deficit.
     """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
+    if not (np.isfinite(tau) and tau >= 0):
+        raise ValueError("tau must be finite and nonnegative")
     if spec.j1 == 0:
         raise ValueError("CPHASE needs a nonzero static coupling J1")
     layout = pair_encoded_layout(2, 2) if layout is None else layout
@@ -329,7 +336,7 @@ def _evolve_state(spec: ChainSpec, schedule: ControlSchedule, psi: np.ndarray) -
     if any(any(seg.bx) or any(seg.bz) or np.count_nonzero(seg.jxy) > 1 for seg in schedule.segments):
         raise ValueError("encoded gates need bx == 0, bz == 0 and at most one XY bond per segment")
     n = spec.n_spins
-    energy = realize_diagonal(build_h_model(spec, ControlSegment.idle(n, 1.0)))
+    energy = _ising_energy(spec, spin_patterns(n))
     codes = np.arange(energy.size)
     shape = np.shape(psi)
     psi = np.asarray(psi, dtype=complex).reshape(energy.size, -1)
@@ -358,14 +365,6 @@ def _evolve_state(spec: ChainSpec, schedule: ControlSchedule, psi: np.ndarray) -
     return psi.reshape(shape)
 
 
-def logical_basis_states(layout: LogicalLayout) -> list:
-    """Full-chain basis vectors |q1 q2 ...>_L ordered by binary code."""
-    idx = pattern_index(layout_patterns(layout))
-    states = np.zeros((idx.size, 2**layout.n_sites), dtype=complex)
-    states[np.arange(idx.size), idx] = 1.0
-    return list(states)
-
-
 def simulate_gate(spec: ChainSpec, layout: LogicalLayout, schedule: ControlSchedule) -> GateReport:
     """Evolve the logical basis under the full chain and project back.
 
@@ -380,8 +379,10 @@ def simulate_gate(spec: ChainSpec, layout: LogicalLayout, schedule: ControlSched
         raise ValueError("gate simulation reports the two-logical-qubit register")
     if layout.n_sites != spec.n_spins or schedule.n_spins != spec.n_spins:
         raise ValueError("chain, layout, and schedule sizes must agree")
-    basis = np.array(logical_basis_states(layout))
-    m = basis.conj() @ _evolve_state(spec, schedule, basis.T)
+    idx = pattern_index(layout_patterns(layout))  # |q1 q2>_L in binary order
+    basis = np.zeros((2**layout.n_sites, idx.size), dtype=complex)
+    basis[idx, np.arange(idx.size)] = 1.0
+    m = _evolve_state(spec, schedule, basis)[idx]
     leakage = float(max(1.0 - np.linalg.norm(m[:, k]) ** 2 for k in range(4)))
     a00 = m[0, 0]
     if abs(a00) < 1e-12:
@@ -429,6 +430,10 @@ def logical_sigma_z(spec: ChainSpec, layout: LogicalLayout, qubit: int, phi: flo
         raise ValueError("the z-rotation composite needs two logical qubits")
     if qubit not in (1, 2):
         raise ValueError("qubit index out of range")
+    if not np.isfinite(phi):
+        raise ValueError("phi must be finite")
+    if spec.j1 == 0:
+        raise ValueError("CPHASE needs a nonzero static coupling J1")
     other = 2 if qubit == 1 else 1
     target_phase = 2.0 * phi if qubit == 1 else -2.0 * phi
     period = 2.0 * np.pi / (4.0 * abs(spec.j1))

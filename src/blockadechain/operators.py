@@ -96,10 +96,6 @@ class PauliTerm:
     def max_site(self) -> int:
         return self.letters[-1][0] if self.letters else 0
 
-    @property
-    def is_diagonal(self) -> bool:
-        return all(p == "Z" for _, p in self.letters)
-
 
 @dataclass(frozen=True)
 class OperatorSum:
@@ -121,46 +117,10 @@ class OperatorSum:
         object.__setattr__(self, "terms", terms)
         object.__setattr__(self, "n_spins", n_spins)
 
-    @property
-    def is_diagonal(self) -> bool:
-        return all(t.is_diagonal for t in self.terms)
-
     def __add__(self, other: "OperatorSum") -> "OperatorSum":
         if other.n_spins != self.n_spins:
             raise ValueError("cannot add operators on different registers")
         return OperatorSum(self.terms + other.terms, self.n_spins)
-
-
-@dataclass(frozen=True)
-class StateVector:
-    """Normalized state on 2^N amplitudes (site 1 = most significant bit)."""
-
-    amplitudes: np.ndarray
-    n_spins: int
-
-    def __post_init__(self) -> None:
-        amp = np.asarray(self.amplitudes, dtype=complex)
-        if amp.shape != (2**self.n_spins,):
-            raise ValueError("amplitude vector has wrong length")
-        norm = np.linalg.norm(amp)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm} deviates from 1 beyond 1e-12")
-        object.__setattr__(self, "amplitudes", amp)
-
-    @staticmethod
-    def basis_index(bits) -> int:
-        """Index of the product state ``|b_1 b_2 ... b_N>`` (b_1 most significant)."""
-        bits = np.asarray(bits).reshape(1, -1)
-        if not np.isin(bits, (0, 1)).all():
-            raise ValueError("bits must be 0 or 1")
-        return int(pattern_index(2 * bits - 1)[0])
-
-    @classmethod
-    def basis_state(cls, bits) -> "StateVector":
-        bits = list(bits)
-        amp = np.zeros(2 ** len(bits), dtype=complex)
-        amp[cls.basis_index(bits)] = 1.0
-        return cls(amp, len(bits))
 
 
 @dataclass(frozen=True)
@@ -213,24 +173,6 @@ def realize(op: OperatorSum) -> np.ndarray:
     if defect > 1e-14:
         raise InvariantViolation(f"realized matrix hermiticity defect {defect:.3e}")
     return out
-
-
-def realize_diagonal(op: OperatorSum) -> np.ndarray:
-    """Diagonal (length 2^N, real) of a Z-only operator sum.
-
-    Fast path for purely Ising generators; supports registers up to
-    ``PATTERN_CAP`` spins without materializing matrices.
-    """
-    if not op.is_diagonal:
-        raise ValueError("operator has non-Z terms; no diagonal fast path")
-    s = spin_patterns(op.n_spins)
-    diag = np.zeros(s.shape[0])
-    for term in op.terms:
-        contrib = np.full(s.shape[0], term.coefficient)
-        for site, _ in term.letters:
-            contrib = contrib * s[:, site - 1]
-        diag += contrib
-    return diag
 
 
 def expm_unitary(h: np.ndarray, t: float) -> Propagator:

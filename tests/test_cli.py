@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from blockadechain import cli
 from blockadechain.chain import ChainSpec
 from blockadechain.cli import (
     EXIT_CONFIG,
@@ -21,13 +22,14 @@ from blockadechain.cli import (
     load_config,
     main,
 )
-from blockadechain.gates import logical_sigma_z, pair_encoded_layout, simulate_gate
+from blockadechain.gates import LOGICAL_CAP, logical_sigma_z, pair_encoded_layout, simulate_gate
 from blockadechain.josephson import (
     JosephsonArraySpec,
     build_capacitance_matrix,
     extract_couplings,
     invert_capacitance,
 )
+from blockadechain.operators import PauliTerm
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -137,6 +139,24 @@ def test_missing_config_file(tmp_path):
         main(["deviation-sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")])
         == EXIT_CONFIG
     )
+
+
+def test_directory_config_is_config_error(tmp_path, capsys):
+    assert main(["deviation-sweep", "--config", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["--out", "json_mirror", "schedule_out"])
+def test_missing_output_directory_is_config_error(tmp_path, capsys, where):
+    target = str(tmp_path / "missing" / "file")
+    tree = {"scenario": "gate-fidelity", "parameters": {"tau": [0.1]}}
+    if where == "json_mirror":
+        tree["json_mirror"] = target
+    elif where == "schedule_out":
+        tree["parameters"]["schedule_out"] = target
+    out = target if where == "--out" else str(tmp_path / "o.csv")
+    assert main(["gate-fidelity", "--config", write_config(tmp_path, tree), "--out", out]) == EXIT_CONFIG
+    assert "config error:" in capsys.readouterr().err
 
 
 def test_checked_in_configs_parse():
@@ -274,7 +294,11 @@ def test_gate_path_does_no_dense_linear_algebra(tmp_path, monkeypatch):
     def eigh(*args, **kwargs):
         raise AssertionError("dense eigendecomposition on the gate path")
 
+    def pauli_term(*args, **kwargs):
+        raise AssertionError("Pauli terms built on the gate path")
+
     monkeypatch.setattr(np.linalg, "eigh", eigh)
+    monkeypatch.setattr(PauliTerm, "__init__", pauli_term)
     out = str(tmp_path / "gate.csv")
     assert main(["gate-fidelity", "--out", out]) == EXIT_OK
     assert main(["gate-fidelity", "--out", out, "--naive"]) == EXIT_OK
@@ -385,6 +409,21 @@ def test_blockade_check_default_rows(tmp_path):
     assert float(rows[0]["residual"]) == 0.0  # single-spin, nearest order only
     assert float(rows[1]["residual"]) == 0.0  # pair encoding, both orders
     assert float(rows[2]["residual"]) > 0.0   # injected third order
+
+
+@pytest.mark.parametrize("layout", ["single-spin", "pair-encoded"])
+def test_blockade_check_cap_checked_before_layout_is_built(tmp_path, capsys, monkeypatch, layout):
+    def builder(*args, **kwargs):
+        raise AssertionError("layout built for a check past the cap")
+
+    monkeypatch.setattr(cli, "single_spin_layout", builder)
+    monkeypatch.setattr(cli, "pair_encoded_layout", builder)
+    check = {"layout": layout, "n_logical": LOGICAL_CAP + 1, "couplings": [1.0]}
+    cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
+    out = tmp_path / "o.csv"
+    assert main(["blockade-check", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert "config error: checks[0]: n_logical" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_blockade_check_null_m_rejected(tmp_path, capsys):

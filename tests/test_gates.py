@@ -8,10 +8,11 @@ from hypothesis import strategies as st
 from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment, build_h_model, evolve
 from blockadechain.gates import (
     _evolve_state,
+    _ising_energy,
     compile_cphase,
     composite_pulse_parameters,
+    layout_patterns,
     logical_background_energy,
-    logical_basis_states,
     logical_sigma_x,
     logical_sigma_z,
     pair_encoded_layout,
@@ -22,7 +23,7 @@ from blockadechain.gates import (
     solve_pulse_parameters,
     verify_blockade_cancellation,
 )
-from blockadechain.operators import StateVector, realize
+from blockadechain.operators import PATTERN_CAP, pattern_index, realize, spin_patterns
 
 SPEC = ChainSpec(10, j1=1.0, j2=0.05, x1_max=0.5)
 LAYOUT = pair_encoded_layout(2, 2)
@@ -155,13 +156,8 @@ def test_reduced_h4_matches_full_chain_projection():
     seg = ControlSegment(1.0, [0.0] * 10, [0.0] * 10, jxy)
     h_full = realize(build_h_model(SPEC, seg))
 
-    windows = ["010010", "010100", "001010", "001100"]
-    vecs = []
-    for w in windows:
-        bits = [0, 0] + [int(c) for c in w] + [0, 0]
-        vecs.append(StateVector.basis_state(bits).amplitudes)
-    e = np.array(vecs).T
-    projected = e.conj().T @ h_full @ e
+    idx = [window_index(w) for w in ("010010", "010100", "001010", "001100")]
+    projected = h_full[np.ix_(idx, idx)]
     shift = blocks.background_energy
     assert shift == pytest.approx(1.0, abs=1e-14)  # J1 * 1 for these parameters
     assert np.max(np.abs(projected - (blocks.h4 + shift * np.eye(4)))) < 1e-12
@@ -169,6 +165,16 @@ def test_reduced_h4_matches_full_chain_projection():
 
 def test_background_energy_requires_degenerate_logical_states():
     assert logical_background_energy(SPEC, LAYOUT) == pytest.approx(1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 8), st.floats(-2.0, 2.0), st.floats(-2.0, 2.0))
+def test_ising_energy_matches_dense_diagonal(n, j1, j2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # |j2| >= |j1| is allowed here
+        spec = ChainSpec(n, j1=j1, j2=j2)
+    dense = np.real(np.diag(realize(build_h_model(spec, ControlSegment.idle(n, 1.0)))))
+    assert np.max(np.abs(_ising_energy(spec, spin_patterns(n)) - dense)) < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -238,6 +244,20 @@ def test_cphase_rejects_bad_inputs():
         compile_cphase(ChainSpec(6, j1=1.0, j2=0.05, x1_max=0.5), 0.1, layout=LAYOUT)
 
 
+@pytest.mark.parametrize("tau", [np.nan, np.inf])
+def test_cphase_rejects_non_finite_tau(tau):
+    # the hold would be nan and silently dropped from the schedule
+    with pytest.raises(ValueError, match="finite"):
+        compile_cphase(SPEC, tau, layout=LAYOUT)
+
+
+def test_gate_simulator_enumeration_cap():
+    spec = ChainSpec(PATTERN_CAP + 1, j1=1.0, j2=0.05)
+    sched = ControlSchedule([ControlSegment.idle(PATTERN_CAP + 1, 1.0)])
+    with pytest.raises(ValueError, match="cap"):
+        _evolve_state(spec, sched, np.zeros(1, dtype=complex))
+
+
 def test_zero_control_segment_acts_as_logical_identity():
     sched = ControlSchedule([ControlSegment.idle(10, 0.8)])
     report = simulate_gate(SPEC, LAYOUT, sched)
@@ -249,9 +269,15 @@ def test_zero_control_segment_acts_as_logical_identity():
 # ---------------------------------------------------------------------------
 # protocol internals: transfer step and its reversal
 
+def window_index(window_bits):
+    """Basis index of the canonical chain with window spins 3..8 set (site 1 most significant)."""
+    return int("00" + window_bits + "00", 2)
+
+
 def window_state(window_bits):
-    bits = [0, 0] + [int(c) for c in window_bits] + [0, 0]
-    return StateVector.basis_state(bits).amplitudes
+    psi = np.zeros(2**10, dtype=complex)
+    psi[window_index(window_bits)] = 1.0
+    return psi
 
 
 def step_one_schedule(spec, flip=False):
@@ -362,9 +388,10 @@ def test_z_fields_rejected_on_every_path(seg):
 
 def logical_x_matrix(spec, layout, qubit, angle):
     sched = logical_sigma_x(spec, layout, qubit, angle)
-    basis = logical_basis_states(layout)
-    cols = [_evolve_state(spec, sched, b.copy()) for b in basis]
-    return np.array([[b.conj() @ c for c in cols] for b in basis])
+    idx = pattern_index(layout_patterns(layout))
+    basis = np.zeros((2**layout.n_sites, idx.size), dtype=complex)
+    basis[idx, np.arange(idx.size)] = 1.0
+    return _evolve_state(spec, sched, basis)[idx]
 
 
 def test_sigma_x_zero_angle_is_identity():
@@ -407,6 +434,19 @@ def test_sigma_z_composite_matches_analytic(phi):
     target = target / (target[0, 0] / abs(target[0, 0]))
     assert np.max(np.abs(report.logical_matrix - target)) < 1e-8
     assert report.leakage < 1e-10
+
+
+@pytest.mark.parametrize("phi", [np.nan, np.inf, -np.inf])
+def test_sigma_z_rejects_non_finite_phi(phi):
+    with pytest.raises(ValueError, match="finite"):
+        logical_sigma_z(SPEC, LAYOUT, 1, phi)
+
+
+def test_sigma_z_rejects_zero_j1():
+    with pytest.warns(UserWarning, match="regime"):
+        spec = ChainSpec(10, j1=0.0, j2=0.05, x1_max=0.5)
+    with pytest.raises(ValueError, match="J1"):
+        logical_sigma_z(spec, LAYOUT, 1, 0.3)
 
 
 def test_sigma_z_second_qubit():

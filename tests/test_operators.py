@@ -9,14 +9,12 @@ from blockadechain.operators import (
     OperatorSum,
     PauliTerm,
     Propagator,
-    StateVector,
     expm_unitary,
     order_sums,
     pattern_index,
     phase_optimized_distance,
     phase_set_distance,
     realize,
-    realize_diagonal,
     spectral_norm,
     spin_patterns,
 )
@@ -99,22 +97,9 @@ def test_pauli_term_validation():
         PauliTerm(1.0, {1: "Q"})
 
 
-def test_realize_diagonal_matches_dense():
-    terms = [PauliTerm(0.3, {1: "Z", 2: "Z"}), PauliTerm(-0.7, {2: "Z", 4: "Z"}), PauliTerm(0.1, {3: "Z"})]
-    op = OperatorSum(terms, 4)
-    assert op.is_diagonal
-    diag = realize_diagonal(op)
-    assert np.allclose(diag, np.real(np.diag(realize(op))), atol=1e-15)
-
-
-def test_realize_diagonal_rejects_offdiagonal_terms():
-    with pytest.raises(ValueError, match="non-Z"):
-        realize_diagonal(OperatorSum([PauliTerm(1.0, {1: "X"})], 2))
-
-
-def test_realize_diagonal_enumeration_cap():
+def test_spin_patterns_enumeration_cap():
     with pytest.raises(ValueError, match="cap"):
-        realize_diagonal(OperatorSum([PauliTerm(1.0, {1: "Z"})], PATTERN_CAP + 1))
+        spin_patterns(PATTERN_CAP + 1)
 
 
 # ---------------------------------------------------------------------------
@@ -337,17 +322,3 @@ def test_phase_set_distance_single_point():
     phi, d = phase_set_distance([1.3])
     assert d == pytest.approx(0.0, abs=1e-15)
     assert phi == pytest.approx((2 * np.pi - 1.3) % (2 * np.pi), abs=1e-12)
-
-
-# ---------------------------------------------------------------------------
-# state vectors
-
-def test_basis_state_indexing():
-    sv = StateVector.basis_state([1, 0, 0])  # site 1 is the most significant bit
-    assert sv.amplitudes[4] == 1.0
-    assert np.linalg.norm(sv.amplitudes) == pytest.approx(1.0)
-
-
-def test_state_norm_validation():
-    with pytest.raises(ValueError, match="norm"):
-        StateVector(np.array([1.0, 1.0]), 1)
