@@ -23,8 +23,11 @@ import numpy as np
 from .chain import ChainSpec
 from .deviation import MIN_QUBITS, Scenario, deviation_speed, scenario_deviation
 from .gates import (
+    LAYOUT_BYTES_CAP,
     LOGICAL_CAP,
     compile_cphase,
+    layout_bytes,
+    layout_sites,
     pair_encoded_layout,
     simulate_gate,
     single_spin_layout,
@@ -221,9 +224,20 @@ def _validate_parameters(cfg: RunConfig) -> None:
                 raise ConfigError(f"checks[{i}]: n_logical is capped at {LOGICAL_CAP} (2**n_logical patterns)")
             if not _is_int(chk.get("m", 2)) or chk.get("m", 2) < 1:
                 raise ConfigError("m must be a positive integer")
+            m = chk.get("m", 2) if chk["layout"] == "pair-encoded" else None
+            n_sites = layout_sites(chk["n_logical"], m)
+            if layout_bytes(chk["n_logical"], n_sites) > LAYOUT_BYTES_CAP:
+                raise ConfigError(
+                    f"checks[{i}]: a layout of {n_sites} sites and 2**{chk['n_logical']} patterns "
+                    f"exceeds the budget of {LAYOUT_BYTES_CAP} bytes"
+                )
             chk["couplings"] = _finite_list(chk.get("couplings"), "couplings")
     else:  # pragma: no cover
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
+
+
+#: Rows the CSV writer assembles and writes at a time, which bounds the text it holds.
+_SLICE_ROWS = 1024
 
 
 def _fmt(value) -> str:
@@ -236,44 +250,59 @@ def _fmt(value) -> str:
     return str(value)
 
 
+def _text(value) -> str:
+    return "" if value is None else _fmt(value)
+
+
 @dataclass
 class Table:
-    """Output rows held column by column; ``len()`` is the row count.
+    """Output rows held as blocks, one per ``append``; ``len()`` is the row count.
 
-    ``columns`` maps a header name to one value, the same on every row,
-    or to a list with one cell per row.  ``None`` marks a missing cell,
-    and a name absent from ``columns`` is missing on every row.
+    A block is ``(n, cells)``.  ``cells`` maps a header name to a list or
+    a 1-D numeric or boolean numpy array with one cell per row, or to one
+    value that is the same on every row.  ``None`` marks a missing cell,
+    and a name absent from a block is missing on every row of it.
     """
 
-    columns: dict = field(default_factory=dict)
-    n_rows: int = 0
+    blocks: list = field(default_factory=list)
 
     def __len__(self) -> int:
-        return self.n_rows
+        return sum(n for n, _ in self.blocks)
 
-    def append(self, n: int, **cells) -> None:
-        """Add ``n`` rows; a list gives one cell per row, anything else
-        repeats on each of them, and an unnamed list column gets ``None``."""
-        for name, column in self.columns.items():
-            if isinstance(column, list):
-                cell = cells.get(name)
-                column += cell if isinstance(cell, list) else [cell] * n
-        self.n_rows += n
+    def append(self, n: int, /, **cells) -> None:
+        """Add ``n`` rows as one block."""
+        self.blocks.append((n, cells))
 
     @classmethod
     def from_rows(cls, header: list, rows: list) -> Table:
-        return cls({col: [row.get(col) for row in rows] for col in header}, len(rows))
+        table = cls()
+        table.append(len(rows), **{col: [row.get(col) for row in rows] for col in header})
+        return table
 
 
 def _cells(column, n_rows: int):
+    if isinstance(column, np.ndarray):
+        return column.tolist()  # Python scalars: an integer must not reach json's default=float
     return column if isinstance(column, list) else itertools.repeat(column, n_rows)
 
 
+def _format_array(values: np.ndarray) -> np.ndarray:
+    """CSV cells of a numpy array as an object array; each distinct bit
+    pattern is formatted once, which keeps -0.0 apart from 0.0."""
+    keys = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    texts = np.array([_fmt(v) for v in values[first].tolist()], dtype=object)
+    return texts[inverse]
+
+
 def _format_column(column, n_rows: int):
-    """CSV cells of one column: a constant is formatted once and repeated,
-    a list in one pass that formats each distinct cell once."""
+    """CSV cells of one column of a block: a constant is formatted once and
+    repeated, a numpy array by ``_format_array``, and a list in one pass
+    that formats each distinct cell once."""
+    if isinstance(column, np.ndarray):
+        return _format_array(column)
     if not isinstance(column, list):
-        return itertools.repeat("" if column is None else _fmt(column), n_rows)
+        return itertools.repeat(_text(column), n_rows)
     memo = {}
     cells = []
     last = text = object()
@@ -284,24 +313,54 @@ def _format_column(column, n_rows: int):
             key = (type(value), value, value == 0 and str(value).startswith("-"))
             text = memo.get(key)
             if text is None:
-                text = memo[key] = "" if value is None else _fmt(value)
+                text = memo[key] = _text(value)
         cells.append(text)
     return cells
 
 
+def _row_pieces(header: list, n: int, cells: dict) -> list:
+    """The rows of one block as pieces: a ``str`` is the same on every row
+    (constant cells fold into it with their commas), and an object array
+    holds one text per row."""
+    pieces = []
+    literal = ""
+    for k, col in enumerate(header):
+        if k:
+            literal += ","
+        cell = cells.get(col)
+        if isinstance(cell, (list, np.ndarray)):
+            if literal:
+                pieces.append(literal)
+            pieces.append(np.asarray(_format_column(cell, n), dtype=object))
+            literal = ""
+        else:
+            literal += _text(cell)
+    pieces.append(literal + "\n")
+    return pieces
+
+
 def _write_outputs(cfg: RunConfig, header: list, table: Table, out_path: str) -> None:
-    n = len(table)
-    columns = [table.columns.get(col) for col in header]
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(",".join(cells) + "\n" for cells in zip(*(_format_column(c, n) for c in columns)))
+        for n, cells in table.blocks:
+            pieces = _row_pieces(header, n, cells)
+            for lo in range(0, n, _SLICE_ROWS):
+                hi = min(lo + _SLICE_ROWS, n)
+                grid = np.empty((hi - lo, len(pieces)), dtype=object)
+                for k, piece in enumerate(pieces):
+                    grid[:, k] = piece if isinstance(piece, str) else piece[lo:hi]
+                fh.write("".join(grid.ravel().tolist()))
     if cfg.json_mirror:
         mirror = {
             "scenario": cfg.scenario,
             "seed": cfg.seed,
             "parameters": cfg.parameters,
             "columns": header,
-            "rows": [dict(zip(header, row)) for row in zip(*(_cells(c, n) for c in columns))],
+            "rows": [
+                dict(zip(header, row))
+                for n, cells in table.blocks
+                for row in zip(*(_cells(cells.get(col), n) for col in header))
+            ],
         }
         Path(cfg.json_mirror).write_text(
             json.dumps(mirror, sort_keys=True, indent=1, default=float) + "\n", encoding="utf-8"
@@ -443,24 +502,27 @@ def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
 
     n = spec.n_boxes
     header = ["n_boxes", "c_g", "c_j", "c_c", "epsilon", "record", "i", "j", "order", "value", "status"]
-    table = Table(dict(n_boxes=n, c_g=spec.c_g, c_j=spec.c_j, c_c=spec.c_c, epsilon=spec.epsilon,
-                       record=[], i=[], j=[], order=[], value=[], status=[]))
-    index = list(range(1, n + 1))
-    row_index = [i for i in index for _ in index]
-    table.append(n * n, record="capacitance", i=row_index, j=index * n, value=cmat.ravel().tolist())
-    table.append(n * n, record="inverse", i=row_index, j=index * n, value=cinv.ravel().tolist())
+    base = dict(n_boxes=n, c_g=spec.c_g, c_j=spec.c_j, c_c=spec.c_c, epsilon=spec.epsilon)
+    index = np.arange(1, n + 1)
+    ij = dict(i=np.repeat(index, n), j=np.tile(index, n))
     orders = sorted(report.couplings_by_order)
-    table.append(len(orders), record="coupling", order=orders,
-                 value=[report.couplings_by_order[k] for k in orders])
+    couplings = [report.couplings_by_order[k] for k in orders]
     ratios = list(report.decay_ratios)
-    table.append(len(ratios), record="decay_ratio", order=list(range(len(ratios))), value=ratios)
-    table.append(1, record="decay_check", status=status)
-    table.append(1, record="residual_bound", value=report.residual_bound)
-    table.append(n, record="linear_field", i=index, value=report.linear_coeffs.tolist())
     chain = report.effective_chain
-    table.append(1, record="chain_j1", value=chain.j1)
-    table.append(1, record="chain_j2", value=chain.j2)
-    table.append(1, record="chain_x1_max", value=chain.x1_max)
+    table = Table()
+    for rows, cells in (
+        (n * n, dict(ij, record="capacitance", value=cmat.ravel())),
+        (n * n, dict(ij, record="inverse", value=cinv.ravel())),
+        (len(orders), dict(record="coupling", order=orders, value=couplings)),
+        (len(ratios), dict(record="decay_ratio", order=list(range(len(ratios))), value=ratios)),
+        (1, dict(record="decay_check", status=status)),
+        (1, dict(record="residual_bound", value=report.residual_bound)),
+        (n, dict(record="linear_field", i=index, value=report.linear_coeffs)),
+        (1, dict(record="chain_j1", value=chain.j1)),
+        (1, dict(record="chain_j2", value=chain.j2)),
+        (1, dict(record="chain_x1_max", value=chain.x1_max)),
+    ):
+        table.append(rows, **base, **cells)
     return header, table
 
 

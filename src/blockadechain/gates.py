@@ -21,6 +21,10 @@ from .operators import InvariantViolation, order_sums, pattern_index, spin_patte
 
 #: Largest n_logical whose 2**n_logical patterns the blockade residual enumerates.
 LOGICAL_CAP = 16
+#: Bytes the blockade residual may spend on one layout (see ``layout_bytes``).
+LAYOUT_BYTES_CAP = 2**26
+#: Peak bytes of the Python tuples that describe one site of a built layout.
+SITE_BYTES = 160
 
 
 @dataclass(frozen=True)
@@ -91,6 +95,20 @@ def pair_encoded_layout(n_logical: int, m: int = 2) -> LogicalLayout:
     return LogicalLayout(n_logical, m, tuple(qubits), tuple(blockades))
 
 
+def layout_sites(n_logical: int, m: int | None = None) -> int:
+    """Sites of ``pair_encoded_layout(n_logical, m)``, or of
+    ``single_spin_layout(n_logical)`` when ``m`` is None, without building it."""
+    if m is None:
+        return 2 * n_logical + 1
+    return (n_logical + 1) * m + 2 * n_logical
+
+
+def layout_bytes(n_logical: int, n_sites: int) -> int:
+    """Bytes the blockade residual spends on a layout: the int8 sigma^z
+    patterns of ``layout_patterns`` and the layout's own Python tuples."""
+    return n_sites * (2**n_logical + SITE_BYTES)
+
+
 def layout_patterns(layout: LogicalLayout) -> np.ndarray:
     """sigma^z of every site for every logical basis pattern, shape (2^n_logical, N)."""
     logical = spin_patterns(layout.n_logical)  # +1 for logical |1>
@@ -123,6 +141,8 @@ def verify_blockade_cancellation(layout: LogicalLayout, couplings) -> float:
         raise ValueError("couplings must be finite")
     if layout.n_logical > LOGICAL_CAP:
         raise ValueError(f"residual enumeration is capped at 2**{LOGICAL_CAP} logical patterns")
+    if layout_bytes(layout.n_logical, layout.n_sites) > LAYOUT_BYTES_CAP:
+        raise ValueError(f"the layout exceeds the residual's budget of {LAYOUT_BYTES_CAP} bytes")
     s = layout_patterns(layout)
     # energy differences from integer deltas, added order by order: orders
     # whose sums coincide across patterns contribute exactly +0.0

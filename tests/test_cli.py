@@ -4,6 +4,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from blockadechain import cli
 from blockadechain.chain import ChainSpec
@@ -22,7 +24,13 @@ from blockadechain.cli import (
     load_config,
     main,
 )
-from blockadechain.gates import LOGICAL_CAP, logical_sigma_z, pair_encoded_layout, simulate_gate
+from blockadechain.gates import (
+    LAYOUT_BYTES_CAP,
+    LOGICAL_CAP,
+    logical_sigma_z,
+    pair_encoded_layout,
+    simulate_gate,
+)
 from blockadechain.josephson import (
     JosephsonArraySpec,
     build_capacitance_matrix,
@@ -426,6 +434,15 @@ def test_blockade_check_cap_checked_before_layout_is_built(tmp_path, capsys, mon
     assert not out.exists()
 
 
+@pytest.mark.parametrize("n_logical, m", [(16, 100000), (1, 10**7)])
+def test_blockade_check_layout_budget_checked_at_load(tmp_path, n_logical, m):
+    # through load_config only: a regression must not reach the layout builders
+    check = {"layout": "pair-encoded", "n_logical": n_logical, "m": m, "couplings": [1.0]}
+    cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
+    with pytest.raises(ConfigError, match=rf"checks\[0\]: .* budget of {LAYOUT_BYTES_CAP} bytes"):
+        load_config("blockade-check", cfg, 0)
+
+
 def test_blockade_check_null_m_rejected(tmp_path, capsys):
     check = {"layout": "pair-encoded", "n_logical": 2, "m": None, "couplings": [1.0]}
     cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
@@ -465,9 +482,16 @@ def reference_write(cfg, header, rows, out_path):
 
 
 def table_rows(table):
-    """Per-row dicts of a table; a missing cell is an absent key."""
-    columns = {k: v if isinstance(v, list) else [v] * len(table) for k, v in table.columns.items()}
-    return [{k: col[r] for k, col in columns.items() if col[r] is not None} for r in range(len(table))]
+    """Per-row dicts of a table; a missing cell is an absent key, and an
+    array cell is the Python scalar of its ``tolist()``."""
+    rows = []
+    for n, cells in table.blocks:
+        columns = {
+            k: v.tolist() if isinstance(v, np.ndarray) else v if isinstance(v, list) else [v] * n
+            for k, v in cells.items()
+        }
+        rows += [{k: col[r] for k, col in columns.items() if col[r] is not None} for r in range(n)]
+    return rows
 
 
 def reference_josephson_rows(p):
@@ -547,10 +571,63 @@ def test_format_column_mixed_cells():
 
 def test_writer_mixed_column_matches_reference(tmp_path):
     n = len(MIXED)
-    table = Table({"k": list(range(n)), "mixed": MIXED, "flag": True, "zero": -0.0}, n)
+    table = Table()
+    table.append(n, k=list(range(n)), mixed=MIXED, flag=True, zero=-0.0)
     header = ["k", "mixed", "flag", "zero", "absent"]
     cfg = load_config("blockade-check", None, 0)
     assert_same_outputs(tmp_path, cfg, header, table, table_rows(table))
+
+
+SPECIAL_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 2.2e-308, 1e308, -1e308, 0.1]
+TEXT = st.text(alphabet="ab%{},-0. ", max_size=6)
+
+
+def block_cells(n):
+    """One block's cell of each kind: a numpy array, a list or a constant."""
+    floats = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+    ints = st.integers(-(2**63), 2**63 - 1)
+    arrays = st.one_of(
+        st.lists(floats, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float64)),
+        st.lists(ints, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(st.booleans(), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=bool)),
+    )
+    lists = st.lists(st.sampled_from(MIXED) | TEXT | floats, min_size=n, max_size=n)
+    constants = st.none() | st.sampled_from(MIXED) | TEXT | floats | ints
+    return arrays | lists | constants
+
+
+@st.composite
+def block_tables(draw):
+    header = ["a", "b", "c", "d", "absent"]
+    table = Table()
+    for _ in range(draw(st.integers(0, 4))):
+        n = draw(st.integers(0, 6))
+        names = draw(st.lists(st.sampled_from(header[:-1]), unique=True))
+        table.append(n, **{name: draw(block_cells(n)) for name in names})
+    return header, table
+
+
+@settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(block_tables())
+def test_block_writer_matches_row_wise_reference(tmp_path, monkeypatch, header_table):
+    monkeypatch.setattr(cli, "_SLICE_ROWS", 4)  # blocks of up to 6 rows span two slices
+    header, table = header_table
+    cfg = load_config("blockade-check", None, 0)
+    assert_same_outputs(tmp_path, cfg, header, table, table_rows(table))
+
+
+def test_array_cells_reach_the_mirror_as_python_scalars(tmp_path):
+    table = Table()
+    table.append(2, i=np.array([1, 2]), flag=np.array([True, False]), value=np.array([0.5, -0.0]))
+    cfg = load_config("josephson-map", None, 0)
+    cfg.json_mirror = str(tmp_path / "m.json")
+    _write_outputs(cfg, ["i", "flag", "value"], table, str(tmp_path / "o.csv"))
+    text = (tmp_path / "m.json").read_text(encoding="utf-8")
+    assert '"i": 1,' in text and '"i": 1.0' not in text
+    rows = json.loads(text)["rows"]
+    assert [type(r["i"]) for r in rows] == [int, int]
+    assert [r["flag"] for r in rows] == [True, False]
+    assert (tmp_path / "o.csv").read_text(encoding="utf-8") == "i,flag,value\n1,true,0.5\n2,false,-0\n"
 
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
@@ -562,7 +639,8 @@ def test_runner_length_is_row_count(tmp_path, scenario):
     _write_outputs(cfg, *result, str(tmp_path / "o.csv"))
     n_rows = len(read_rows(tmp_path / "o.csv"))
     assert len(result[1]) == n_rows == len(json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["rows"])
-    assert all(len(col) == n_rows for col in result[1].columns.values() if isinstance(col, list))
+    assert all(len(cell) == n for n, cells in result[1].blocks
+               for cell in cells.values() if isinstance(cell, (list, np.ndarray)))
 
 
 def test_exit_codes_are_distinct():

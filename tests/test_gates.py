@@ -6,12 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment, build_h_model, evolve
+from blockadechain import gates
 from blockadechain.gates import (
+    LAYOUT_BYTES_CAP,
+    LOGICAL_CAP,
     _evolve_state,
     _ising_energy,
     compile_cphase,
     composite_pulse_parameters,
+    layout_bytes,
     layout_patterns,
+    layout_sites,
     logical_background_energy,
     logical_sigma_x,
     logical_sigma_z,
@@ -70,6 +75,30 @@ def test_cancellation_rejects_non_finite_couplings(bad):
     # a cancelling layout would turn bad * 0 into a nan residual
     with pytest.raises(ValueError, match="finite"):
         verify_blockade_cancellation(LAYOUT, [1.0, bad])
+
+
+def test_layout_sites_arithmetic():
+    for n in range(1, 7):
+        assert layout_sites(n) == single_spin_layout(n).n_sites
+        for m in range(1, 7):
+            assert layout_sites(n, m) == pair_encoded_layout(n, m).n_sites
+
+
+def test_layout_byte_budget_admits_capped_layouts():
+    # every check the logical cap admits at m <= 3, as in the benchmark, fits the budget
+    for m in (None, 1, 2, 3):
+        assert layout_bytes(LOGICAL_CAP, layout_sites(LOGICAL_CAP, m)) <= LAYOUT_BYTES_CAP
+
+
+def test_cancellation_rejects_layout_past_byte_budget(monkeypatch):
+    def patterns(layout):
+        raise AssertionError("patterns built for a layout past the budget")
+
+    monkeypatch.setattr(gates, "layout_patterns", patterns)
+    layout = pair_encoded_layout(LOGICAL_CAP, 60)
+    assert layout_bytes(layout.n_logical, layout.n_sites) > LAYOUT_BYTES_CAP
+    with pytest.raises(ValueError, match="budget"):
+        verify_blockade_cancellation(layout, [1.0, 0.05])
 
 
 def test_single_spin_layout_next_nearest_survives():

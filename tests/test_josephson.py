@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockadechain.deviation import Scenario, scenario_deviation
 from blockadechain.josephson import (
@@ -41,6 +43,17 @@ def tridiagonal_inverse(a):
             inv[i - 1, j - 1] = (-1) ** (i + j) * off * alpha[i - 1] * beta[j + 1] / det
             inv[j - 1, i - 1] = inv[i - 1, j - 1]
     return inv
+
+
+def dct_inverse(n, eps, c0):
+    """C^-1 = Q diag(1 / (c0 (1 + eps (2 - 2 cos(pi k / n))))) Q^T, with Q the
+    orthonormal DCT-II basis that diagonalizes the path-graph Laplacian
+    (G. Strang, SIAM Review 41(1), 1999); independent of LAPACK's inverse."""
+    k = np.arange(n)
+    q = np.cos(np.pi * np.outer(k + 0.5, k) / n) * np.sqrt(2.0 / n)
+    q[:, 0] /= np.sqrt(2.0)
+    lam = c0 * (1.0 + eps * (2.0 - 2.0 * np.cos(np.pi * k / n)))
+    return (q / lam) @ q.T
 
 
 # ---------------------------------------------------------------------------
@@ -115,6 +128,25 @@ def test_inverse_against_column_solve_oracle():
         [np.linalg.solve(c, np.eye(8)[:, k]) for k in range(8)]
     )
     assert np.max(np.abs(inv - columns)) < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 120),
+    st.floats(0.0, 0.1, exclude_min=True, exclude_max=True),
+    st.floats(0.1, 10.0),
+)
+def test_inverse_against_dct_closed_form(n, eps, c0):
+    spec = array_spec(n, eps, c0)
+    inv = invert_capacitance(build_capacitance_matrix(spec))
+    assert np.max(np.abs(inv - dct_inverse(n, spec.epsilon, spec.c0))) <= 1e-13 / spec.c0
+
+
+@pytest.mark.parametrize("eps, c0", [(1e-4, 1.0), (0.02, 1.0), (0.099, 3.0)])
+def test_large_inverse_against_dct_closed_form(eps, c0):
+    spec = array_spec(300, eps, c0)
+    inv = invert_capacitance(build_capacitance_matrix(spec))
+    assert np.max(np.abs(inv - dct_inverse(300, spec.epsilon, spec.c0))) <= 1e-13 / spec.c0
 
 
 def test_inverse_rejects_singular():
