@@ -15,13 +15,14 @@ import argparse
 import itertools
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .chain import ChainSpec
-from .deviation import MIN_QUBITS, Scenario, deviation_speed, scenario_deviation
+from .deviation import MIN_QUBITS, Scenario, scenario_deviations, speed_stencil, stencil_slopes
 from .gates import (
     LAYOUT_BYTES_CAP,
     LOGICAL_CAP,
@@ -370,60 +371,69 @@ def _write_outputs(cfg: RunConfig, header: list, table: Table, out_path: str) ->
 # ---------------------------------------------------------------------------
 # deviation-sweep
 
-def _deviation_rows(name: str, n: int, j2: float, t_points: int) -> list:
-    scenario = Scenario(name)
-    t_max = np.pi / (2.0 * abs(j2) * n) if j2 != 0 else 1.0
-    rows = []
-    for t in np.linspace(0.0, t_max, t_points):
-        row = {"record": "deviation", "scenario": name, "n": n, "j2": j2, "t": float(t)}
-        try:
-            res = scenario_deviation(scenario, n, j2, float(t))
-            row.update(
-                exact_raw=res.exact_raw,
-                exact_phase_opt=res.exact_phase_opt,
-                lower_bound=res.lower_bound,
-                bound_ok="pass",
-            )
-        except InvariantViolation as exc:
-            row["bound_ok"] = f"fail: {exc}"
-        rows.append(row)
-    rows.append(
-        {
-            "record": "slope",
-            "scenario": name,
-            "n": n,
-            "j2": j2,
-            "slope": deviation_speed(scenario, n, j2),
-        }
-    )
-    return rows
+def _deviation_columns(name: str, n: int, j2: list, t_points: int, copies: int) -> dict:
+    """The rows of one (scenario, n) as columns of cells, from one batch over
+    every J2's t grid and slope stencil.
+
+    Rows go in the order of the key (j2, deviation before slope, t), ties
+    in config order, and repeat ``copies`` times, once per listing of the
+    scenario.  A point that breaks an invariant gives a ``fail:`` row; a
+    slope point that does raises, as ``deviation_speed`` does.
+    """
+    n_j2 = len(j2)
+    t = np.concatenate([
+        np.linspace(0.0, np.pi / (2.0 * abs(x) * n) if x != 0 else 1.0, t_points) for x in j2
+    ])
+    t1, t2 = speed_stencil(name, n, j2)
+    n_dev = t.size
+    j2_index = np.concatenate([np.repeat(np.arange(n_j2), t_points), np.arange(n_j2)])
+    j2_rows = np.asarray(j2)[j2_index]
+    batch = scenario_deviations(name, n, np.concatenate([j2_rows, j2]), np.concatenate([t, t1, t2]))
+    slope = stencil_slopes(batch, t1, t2)
+
+    is_slope = np.arange(n_dev + n_j2) >= n_dev
+    t_key = np.concatenate([t, np.zeros(n_j2)])
+    # each listing of the scenario adds the rows again, after the earlier ones on ties
+    order = np.lexsort([np.tile(key, copies) for key in (t_key, is_slope, j2_rows)]) % is_slope.size
+
+    def column(values, rows) -> list:
+        cells = np.full(is_slope.size, None, dtype=object)
+        cells[rows] = values
+        return cells[order].tolist()
+
+    dev = slice(0, n_dev)
+    ok = np.flatnonzero([v is None for v in batch.violations[dev]])
+    return {
+        # the config's own objects, which the writer formats once per run of equal cells
+        "record": ["slope" if s else "deviation" for s in is_slope[order].tolist()],
+        "scenario": [name] * order.size,
+        "n": [n] * order.size,
+        "j2": [j2[k] for k in j2_index[order].tolist()],
+        "t": column(t, dev),
+        "exact_raw": column(batch.exact_raw[ok], ok),
+        "exact_phase_opt": column(batch.exact_phase_opt[ok], ok),
+        "lower_bound": column(batch.lower_bound[ok], ok),
+        "bound_ok": column(["pass" if v is None else f"fail: {v}" for v in batch.violations[dev]], dev),
+        "slope": column(slope, slice(n_dev, None)),
+    }
 
 
 def run_deviation_sweep(cfg: RunConfig) -> tuple[list, Table]:
     p = cfg.parameters
-    rows = []
-    for name in sorted(p["scenarios"], key=_SCENARIO_ORDER.get):
-        n_lo = max(p["n_min"], MIN_QUBITS[Scenario(name)])
-        for n in range(n_lo, p["n_max"] + 1):
-            for j2 in p["j2"]:
-                rows += _deviation_rows(name, n, j2, p["t_points"])
-    rows.sort(
-        key=lambda r: (
-            _SCENARIO_ORDER[r["scenario"]],
-            r["n"],
-            r["j2"],
-            0 if r["record"] == "deviation" else 1,
-            r.get("t", 0.0),
-        )
-    )
-    for row in rows:
-        if str(row.get("bound_ok", "")).startswith("fail"):
-            cfg.invariant_failures.append(row["bound_ok"])
     header = [
         "record", "scenario", "n", "j2", "t",
         "exact_raw", "exact_phase_opt", "lower_bound", "bound_ok", "slope",
     ]
-    return header, Table.from_rows(header, rows)
+    columns = {col: [] for col in header}
+    copies = Counter(p["scenarios"])
+    for name in sorted(copies, key=_SCENARIO_ORDER.get):
+        for n in range(max(p["n_min"], MIN_QUBITS[Scenario(name)]), p["n_max"] + 1):
+            for col, cells in _deviation_columns(name, n, p["j2"], p["t_points"], copies[name]).items():
+                columns[col] += cells
+    cfg.invariant_failures += [cell for cell in columns["bound_ok"] if cell not in (None, "pass")]
+    table = Table()
+    table.append(len(columns["record"]), **columns)
+    return header, table
 
 
 # ---------------------------------------------------------------------------

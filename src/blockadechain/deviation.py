@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -73,6 +74,34 @@ CONTROL = {
 }
 
 
+def _violations(scenario: Scenario, n: int, j2, t, raw, opt, bound) -> list:
+    """Message of the first ScenarioResult invariant each point breaks, or None.
+
+    ``raw``, ``opt`` and ``bound`` hold one entry per point, and ``j2``
+    and ``t`` broadcast against them.  The raw deviation must dominate
+    the phase-optimized one, and the phase-optimized one the lower bound
+    while (k+1)|J2|t <= pi.
+    """
+    raw, opt, bound = (np.asarray(a, dtype=float) for a in (raw, opt, bound))
+    over_raw = opt > raw + 1e-12
+    # The reachable next-nearest sums are m_max - 2j, j = 0..k: k+1
+    # phases 2|J2|t apart.  While (k+1)|J2|t <= pi the widest circular
+    # gap closes the ends, the points span 2k|J2|t and the optimum is
+    # exactly 2|sin(J2 t k / 2)|; past that they wrap around, can bunch
+    # into a shorter arc, and the bound no longer holds.
+    k = n + 1 - MIN_QUBITS[scenario]
+    in_window = (k + 1) * np.abs(j2) * t <= np.pi
+    under_bound = in_window & (opt < bound - 1e-9)
+    messages = [None] * len(opt)
+    for i in np.flatnonzero(over_raw | under_bound):
+        messages[i] = (
+            "phase-optimized deviation exceeds raw deviation"
+            if over_raw[i]
+            else f"deviation {opt[i]:.3e} undercuts the lower bound {bound[i]:.3e} for {scenario.value}"
+        )
+    return messages
+
+
 @dataclass(frozen=True)
 class ScenarioResult:
     """Deviation of one scenario at one (n, j2, t) point.
@@ -92,20 +121,26 @@ class ScenarioResult:
     lower_bound: float
 
     def __post_init__(self) -> None:
-        if self.exact_phase_opt > self.exact_raw + 1e-12:
-            raise InvariantViolation("phase-optimized deviation exceeds raw deviation")
-        # The reachable next-nearest sums are m_max - 2j, j = 0..k: k+1
-        # phases 2|J2|t apart.  While (k+1)|J2|t <= pi the widest circular
-        # gap closes the ends, the points span 2k|J2|t and the optimum is
-        # exactly 2|sin(J2 t k / 2)|; past that they wrap around, can bunch
-        # into a shorter arc, and the bound no longer holds.
-        k = self.n_logical + 1 - MIN_QUBITS[self.scenario]
-        in_window = (k + 1) * abs(self.j2) * self.t <= np.pi
-        if in_window and self.exact_phase_opt < self.lower_bound - 1e-9:
-            raise InvariantViolation(
-                f"deviation {self.exact_phase_opt:.3e} undercuts the lower bound "
-                f"{self.lower_bound:.3e} for {self.scenario.value}"
-            )
+        (message,) = _violations(
+            self.scenario, self.n_logical, self.j2, self.t,
+            [self.exact_raw], [self.exact_phase_opt], [self.lower_bound],
+        )
+        if message:
+            raise InvariantViolation(message)
+
+
+class DeviationBatch(NamedTuple):
+    """Deviations of one scenario and chain length at points (j2[i], t[i]).
+
+    The arrays hold ScenarioResult's three numbers, one entry per point;
+    ``violations[i]`` is the message of the first invariant point i
+    breaks, or None.
+    """
+
+    exact_raw: np.ndarray
+    exact_phase_opt: np.ndarray
+    lower_bound: np.ndarray
+    violations: list
 
 
 def default_target(scenario: Scenario, n: int) -> int:
@@ -149,8 +184,10 @@ def _reachable_sums(scenario: Scenario, n: int) -> np.ndarray:
     (target down, target up) pair of values, equal but for the x-rotation
     target's (-1, +1), so each path sums both halves of one frozen-subspace
     state side by side, and the target's couplings must cancel on every
-    path.  The last result is kept, since a sweep asks for each (scenario,
-    n) at many (j2, t) in a row.
+    path.  The last result is kept for the scalar ``scenario_deviation`` and
+    ``deviation_speed``, whose callers ask for one (scenario, n) at many
+    (j2, t) in a row; the sweep asks once per (scenario, n), through
+    ``scenario_deviations``.
     """
     layout, i0 = _scenario_layout(scenario, n)
     values = [((-1, -1), (1, 1))] * layout.n_sites
@@ -195,48 +232,79 @@ def _scenario_rows(scenario: Scenario, n: int):
 
 
 def lower_bound(scenario: Scenario, n: int, j2: float, t: float) -> float:
-    """Analytic deviation bound 2|sin(J2 t k / 2)| for the scenario."""
+    """Analytic deviation bound 2|sin(J2 t k / 2)| for the scenario; elementwise on arrays."""
     return 2.0 * abs(np.sin(j2 * t * (n + 1 - MIN_QUBITS[scenario]) / 2.0))
 
 
-def scenario_deviation(scenario: Scenario, n: int, j2: float, t: float) -> ScenarioResult:
-    """Exact deviation in the scenario's frozen subspace.
+def scenario_deviations(scenario: Scenario, n: int, j2, t) -> DeviationBatch:
+    """Exact deviations in the scenario's frozen subspace at points (j2[i], t[i]).
 
     The realistic propagator restricted to the frozen configuration is
     diagonal, so the deviation reduces to phases exp(-i J2 t m) with m
     the integer next-nearest sigma^z sums reachable over the free-qubit
-    patterns.
+    patterns; one row of phases per point.
     """
     scenario = Scenario(scenario)
-    if t < 0:
+    j2, t = np.broadcast_arrays(np.asarray(j2, dtype=float), np.asarray(t, dtype=float))
+    if np.any(t < 0):
         raise ValueError("time must be nonnegative")
-    phases = -j2 * t * _reachable_sums(scenario, n)
-    raw = float(np.max(2.0 * np.abs(np.sin(phases / 2.0))))
+    phases = (-j2 * t)[:, None] * _reachable_sums(scenario, n)
+    raw = np.max(2.0 * np.abs(np.sin(phases / 2.0)), axis=1)
     _, opt = phase_set_distance(phases)
+    bound = lower_bound(scenario, n, j2, t)
+    return DeviationBatch(raw, opt, bound, _violations(scenario, n, j2, t, raw, opt, bound))
+
+
+def scenario_deviation(scenario: Scenario, n: int, j2: float, t: float) -> ScenarioResult:
+    """Exact deviation in the scenario's frozen subspace at one point."""
+    batch = scenario_deviations(scenario, n, [j2], [t])
     return ScenarioResult(
-        scenario=scenario,
+        scenario=Scenario(scenario),
         n_logical=n,
         j2=j2,
         t=t,
-        exact_raw=raw,
-        exact_phase_opt=opt,
-        lower_bound=lower_bound(scenario, n, j2, t),
+        exact_raw=float(batch.exact_raw[0]),
+        exact_phase_opt=float(batch.exact_phase_opt[0]),
+        lower_bound=batch.lower_bound[0],
     )
+
+
+def speed_stencil(scenario: Scenario, n: int, j2) -> tuple:
+    """The two times ``deviation_speed`` samples at each J2 (SPEED_STEPS, scaled), as two arrays."""
+    k = n + 1 - MIN_QUBITS[Scenario(scenario)]
+    scale = np.maximum(1.0, (k + 1) * np.abs(np.asarray(j2, dtype=float)))
+    return SPEED_STEPS[0] / scale, SPEED_STEPS[1] / scale
+
+
+def stencil_slopes(batch: DeviationBatch, t1, t2) -> list:
+    """Finite-difference slopes of the phase-optimized deviation over the
+    last 2 len(t1) points of ``batch``: every J2 at its ``t1``, then at its ``t2``.
+
+    Raises the first invariant violation among them, a J2's t1 point
+    before its t2 point.
+    """
+    k = len(t1)
+    d = batch.exact_phase_opt[-2 * k:].tolist()
+    violations = batch.violations[-2 * k:]
+    slopes = []
+    for i, (s1, s2) in enumerate(zip(t1.tolist(), t2.tolist())):
+        message = violations[i] or violations[k + i]
+        if message:
+            raise InvariantViolation(message)
+        slopes.append((d[k + i] - d[i]) / (s2 - s1))
+    return slopes
 
 
 def deviation_speed(scenario: Scenario, n: int, j2: float) -> float:
     """Small-t growth rate of the scenario's phase-optimized deviation.
 
-    Finite difference over t in SPEED_STEPS, scaled down for large |J2|;
-    for the idle chain the measured law is (n - 1) * |J2| exactly, the
-    slope of its lower bound.
+    Finite difference over the ``speed_stencil`` times; for the idle
+    chain the measured law is (n - 1) * |J2| exactly, the slope of its
+    lower bound.
     """
-    k = n + 1 - MIN_QUBITS[Scenario(scenario)]
-    scale = max(1.0, (k + 1) * abs(j2))
-    t1, t2 = (t / scale for t in SPEED_STEPS)
-    d1 = scenario_deviation(scenario, n, j2, t1).exact_phase_opt
-    d2 = scenario_deviation(scenario, n, j2, t2).exact_phase_opt
-    return (d2 - d1) / (t2 - t1)
+    t1, t2 = speed_stencil(scenario, n, [j2])
+    (speed,) = stencil_slopes(scenario_deviations(scenario, n, j2, np.concatenate([t1, t2])), t1, t2)
+    return speed
 
 
 # ---------------------------------------------------------------------------

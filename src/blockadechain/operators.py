@@ -210,23 +210,30 @@ def spectral_norm(a) -> float:
     return float(np.linalg.norm(a, ord=2))
 
 
-def phase_set_distance(phases) -> tuple[float, float]:
+def phase_set_distance(phases) -> tuple:
     """Optimal global phase against a set of unit-circle points.
 
     For diagonal unitaries ``V = diag(e^{i theta_k})`` this returns
     ``(phi*, d*)`` with ``d* = min_phi max_k |1 - e^{i(phi + theta_k)}|``,
     located exactly through the largest circular gap of the phase set.
+    A 2-D array holds one phase set per row; ``phi*`` and ``d*`` are
+    then arrays with one entry per row, each equal to the call on its row.
     """
-    p = np.sort(np.mod(np.asarray(phases, dtype=float), 2.0 * np.pi))
-    if p.size == 0:
+    phases = np.asarray(phases, dtype=float)
+    p = np.sort(np.mod(np.atleast_2d(phases), 2.0 * np.pi), axis=1)
+    if p.shape[1] == 0:
         raise ValueError("empty phase set")
-    gaps = np.diff(np.concatenate([p, [p[0] + 2.0 * np.pi]]))
-    g = int(np.argmax(gaps))
-    width = 2.0 * np.pi - gaps[g]
-    start = p[(g + 1) % p.size]
+    gaps = np.diff(np.concatenate([p, p[:, :1] + 2.0 * np.pi], axis=1), axis=1)
+    g = np.argmax(gaps, axis=1)
+    rows = np.arange(p.shape[0])
+    width = 2.0 * np.pi - gaps[rows, g]
+    start = p[rows, (g + 1) % p.shape[1]]
     centre = start + width / 2.0
     dist = 2.0 * np.sin(width / 4.0)
-    return float((-centre) % (2.0 * np.pi)), float(dist)
+    phi = (-centre) % (2.0 * np.pi)
+    if phases.ndim < 2:
+        return float(phi[0]), float(dist[0])
+    return phi, dist
 
 
 def phase_optimized_distance(u, v) -> tuple[float, float]:

@@ -1,5 +1,9 @@
+import json
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from blockadechain.chain import (
     ChainSpec,
@@ -222,6 +226,36 @@ def test_schedule_payload_roundtrip():
     restored = ControlSchedule.from_payload(payload)
     assert restored == schedule
     assert payload[0].keys() == {"duration", "bx", "bz", "jxy"}
+
+
+STRENGTHS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e308]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def schedules(draw):
+    n = draw(st.integers(1, 5))
+    segments = [
+        ControlSegment(
+            draw(st.sampled_from([5e-324, 1.0]) | st.floats(min_value=5e-324, max_value=1e308)),
+            draw(st.lists(STRENGTHS, min_size=n, max_size=n)),
+            draw(st.lists(STRENGTHS, min_size=n, max_size=n)),
+            draw(st.lists(STRENGTHS, min_size=n - 1, max_size=n - 1)),
+        )
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return ControlSchedule(segments)
+
+
+def schedule_bits(schedule):
+    return [np.array([seg.duration, *seg.bx, *seg.bz, *seg.jxy]).tobytes() for seg in schedule.segments]
+
+
+@settings(max_examples=60, deadline=None)
+@given(schedules())
+def test_schedule_payload_roundtrip_property(schedule):
+    restored = ControlSchedule.from_payload(json.loads(json.dumps(schedule.to_payload())))
+    assert restored == schedule
+    assert schedule_bits(restored) == schedule_bits(schedule)  # -0.0 and subnormals keep their bits
 
 
 def test_magnetization_blocks_without_transverse_field():

@@ -322,3 +322,32 @@ def test_phase_set_distance_single_point():
     phi, d = phase_set_distance([1.3])
     assert d == pytest.approx(0.0, abs=1e-15)
     assert phi == pytest.approx((2 * np.pi - 1.3) % (2 * np.pi), abs=1e-12)
+
+
+@st.composite
+def phase_rows(draw):
+    """A 2-D phase array: 1-3 rows of 1-15 phases, simple and arbitrary values mixed."""
+    width = draw(st.integers(1, 15))
+    value = st.sampled_from([0.0, -0.0, np.pi, -np.pi, 2 * np.pi, 1e-12]) | st.floats(-20.0, 20.0)
+    return np.array(draw(st.lists(st.lists(value, min_size=width, max_size=width), min_size=1, max_size=3)))
+
+
+def widest_gap_margin(thetas):
+    """How much the widest circular gap of a phase set exceeds the next widest."""
+    p = np.sort(np.mod(thetas, 2 * np.pi))
+    gaps = np.sort(np.diff(np.append(p, p[0] + 2 * np.pi)))
+    return gaps[-1] - gaps[-2] if gaps.size > 1 else np.inf
+
+
+@settings(max_examples=30, deadline=None)
+@given(phase_rows())
+def test_phase_set_distance_row_wise_matches_scalar_and_matrix_search(rows):
+    phi, d = phase_set_distance(rows)
+    for r, thetas in enumerate(rows):
+        assert np.array([phi[r], d[r]]).tobytes() == np.array(phase_set_distance(thetas)).tobytes()
+        _, d_mat = phase_optimized_distance(np.eye(thetas.size), np.diag(np.exp(1j * thetas)))
+        # the search can only land above the optimum; its 512-point grid picks the
+        # basin, so two widest gaps closer than a few grid steps may settle in the wrong one
+        assert d[r] <= d_mat + 1e-12
+        if widest_gap_margin(thetas) > 0.05:
+            assert d[r] == pytest.approx(d_mat, abs=1e-9)
