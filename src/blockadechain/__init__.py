@@ -4,108 +4,67 @@ Spectral-norm gate deviations from an omitted next-nearest-neighbor
 coupling, blockade-encoded logical qubits with exact CPHASE
 compilation, and the charge-qubit capacitance network that realizes
 the model.
+
+The public names resolve on first access (PEP 562), so importing the
+package, or one CLI subcommand, loads only the modules it uses.  The
+dense reference implementations live in ``blockadechain.oracles``.
 """
 
-from .chain import (
-    ChainSpec,
-    ControlSchedule,
-    ControlSegment,
-    build_h_ideal,
-    build_h_long_range,
-    build_h_model,
-    evolve,
-)
-from .deviation import (
-    Scenario,
-    ScenarioResult,
-    deviation_speed,
-    full_chain_deviation,
-    lower_bound,
-    scenario_deviation,
-)
-from .gates import (
-    GateReport,
-    LogicalLayout,
-    PulseParameters,
-    ReducedHamiltonians,
-    compile_cphase,
-    composite_pulse_parameters,
-    logical_background_energy,
-    logical_sigma_x,
-    logical_sigma_z,
-    pair_encoded_layout,
-    pulse_rotation,
-    reduced_hamiltonians,
-    simulate_gate,
-    single_spin_layout,
-    solve_pulse_parameters,
-    verify_blockade_cancellation,
-)
-from .josephson import (
-    CouplingReport,
-    JosephsonArraySpec,
-    build_capacitance_matrix,
-    decay_check,
-    extract_couplings,
-    invert_capacitance,
-)
-from .operators import (
-    InvariantViolation,
-    OperatorSum,
-    PauliTerm,
-    Propagator,
-    expm_unitary,
-    phase_optimized_distance,
-    phase_set_distance,
-    realize,
-    spectral_norm,
-)
+import importlib
 
-__all__ = [
-    "ChainSpec",
-    "ControlSchedule",
-    "ControlSegment",
-    "CouplingReport",
-    "GateReport",
-    "InvariantViolation",
-    "JosephsonArraySpec",
-    "LogicalLayout",
-    "OperatorSum",
-    "PauliTerm",
-    "Propagator",
-    "PulseParameters",
-    "ReducedHamiltonians",
-    "Scenario",
-    "ScenarioResult",
-    "build_capacitance_matrix",
-    "build_h_ideal",
-    "build_h_long_range",
-    "build_h_model",
-    "compile_cphase",
-    "composite_pulse_parameters",
-    "decay_check",
-    "deviation_speed",
-    "evolve",
-    "expm_unitary",
-    "extract_couplings",
-    "full_chain_deviation",
-    "invert_capacitance",
-    "logical_background_energy",
-    "logical_sigma_x",
-    "logical_sigma_z",
-    "lower_bound",
-    "pair_encoded_layout",
-    "phase_optimized_distance",
-    "phase_set_distance",
-    "pulse_rotation",
-    "realize",
-    "reduced_hamiltonians",
-    "scenario_deviation",
-    "simulate_gate",
-    "single_spin_layout",
-    "solve_pulse_parameters",
-    "spectral_norm",
-    "verify_blockade_cancellation",
-]
+#: Public name -> the submodule that defines it.
+_EXPORTS = {
+    name: module
+    for module, names in {
+        "chain": ("ChainSpec", "ControlSchedule", "ControlSegment"),
+        "deviation": (
+            "Scenario",
+            "ScenarioResult",
+            "deviation_speed",
+            "full_chain_deviation",
+            "lower_bound",
+            "scenario_deviation",
+        ),
+        "gates": (
+            "GateReport",
+            "LogicalLayout",
+            "PulseParameters",
+            "compile_cphase",
+            "composite_pulse_parameters",
+            "logical_background_energy",
+            "logical_sigma_x",
+            "logical_sigma_z",
+            "pair_encoded_layout",
+            "simulate_gate",
+            "single_spin_layout",
+            "verify_blockade_cancellation",
+        ),
+        "josephson": (
+            "CouplingReport",
+            "JosephsonArraySpec",
+            "build_capacitance_matrix",
+            "decay_check",
+            "extract_couplings",
+            "invert_capacitance",
+        ),
+        "operators": ("InvariantViolation", "phase_set_distance"),
+    }.items()
+    for name in names
+}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list:
+    return sorted(set(globals()) | set(_EXPORTS))

@@ -1,8 +1,9 @@
-"""Chain Hamiltonians and piecewise-constant control evolution.
+"""Chain parameters and piecewise-constant control schedules.
 
 The model is a 1-D spin-1/2 chain with tunable site fields and bond XY
 couplings, a constant nearest-neighbor Ising coupling J1, and an
-always-on next-nearest-neighbor Ising coupling J2.
+always-on next-nearest-neighbor Ising coupling J2.  Its dense
+Hamiltonians and time-ordered evolution are in ``oracles``.
 """
 
 from __future__ import annotations
@@ -11,8 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-
-from .operators import OperatorSum, PauliTerm, Propagator, expm_unitary, realize
 
 
 @dataclass(frozen=True)
@@ -142,62 +141,3 @@ class ControlSchedule:
             ControlSegment(item["duration"], item["bx"], item["bz"], item["jxy"])
             for item in payload
         )
-
-
-def build_h_ideal(spec: ChainSpec, seg: ControlSegment) -> OperatorSum:
-    """Controlled fields plus XXZ bonds: the long-range-free Hamiltonian.
-
-    H = sum_i (bx_i X_i + bz_i Z_i)
-      + sum_i [jxy_i (X_i X_{i+1} + Y_i Y_{i+1}) + J1 Z_i Z_{i+1}]
-    """
-    if seg.n_spins != spec.n_spins:
-        raise ValueError(
-            f"segment is for {seg.n_spins} spins but chain has {spec.n_spins}"
-        )
-    terms = []
-    for i in range(1, spec.n_spins + 1):
-        if seg.bx[i - 1]:
-            terms.append(PauliTerm(seg.bx[i - 1], {i: "X"}))
-        if seg.bz[i - 1]:
-            terms.append(PauliTerm(seg.bz[i - 1], {i: "Z"}))
-    for i in range(1, spec.n_spins):
-        j = seg.jxy[i - 1]
-        if j:
-            terms.append(PauliTerm(j, {i: "X", i + 1: "X"}))
-            terms.append(PauliTerm(j, {i: "Y", i + 1: "Y"}))
-        if spec.j1:
-            terms.append(PauliTerm(spec.j1, {i: "Z", i + 1: "Z"}))
-    return OperatorSum(terms, spec.n_spins)
-
-
-def build_h_long_range(spec: ChainSpec) -> OperatorSum:
-    """Always-on next-nearest-neighbor Ising part J2 sum_i Z_i Z_{i+2}.
-
-    Chains with fewer than three spins have no next-nearest pairs and
-    yield the zero operator.
-    """
-    terms = []
-    if spec.j2:
-        for i in range(1, spec.n_spins - 1):
-            terms.append(PauliTerm(spec.j2, {i: "Z", i + 2: "Z"}))
-    return OperatorSum(terms, spec.n_spins)
-
-
-def build_h_model(spec: ChainSpec, seg: ControlSegment) -> OperatorSum:
-    """Full model Hamiltonian including the long-range coupling."""
-    return build_h_ideal(spec, seg) + build_h_long_range(spec)
-
-
-def evolve(spec: ChainSpec, schedule: ControlSchedule) -> Propagator:
-    """Time-ordered propagator U = U_K ... U_2 U_1 of a control schedule.
-
-    Segment k contributes U_k = exp(-i * duration_k * H_k); the first
-    segment acts first (rightmost in the product).
-    """
-    if schedule.n_spins != spec.n_spins:
-        raise ValueError("schedule register size does not match the chain")
-    dim = 2**spec.n_spins
-    u = np.eye(dim, dtype=complex)
-    for seg in schedule.segments:
-        u = expm_unitary(realize(build_h_model(spec, seg)), seg.duration).matrix @ u
-    return Propagator(u)

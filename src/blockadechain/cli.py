@@ -21,20 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .chain import ChainSpec
-from .deviation import MIN_QUBITS, Scenario, scenario_deviations, speed_stencil, stencil_slopes
-from .gates import (
-    LAYOUT_BYTES_CAP,
-    LOGICAL_CAP,
-    compile_cphase,
-    layout_bytes,
-    layout_sites,
-    pair_encoded_layout,
-    simulate_gate,
-    single_spin_layout,
-    verify_blockade_cancellation,
-)
-from .josephson import JosephsonArraySpec, build_capacitance_matrix, extract_couplings, invert_capacitance
+# Each subcommand imports the workflow modules it runs inside its own code
+# paths, so a run loads only those.
 from .operators import InvariantViolation
 
 EXIT_OK = 0
@@ -46,15 +34,13 @@ PHASE_TOL = 1e-12
 
 SCENARIOS = ("deviation-sweep", "gate-fidelity", "josephson-map", "blockade-check")
 
-_SCENARIO_ORDER = {s.value: i for i, s in enumerate(Scenario)}
-
 DEFAULT_PARAMETERS = {
     "deviation-sweep": {
         "n_min": 2,
         "n_max": 6,
         "j2": [0.005, 0.01, 0.05],
         "t_points": 20,
-        "scenarios": [s.value for s in Scenario],
+        "scenarios": ["idle", "sigma_z", "sigma_x", "inter_qubit"],
     },
     "gate-fidelity": {
         "j1": 1.0,
@@ -169,6 +155,8 @@ def _validate_parameters(cfg: RunConfig) -> None:
     p = cfg.parameters
     _check_keys(p, set(DEFAULT_PARAMETERS[cfg.scenario]), f"{cfg.scenario} parameters")
     if cfg.scenario == "deviation-sweep":
+        from .deviation import MIN_QUBITS, Scenario, speed_stencil
+
         if not _is_int(p["n_min"]) or not _is_int(p["n_max"]):
             raise ConfigError("n_min and n_max must be integers")
         if p["n_min"] < 2 or p["n_max"] < p["n_min"]:
@@ -184,6 +172,23 @@ def _validate_parameters(cfg: RunConfig) -> None:
             or any(not isinstance(s, str) or s not in names for s in scenarios)
         ):
             raise ConfigError(f"scenarios must be a nonempty subset of {sorted(names)}")
+        # Every nonzero J2 needs a finite t grid end pi / (2|J2|n), largest at
+        # the fewest qubits, and two distinct slope-stencil times, which
+        # collapse to 0 where the scale (k+1)|J2| overflows, at the most qubits.
+        j2 = np.array([x for x in p["j2"] if x != 0.0])
+        for name in dict.fromkeys(scenarios):
+            n_lo = max(p["n_min"], MIN_QUBITS[Scenario(name)])
+            if n_lo > p["n_max"]:
+                continue
+            with np.errstate(over="ignore"):
+                t_end = np.pi / (2.0 * np.abs(j2) * n_lo)
+                t1, t2 = speed_stencil(name, p["n_max"], j2)
+            bad = ~np.isfinite(t_end) | (t1 == t2)
+            if bad.any():
+                raise ConfigError(
+                    f"j2 value {float(j2[bad][0])!r} is out of range: the {name} t grid or slope "
+                    f"stencil overflows for n in {n_lo}..{p['n_max']}"
+                )
     elif cfg.scenario == "gate-fidelity":
         p["j1"] = _finite(p["j1"], "j1")
         p["x1"] = _finite(p["x1"], "x1")
@@ -209,6 +214,8 @@ def _validate_parameters(cfg: RunConfig) -> None:
         if p["units"] not in ("reduced", "si"):
             raise ConfigError("units must be 'reduced' or 'si'")
     elif cfg.scenario == "blockade-check":
+        from .gates import LAYOUT_BYTES_CAP, LOGICAL_CAP, layout_bytes, layout_sites
+
         if not isinstance(p["checks"], list) or not p["checks"]:
             raise ConfigError("checks must be a nonempty list")
         for i, chk in enumerate(p["checks"]):
@@ -380,6 +387,8 @@ def _deviation_columns(name: str, n: int, j2: list, t_points: int, copies: int) 
     scenario.  A point that breaks an invariant gives a ``fail:`` row; a
     slope point that does raises, as ``deviation_speed`` does.
     """
+    from .deviation import scenario_deviations, speed_stencil, stencil_slopes
+
     n_j2 = len(j2)
     t = np.concatenate([
         np.linspace(0.0, np.pi / (2.0 * abs(x) * n) if x != 0 else 1.0, t_points) for x in j2
@@ -419,14 +428,17 @@ def _deviation_columns(name: str, n: int, j2: list, t_points: int, copies: int) 
 
 
 def run_deviation_sweep(cfg: RunConfig) -> tuple[list, Table]:
+    from .deviation import MIN_QUBITS, Scenario
+
     p = cfg.parameters
+    scenario_order = {s.value: i for i, s in enumerate(Scenario)}
     header = [
         "record", "scenario", "n", "j2", "t",
         "exact_raw", "exact_phase_opt", "lower_bound", "bound_ok", "slope",
     ]
     columns = {col: [] for col in header}
     copies = Counter(p["scenarios"])
-    for name in sorted(copies, key=_SCENARIO_ORDER.get):
+    for name in sorted(copies, key=scenario_order.get):
         for n in range(max(p["n_min"], MIN_QUBITS[Scenario(name)]), p["n_max"] + 1):
             for col, cells in _deviation_columns(name, n, p["j2"], p["t_points"], copies[name]).items():
                 columns[col] += cells
@@ -440,6 +452,9 @@ def run_deviation_sweep(cfg: RunConfig) -> tuple[list, Table]:
 # gate-fidelity
 
 def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
+    from .chain import ChainSpec
+    from .gates import compile_cphase, pair_encoded_layout, simulate_gate
+
     p = cfg.parameters
     layout = pair_encoded_layout(2, 2)
     rows = []
@@ -488,6 +503,8 @@ def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
 # josephson-map
 
 def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
+    from .josephson import JosephsonArraySpec, build_capacitance_matrix, extract_couplings, invert_capacitance
+
     p = cfg.parameters
     spec = JosephsonArraySpec(
         n_boxes=p["n_boxes"],
@@ -540,6 +557,8 @@ def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
 # blockade-check
 
 def run_blockade_check(cfg: RunConfig) -> tuple[list, Table]:
+    from .gates import pair_encoded_layout, single_spin_layout, verify_blockade_cancellation
+
     rows = []
     for chk in cfg.parameters["checks"]:
         if chk["layout"] == "single-spin":

@@ -19,16 +19,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .chain import ChainSpec, ControlSegment, build_h_ideal, build_h_long_range
+from .chain import ChainSpec, ControlSegment
 from .gates import LogicalLayout, layout_patterns, single_spin_layout
-from .operators import (
-    InvariantViolation,
-    expm_unitary,
-    pattern_index,
-    phase_set_distance,
-    realize,
-    spectral_norm,
-)
+from .operators import InvariantViolation, pattern_index, phase_set_distance
 
 #: Finite-difference stencil for the small-t deviation speed, in 1/|J1|;
 #: divided by (k+1)|J2| where that exceeds 1, so both points stay inside
@@ -329,6 +322,8 @@ def full_chain_deviation(scenario: Scenario, n: int, j2: float, t: float) -> tup
     two deviations as the reduced-space path.  Serves as the independent
     consistency oracle for chains of up to 9 spins.
     """
+    from .oracles import build_h_ideal, build_h_long_range, expm_unitary, realize, spectral_norm
+
     scenario = Scenario(scenario)
     s, halves, i0 = _scenario_rows(scenario, n)
     n_sites = s.shape[1]

@@ -196,42 +196,6 @@ def composite_pulse_parameters(x1: float, delta: float) -> PulseParameters:
     return PulseParameters(x1=x1, theta=theta, x2=x2, t_r1=float(t_r1), t_r2=float(t_r2))
 
 
-def solve_pulse_parameters(spec: ChainSpec) -> PulseParameters:
-    """Composite parameters for the first transfer step (tilt 2 J2)."""
-    if spec.x1_max <= 0:
-        raise ValueError("chain has no tunable XY range (x1_max == 0)")
-    return composite_pulse_parameters(spec.x1_max, 2.0 * spec.j2)
-
-
-def pulse_rotation(x: float, j2: float) -> np.ndarray:
-    """Ideal 2x2 rotation of one composite pulse in the transfer block.
-
-    R(x) = i [[sin t, cos t], [cos t, -sin t]] with cos t = x / h,
-    sin t = 2 J2 / h, h = sqrt(x^2 + (2 J2)^2).  The product
-    R(x1) R(x2) R(x1) with the solved x2 equals exp(-i pi sigma^x / 2).
-    """
-    h = np.hypot(x, 2.0 * j2)
-    if h == 0:
-        raise ValueError("degenerate pulse: x and j2 both zero")
-    c, s = x / h, 2.0 * j2 / h
-    return 1j * np.array([[s, c], [c, -s]], dtype=complex)
-
-
-@dataclass(frozen=True)
-class ReducedHamiltonians:
-    """Transfer-relevant blocks of the six-spin window, zero-pointed
-    at the static energy of the four logical basis states.
-
-    ``background_energy`` is that common static energy on the full
-    chain; it reappears as a global phase in simulated gates.
-    """
-
-    h2: np.ndarray
-    h3: np.ndarray
-    h4: np.ndarray
-    background_energy: float
-
-
 def _ising_energy(spec: ChainSpec, s: np.ndarray) -> np.ndarray:
     """Static J1 + J2 Ising energy of every sigma^z pattern row."""
     return spec.j1 * order_sums(s, 1) + spec.j2 * order_sums(s, 2)
@@ -243,31 +207,6 @@ def logical_background_energy(spec: ChainSpec, layout: LogicalLayout) -> float:
     if energies.max() - energies.min() > 1e-12:
         raise InvariantViolation("logical basis states are not degenerate for this layout")
     return float(energies[0])
-
-
-def reduced_hamiltonians(spec: ChainSpec, j45: float, j67: float) -> ReducedHamiltonians:
-    """Blocks of the model Hamiltonian on the two-qubit transfer window.
-
-    Bases: h2 on {|100010>, |100100>}, h3 on {|010001>, |001001>}, h4 on
-    {|010010>, |010100>, |001010>, |001100>} (window spins 3..8 of the
-    ten-spin chain).  Diagonals follow from direct evaluation of the
-    Ising energies relative to the logical zero point: the displaced
-    configurations sit at +4 J2 and +4 J1.
-    """
-    z = 2.0 * j67
-    y = 2.0 * j45
-    h2 = np.array([[0.0, z], [z, 0.0]])
-    h3 = np.array([[0.0, y], [y, 0.0]])
-    h4 = np.array(
-        [
-            [0.0, z, y, 0.0],
-            [z, 4.0 * spec.j2, 0.0, y],
-            [y, 0.0, 4.0 * spec.j2, z],
-            [0.0, y, z, 4.0 * spec.j1],
-        ]
-    )
-    e0 = logical_background_energy(spec, pair_encoded_layout(2, 2))
-    return ReducedHamiltonians(h2=h2, h3=h3, h4=h4, background_energy=e0)
 
 
 def _cphase_bonds(layout: LogicalLayout) -> tuple[int, int]:

@@ -1,0 +1,346 @@
+"""Dense reference implementations: the independent oracles of the library.
+
+Pauli-string operators realized as dense 2^N x 2^N matrices,
+eigendecomposition propagators with a unitarity certificate, the chain
+Hamiltonian builders and time-ordered evolution, a grid search for the
+optimal global phase, and the reduced transfer blocks of the CPHASE
+protocol.  No CLI subcommand imports this module: the library's closed
+forms run on sigma^z patterns, and these dense paths check them in tests
+and in ``deviation.full_chain_deviation``.
+"""
+
+from __future__ import annotations
+
+from collections.abc import Mapping
+from dataclasses import dataclass
+
+import numpy as np
+
+from .chain import ChainSpec, ControlSchedule, ControlSegment
+from .gates import (
+    PulseParameters,
+    composite_pulse_parameters,
+    logical_background_energy,
+    pair_encoded_layout,
+)
+from .operators import InvariantViolation, spin_patterns
+
+#: Largest register realized as a dense 2^N x 2^N matrix.
+DIMENSION_CAP = 14
+
+HERMITICITY_TOL = 1e-12
+UNITARITY_TOL = 1e-10
+
+# i**k for the number k of Y letters in a Pauli string, exact in both parts
+_I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+# ---------------------------------------------------------------------------
+# Pauli-string operators and dense propagators
+
+@dataclass(frozen=True)
+class PauliTerm:
+    """One term ``coefficient * prod_i sigma_i^letter`` of a spin operator.
+
+    ``letters`` maps 1-based site indices to ``'X' | 'Y' | 'Z'``; absent
+    sites act as identity.  Coefficients are real so that every term is
+    Hermitian.
+    """
+
+    coefficient: float
+    letters: tuple
+
+    def __init__(self, coefficient: float, letters) -> None:
+        coefficient = float(coefficient)
+        if not np.isfinite(coefficient):
+            raise ValueError("coefficient must be finite")
+        if isinstance(letters, Mapping):
+            items = letters.items()
+        else:
+            items = letters
+        norm = tuple(sorted((int(s), str(p).upper()) for s, p in items))
+        for site, pauli in norm:
+            if site < 1:
+                raise ValueError(f"site index {site} out of range (sites are 1-based)")
+            if pauli not in ("X", "Y", "Z"):
+                raise ValueError(f"unknown Pauli letter {pauli!r}")
+        if len({s for s, _ in norm}) != len(norm):
+            raise ValueError("duplicate site index in Pauli term")
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "letters", norm)
+
+    @property
+    def max_site(self) -> int:
+        return self.letters[-1][0] if self.letters else 0
+
+
+@dataclass(frozen=True)
+class OperatorSum:
+    """Sum of Pauli terms on an N-spin register; always Hermitian."""
+
+    terms: tuple
+    n_spins: int
+
+    def __init__(self, terms, n_spins: int) -> None:
+        terms = tuple(terms)
+        n_spins = int(n_spins)
+        if n_spins < 1:
+            raise ValueError("n_spins must be positive")
+        for term in terms:
+            if term.max_site > n_spins:
+                raise ValueError(
+                    f"term touches site {term.max_site} beyond register size {n_spins}"
+                )
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "n_spins", n_spins)
+
+    def __add__(self, other: "OperatorSum") -> "OperatorSum":
+        if other.n_spins != self.n_spins:
+            raise ValueError("cannot add operators on different registers")
+        return OperatorSum(self.terms + other.terms, self.n_spins)
+
+
+@dataclass(frozen=True)
+class Propagator:
+    """Unitary on the full register, with a certificate check at construction."""
+
+    matrix: np.ndarray
+
+    def __post_init__(self) -> None:
+        u = np.asarray(self.matrix, dtype=complex)
+        if u.ndim != 2 or u.shape[0] != u.shape[1]:
+            raise ValueError("propagator must be a square matrix")
+        defect = np.max(np.abs(u.conj().T @ u - np.eye(u.shape[0])))
+        if defect > UNITARITY_TOL:
+            raise InvariantViolation(f"unitarity defect {defect:.3e} exceeds {UNITARITY_TOL}")
+        object.__setattr__(self, "matrix", u)
+
+    @property
+    def dim(self) -> int:
+        return self.matrix.shape[0]
+
+
+def realize(op: OperatorSum) -> np.ndarray:
+    """Dense Hermitian matrix of an operator sum.
+
+    Each Pauli string maps basis index c to ``c ^ flip`` (X and Y flip
+    their bits) with amplitude ``coefficient * i**#Y`` times the sigma^z
+    value of every Z and Y site, so no tensor products are formed.
+    """
+    if op.n_spins > DIMENSION_CAP:
+        raise ValueError(
+            f"register of {op.n_spins} spins exceeds the dense dimension cap {DIMENSION_CAP}"
+        )
+    n = op.n_spins
+    dim = 2**n
+    s = spin_patterns(n)
+    cols = np.arange(dim)
+    out = np.zeros((dim, dim), dtype=complex)
+    for term in op.terms:
+        flip = 0
+        sign = np.ones(dim, dtype=np.int8)
+        for site, pauli in term.letters:
+            if pauli != "Z":
+                flip |= 1 << (n - site)
+            if pauli != "X":
+                sign *= s[:, site - 1]
+        n_y = sum(p == "Y" for _, p in term.letters)
+        out[cols ^ flip, cols] += term.coefficient * _I_POWERS[n_y % 4] * sign
+    defect = np.max(np.abs(out - out.conj().T)) if dim else 0.0
+    if defect > 1e-14:
+        raise InvariantViolation(f"realized matrix hermiticity defect {defect:.3e}")
+    return out
+
+
+def expm_unitary(h: np.ndarray, t: float) -> Propagator:
+    """``exp(-i t H)`` for Hermitian H via eigendecomposition.
+
+    Uses a phase-only path for diagonal H and a real symmetric
+    eigensolver when H has no imaginary part.
+    """
+    h = np.asarray(h, dtype=complex)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError("H must be a square matrix")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("H has non-finite entries")
+    defect = np.max(np.abs(h - h.conj().T))
+    if defect > HERMITICITY_TOL:
+        raise ValueError(f"H is not Hermitian (defect {defect:.3e})")
+
+    offdiag = h - np.diag(np.diag(h))
+    if not offdiag.any():
+        u = np.diag(np.exp(-1j * t * np.real(np.diag(h))))
+        return Propagator(u)
+    if not h.imag.any():
+        w, v = np.linalg.eigh(h.real)
+    else:
+        w, v = np.linalg.eigh(h)
+    u = (v * np.exp(-1j * t * w)) @ v.conj().T
+    return Propagator(u)
+
+
+def spectral_norm(a) -> float:
+    """Largest singular value (the operator 2-norm)."""
+    a = a.matrix if isinstance(a, Propagator) else np.asarray(a, dtype=complex)
+    if not np.all(np.isfinite(a.view(float))):
+        raise ValueError("matrix has non-finite entries")
+    return float(np.linalg.norm(a, ord=2))
+
+
+def phase_optimized_distance(u, v) -> tuple[float, float]:
+    """Minimize ``|| U - e^{i phi} V ||`` over the global phase of V.
+
+    Coarse 512-point grid over [0, 2pi) followed by window refinement
+    until the window is narrower than 1e-12.  Returns
+    ``(phi*, d*)``; the phase multiplies V, matching the freedom of
+    choosing an energy zero point for the realistic evolution.
+    """
+    u = u.matrix if isinstance(u, Propagator) else np.asarray(u, dtype=complex)
+    v = v.matrix if isinstance(v, Propagator) else np.asarray(v, dtype=complex)
+    if u.shape != v.shape:
+        raise ValueError("dimension mismatch between U and V")
+
+    def objective(phi: float) -> float:
+        return float(np.linalg.norm(u - np.exp(1j * phi) * v, ord=2))
+
+    phis = np.linspace(0.0, 2.0 * np.pi, 512, endpoint=False)
+    vals = np.array([objective(p) for p in phis])
+    best = int(np.argmin(vals))
+    step = phis[1] - phis[0]
+    lo, hi = phis[best] - step, phis[best] + step
+    best_phi, best_val = phis[best], vals[best]
+    while hi - lo > 1e-12:
+        phis = np.linspace(lo, hi, 33)
+        vals = np.array([objective(p) for p in phis])
+        k = int(np.argmin(vals))
+        if vals[k] < best_val:
+            best_val, best_phi = vals[k], phis[k]
+        step = phis[1] - phis[0]
+        lo, hi = phis[k] - step, phis[k] + step
+    return float(best_phi % (2.0 * np.pi)), float(best_val)
+
+
+# ---------------------------------------------------------------------------
+# Chain Hamiltonians and time-ordered evolution
+
+def build_h_ideal(spec: ChainSpec, seg: ControlSegment) -> OperatorSum:
+    """Controlled fields plus XXZ bonds: the long-range-free Hamiltonian.
+
+    H = sum_i (bx_i X_i + bz_i Z_i)
+      + sum_i [jxy_i (X_i X_{i+1} + Y_i Y_{i+1}) + J1 Z_i Z_{i+1}]
+    """
+    if seg.n_spins != spec.n_spins:
+        raise ValueError(
+            f"segment is for {seg.n_spins} spins but chain has {spec.n_spins}"
+        )
+    terms = []
+    for i in range(1, spec.n_spins + 1):
+        if seg.bx[i - 1]:
+            terms.append(PauliTerm(seg.bx[i - 1], {i: "X"}))
+        if seg.bz[i - 1]:
+            terms.append(PauliTerm(seg.bz[i - 1], {i: "Z"}))
+    for i in range(1, spec.n_spins):
+        j = seg.jxy[i - 1]
+        if j:
+            terms.append(PauliTerm(j, {i: "X", i + 1: "X"}))
+            terms.append(PauliTerm(j, {i: "Y", i + 1: "Y"}))
+        if spec.j1:
+            terms.append(PauliTerm(spec.j1, {i: "Z", i + 1: "Z"}))
+    return OperatorSum(terms, spec.n_spins)
+
+
+def build_h_long_range(spec: ChainSpec) -> OperatorSum:
+    """Always-on next-nearest-neighbor Ising part J2 sum_i Z_i Z_{i+2}.
+
+    Chains with fewer than three spins have no next-nearest pairs and
+    yield the zero operator.
+    """
+    terms = []
+    if spec.j2:
+        for i in range(1, spec.n_spins - 1):
+            terms.append(PauliTerm(spec.j2, {i: "Z", i + 2: "Z"}))
+    return OperatorSum(terms, spec.n_spins)
+
+
+def build_h_model(spec: ChainSpec, seg: ControlSegment) -> OperatorSum:
+    """Full model Hamiltonian including the long-range coupling."""
+    return build_h_ideal(spec, seg) + build_h_long_range(spec)
+
+
+def evolve(spec: ChainSpec, schedule: ControlSchedule) -> Propagator:
+    """Time-ordered propagator U = U_K ... U_2 U_1 of a control schedule.
+
+    Segment k contributes U_k = exp(-i * duration_k * H_k); the first
+    segment acts first (rightmost in the product).
+    """
+    if schedule.n_spins != spec.n_spins:
+        raise ValueError("schedule register size does not match the chain")
+    dim = 2**spec.n_spins
+    u = np.eye(dim, dtype=complex)
+    for seg in schedule.segments:
+        u = expm_unitary(realize(build_h_model(spec, seg)), seg.duration).matrix @ u
+    return Propagator(u)
+
+
+# ---------------------------------------------------------------------------
+# Reduced transfer blocks of the CPHASE protocol
+
+def solve_pulse_parameters(spec: ChainSpec) -> PulseParameters:
+    """Composite parameters for the first transfer step (tilt 2 J2)."""
+    if spec.x1_max <= 0:
+        raise ValueError("chain has no tunable XY range (x1_max == 0)")
+    return composite_pulse_parameters(spec.x1_max, 2.0 * spec.j2)
+
+
+def pulse_rotation(x: float, j2: float) -> np.ndarray:
+    """Ideal 2x2 rotation of one composite pulse in the transfer block.
+
+    R(x) = i [[sin t, cos t], [cos t, -sin t]] with cos t = x / h,
+    sin t = 2 J2 / h, h = sqrt(x^2 + (2 J2)^2).  The product
+    R(x1) R(x2) R(x1) with the solved x2 equals exp(-i pi sigma^x / 2).
+    """
+    h = np.hypot(x, 2.0 * j2)
+    if h == 0:
+        raise ValueError("degenerate pulse: x and j2 both zero")
+    c, s = x / h, 2.0 * j2 / h
+    return 1j * np.array([[s, c], [c, -s]], dtype=complex)
+
+
+@dataclass(frozen=True)
+class ReducedHamiltonians:
+    """Transfer-relevant blocks of the six-spin window, zero-pointed
+    at the static energy of the four logical basis states.
+
+    ``background_energy`` is that common static energy on the full
+    chain; it reappears as a global phase in simulated gates.
+    """
+
+    h2: np.ndarray
+    h3: np.ndarray
+    h4: np.ndarray
+    background_energy: float
+
+
+def reduced_hamiltonians(spec: ChainSpec, j45: float, j67: float) -> ReducedHamiltonians:
+    """Blocks of the model Hamiltonian on the two-qubit transfer window.
+
+    Bases: h2 on {|100010>, |100100>}, h3 on {|010001>, |001001>}, h4 on
+    {|010010>, |010100>, |001010>, |001100>} (window spins 3..8 of the
+    ten-spin chain).  Diagonals follow from direct evaluation of the
+    Ising energies relative to the logical zero point: the displaced
+    configurations sit at +4 J2 and +4 J1.
+    """
+    z = 2.0 * j67
+    y = 2.0 * j45
+    h2 = np.array([[0.0, z], [z, 0.0]])
+    h3 = np.array([[0.0, y], [y, 0.0]])
+    h4 = np.array(
+        [
+            [0.0, z, y, 0.0],
+            [z, 4.0 * spec.j2, 0.0, y],
+            [y, 0.0, 4.0 * spec.j2, z],
+            [0.0, y, z, 4.0 * spec.j1],
+        ]
+    )
+    e0 = logical_background_energy(spec, pair_encoded_layout(2, 2))
+    return ReducedHamiltonians(h2=h2, h3=h3, h4=h4, background_energy=e0)

@@ -26,7 +26,6 @@ from blockadechain.gates import (
     composite_pulse_parameters,
     logical_sigma_z,
     pair_encoded_layout,
-    pulse_rotation,
     simulate_gate,
     single_spin_layout,
     verify_blockade_cancellation,
@@ -38,7 +37,7 @@ from blockadechain.josephson import (
     extract_couplings,
     invert_capacitance,
 )
-from blockadechain.operators import expm_unitary, spectral_norm
+from blockadechain.oracles import expm_unitary, pulse_rotation, spectral_norm
 
 GATE_SPEC = ChainSpec(10, j1=1.0, j2=0.05, x1_max=0.5)
 GATE_LAYOUT = pair_encoded_layout(2, 2)

@@ -5,16 +5,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockadechain.chain import (
-    ChainSpec,
-    ControlSchedule,
-    ControlSegment,
+from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment
+from blockadechain.oracles import (
+    OperatorSum,
+    PauliTerm,
     build_h_ideal,
     build_h_long_range,
     build_h_model,
     evolve,
+    expm_unitary,
+    realize,
+    spectral_norm,
 )
-from blockadechain.operators import OperatorSum, PauliTerm, expm_unitary, realize, spectral_norm
 
 rng = np.random.default_rng(42)
 

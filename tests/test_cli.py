@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from blockadechain import cli, deviation
+from blockadechain import cli, deviation, gates
 from blockadechain.chain import ChainSpec
 from blockadechain.cli import (
     EXIT_CONFIG,
@@ -38,7 +38,8 @@ from blockadechain.josephson import (
     extract_couplings,
     invert_capacitance,
 )
-from blockadechain.operators import InvariantViolation, PauliTerm
+from blockadechain.operators import InvariantViolation
+from blockadechain.oracles import PauliTerm
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -179,6 +180,11 @@ def test_checked_in_configs_parse():
         assert cfg.scenario == scenario
 
 
+def test_default_sweep_lists_every_scenario_in_order():
+    # a literal, so that the CLI can list its defaults without importing deviation
+    assert DEFAULT_PARAMETERS["deviation-sweep"]["scenarios"] == [s.value for s in Scenario]
+
+
 # ---------------------------------------------------------------------------
 # deviation sweep
 
@@ -261,6 +267,35 @@ def test_sweep_slope_at_large_coupling(tmp_path):
     assert main(["deviation-sweep", "--config", cfg, "--out", out]) == EXIT_OK
     (slope,) = [r for r in read_rows(out) if r["record"] == "slope"]
     assert float(slope["slope"]) == pytest.approx(2e5, rel=1e-6)
+
+
+@pytest.mark.parametrize("j2", [[1e308], [-1e308], [5e-324, 0.01], [1e-310], [5e307], [4e-309]])
+def test_sweep_rejects_unresolvable_j2(tmp_path, capsys, j2):
+    # |J2| = 1e308 overflows the slope stencil's scale (k+1)|J2|, so both
+    # stencil times are 0; a subnormal |J2| overflows the t grid's end pi / (2|J2|n).
+    # 5e307 overflows the scale only at the largest n (4), 4e-309 the t grid
+    # only at the smallest (2 and 3).
+    mirror = tmp_path / "mirror.json"
+    tree = {"scenario": "deviation-sweep", "parameters": {"j2": j2, "n_max": 4}, "json_mirror": str(mirror)}
+    cfg = write_config(tmp_path, tree)
+    out = tmp_path / "o.csv"
+    assert main(["deviation-sweep", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: j2 ") and err.count("\n") == 1
+    assert not out.exists() and not mirror.exists()
+
+
+def test_sweep_accepts_the_largest_resolvable_j2(tmp_path, capsys):
+    # at n = 4 the idle scale (k+1)|J2| = 4 * 3e307 is still finite
+    tree = {"scenario": "deviation-sweep", "parameters": {"j2": [3e307], "n_max": 4}}
+    cfg = write_config(tmp_path, tree)
+    out = str(tmp_path / "o.csv")
+    assert main(["deviation-sweep", "--config", cfg, "--out", out]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+    rows = read_rows(out)
+    assert all(r["bound_ok"] == "pass" for r in rows if r["record"] == "deviation")
+    slopes = [float(r["slope"]) for r in rows if r["record"] == "slope"]
+    assert len(slopes) == 9 and all(0.0 < s < np.inf for s in slopes)
 
 
 def test_sweep_past_the_enumeration_cap(tmp_path):
@@ -524,8 +559,8 @@ def test_blockade_check_cap_checked_before_layout_is_built(tmp_path, capsys, mon
     def builder(*args, **kwargs):
         raise AssertionError("layout built for a check past the cap")
 
-    monkeypatch.setattr(cli, "single_spin_layout", builder)
-    monkeypatch.setattr(cli, "pair_encoded_layout", builder)
+    monkeypatch.setattr(gates, "single_spin_layout", builder)
+    monkeypatch.setattr(gates, "pair_encoded_layout", builder)
     check = {"layout": layout, "n_logical": LOGICAL_CAP + 1, "couplings": [1.0]}
     cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
     out = tmp_path / "o.csv"

@@ -18,13 +18,8 @@ from blockadechain.deviation import (
     lower_bound,
     scenario_deviation,
 )
-from blockadechain.operators import (
-    InvariantViolation,
-    expm_unitary,
-    order_sums,
-    phase_set_distance,
-    spectral_norm,
-)
+from blockadechain.operators import InvariantViolation, order_sums, phase_set_distance
+from blockadechain.oracles import expm_unitary, spectral_norm
 
 
 def idle_phases_by_loop(n, j2, t):

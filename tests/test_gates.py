@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment, build_h_model, evolve
+from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment
 from blockadechain import gates
 from blockadechain.gates import (
     LAYOUT_BYTES_CAP,
@@ -21,14 +21,19 @@ from blockadechain.gates import (
     logical_sigma_x,
     logical_sigma_z,
     pair_encoded_layout,
-    pulse_rotation,
-    reduced_hamiltonians,
     simulate_gate,
     single_spin_layout,
-    solve_pulse_parameters,
     verify_blockade_cancellation,
 )
-from blockadechain.operators import PATTERN_CAP, pattern_index, realize, spin_patterns
+from blockadechain.operators import PATTERN_CAP, pattern_index, spin_patterns
+from blockadechain.oracles import (
+    build_h_model,
+    evolve,
+    pulse_rotation,
+    realize,
+    reduced_hamiltonians,
+    solve_pulse_parameters,
+)
 
 SPEC = ChainSpec(10, j1=1.0, j2=0.05, x1_max=0.5)
 LAYOUT = pair_encoded_layout(2, 2)

@@ -11,7 +11,8 @@ from blockadechain.josephson import (
     extract_couplings,
     invert_capacitance,
 )
-from blockadechain.operators import InvariantViolation, OperatorSum, PauliTerm, realize
+from blockadechain.operators import InvariantViolation
+from blockadechain.oracles import OperatorSum, PauliTerm, realize
 
 
 def array_spec(n, eps, c0=1.0, gate_charges=None):
@@ -179,6 +180,20 @@ def test_decay_ratio_small_eps_limit():
     ratios, in_band = decay_check(inv, spec.epsilon)
     assert in_band
     assert ratios[0] == pytest.approx(1e-4, rel=5e-4)
+
+
+@pytest.mark.parametrize("n", [30, 60, 120, 300])
+@pytest.mark.parametrize("eps", [1e-4, 1e-3, 0.01, 0.05])
+def test_central_decay_ratios_match_exact_ratio(n, eps):
+    # Away from the edges a row x of C^-1 solves -eps x[k-1] + (1 + 2 eps) x[k]
+    # - eps x[k+1] = 0, so x decays by the smaller root of eps r^2 - (1 + 2 eps) r
+    # + eps = 0: r = ((1 + 2 eps) - sqrt(1 + 4 eps)) / (2 eps), written here
+    # without that form's cancellation, which costs up to 4e-9 at eps = 1e-4.
+    spec = array_spec(n, eps)
+    ratios, _ = decay_check(invert_capacitance(build_capacitance_matrix(spec)), spec.epsilon)
+    r = 2.0 * spec.epsilon / ((1.0 + 2.0 * spec.epsilon) + np.sqrt(1.0 + 4.0 * spec.epsilon))
+    assert len(ratios) >= 3
+    assert np.max(np.abs(np.asarray(ratios[:3]) / r - 1.0)) <= 1e-13
 
 
 def test_decay_needs_five_boxes():

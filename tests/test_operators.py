@@ -6,17 +6,19 @@ from hypothesis import strategies as st
 from blockadechain.operators import (
     PATTERN_CAP,
     InvariantViolation,
+    order_sums,
+    pattern_index,
+    phase_set_distance,
+    spin_patterns,
+)
+from blockadechain.oracles import (
     OperatorSum,
     PauliTerm,
     Propagator,
     expm_unitary,
-    order_sums,
-    pattern_index,
     phase_optimized_distance,
-    phase_set_distance,
     realize,
     spectral_norm,
-    spin_patterns,
 )
 
 rng = np.random.default_rng(20260810)
