@@ -214,7 +214,7 @@ def _validate_parameters(cfg: RunConfig) -> None:
         if p["units"] not in ("reduced", "si"):
             raise ConfigError("units must be 'reduced' or 'si'")
     elif cfg.scenario == "blockade-check":
-        from .gates import LAYOUT_BYTES_CAP, LOGICAL_CAP, layout_bytes, layout_sites
+        from .gates import LAYOUT_BYTES_CAP, layout_bytes, layout_sites
 
         if not isinstance(p["checks"], list) or not p["checks"]:
             raise ConfigError("checks must be a nonempty list")
@@ -228,16 +228,13 @@ def _validate_parameters(cfg: RunConfig) -> None:
                 raise ConfigError(f"checks[{i}]: m applies only to the pair-encoded layout")
             if not _is_int(chk.get("n_logical")) or chk["n_logical"] < 1:
                 raise ConfigError("n_logical must be a positive integer")
-            if chk["n_logical"] > LOGICAL_CAP:
-                raise ConfigError(f"checks[{i}]: n_logical is capped at {LOGICAL_CAP} (2**n_logical patterns)")
             if not _is_int(chk.get("m", 2)) or chk.get("m", 2) < 1:
                 raise ConfigError("m must be a positive integer")
             m = chk.get("m", 2) if chk["layout"] == "pair-encoded" else None
             n_sites = layout_sites(chk["n_logical"], m)
-            if layout_bytes(chk["n_logical"], n_sites) > LAYOUT_BYTES_CAP:
+            if layout_bytes(n_sites) > LAYOUT_BYTES_CAP:
                 raise ConfigError(
-                    f"checks[{i}]: a layout of {n_sites} sites and 2**{chk['n_logical']} patterns "
-                    f"exceeds the budget of {LAYOUT_BYTES_CAP} bytes"
+                    f"checks[{i}]: a layout of {n_sites} sites exceeds the budget of {LAYOUT_BYTES_CAP} bytes"
                 )
             chk["couplings"] = _finite_list(chk.get("couplings"), "couplings")
     else:  # pragma: no cover
@@ -560,12 +557,15 @@ def run_blockade_check(cfg: RunConfig) -> tuple[list, Table]:
     from .gates import pair_encoded_layout, single_spin_layout, verify_blockade_cancellation
 
     rows = []
-    for chk in cfg.parameters["checks"]:
+    for i, chk in enumerate(cfg.parameters["checks"]):
         if chk["layout"] == "single-spin":
             layout = single_spin_layout(chk["n_logical"])
         else:
             layout = pair_encoded_layout(chk["n_logical"], chk.get("m", 2))
-        residual = verify_blockade_cancellation(layout, chk["couplings"])
+        try:
+            residual = verify_blockade_cancellation(layout, chk["couplings"])
+        except ValueError as exc:
+            raise ValueError(f"checks[{i}]: {exc}") from None
         rows.append(
             {
                 "layout": chk["layout"],

@@ -20,8 +20,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import ChainSpec, ControlSegment
-from .gates import LogicalLayout, layout_patterns, single_spin_layout
-from .operators import InvariantViolation, pattern_index, phase_set_distance
+from .gates import LogicalLayout, layout_choices, layout_patterns, single_spin_layout
+from .operators import InvariantViolation, pattern_index, phase_set_distance, reachable_order_sums
 
 #: Finite-difference stencil for the small-t deviation speed, in 1/|J1|;
 #: divided by (k+1)|J2| where that exceeds 1, so both points stay inside
@@ -171,35 +171,23 @@ def _scenario_layout(scenario: Scenario, n: int) -> tuple[LogicalLayout, int | N
 def _reachable_sums(scenario: Scenario, n: int) -> np.ndarray:
     """Sorted distinct next-nearest sums m over the frozen subspace, read-only int64.
 
-    A dynamic program along sites 1..2n+1: the state is the sigma^z of
-    the last two sites, mapped to its set of reachable partial sums.
-    Blockades take one value and free qubits two.  Every site carries a
-    (target down, target up) pair of values, equal but for the x-rotation
-    target's (-1, +1), so each path sums both halves of one frozen-subspace
-    state side by side, and the target's couplings must cancel on every
-    path.  The last result is kept for the scalar ``scenario_deviation`` and
-    ``deviation_speed``, whose callers ask for one (scenario, n) at many
-    (j2, t) in a row; the sweep asks once per (scenario, n), through
-    ``scenario_deviations``.
+    ``operators.reachable_order_sums`` at order 2 on the scenario's
+    layout.  The x-rotation target is free, held in |+>; its next-nearest
+    partners are the frozen qubits i0 +- 1, so its couplings cancel on
+    every path iff those two are frozen in opposite states, and the target
+    then counts with a single value.  The last result is kept for the
+    scalar ``scenario_deviation`` and ``deviation_speed``, whose callers
+    ask for one (scenario, n) at many (j2, t) in a row; the sweep asks
+    once per (scenario, n), through ``scenario_deviations``.
     """
     layout, i0 = _scenario_layout(scenario, n)
-    values = [((-1, -1), (1, 1))] * layout.n_sites
-    for site, bit in layout.blockade_sites:
-        values[site - 1] = ((2 * bit - 1,) * 2,)
+    values = layout_choices(layout)
     if scenario is Scenario.SIGMA_X:
-        values[2 * i0 - 1] = ((-1, 1),)
-    states = {(a, b): {(0, 0)} for a in values[0] for b in values[1]}
-    for site_values in values[2:]:
-        nxt: dict = {}
-        for (a, b), sums in states.items():
-            for c in site_values:
-                da, db = a[0] * c[0], a[1] * c[1]
-                nxt.setdefault((b, c), set()).update((x + da, y + db) for x, y in sums)
-        states = nxt
-    final = set().union(*states.values())
-    if any(x != y for x, y in final):
-        raise InvariantViolation("x-rotation target couplings failed to cancel")
-    m = np.array(sorted({x for x, _ in final}), dtype=np.int64)
+        frozen = dict(layout.blockade_sites)
+        if {frozen.get(2 * i0 - 2), frozen.get(2 * i0 + 2)} != {0, 1}:
+            raise InvariantViolation("x-rotation target couplings failed to cancel")
+        values[2 * i0 - 1] = (-1,)
+    m = reachable_order_sums(values, (2,))[:, 0]
     m.setflags(write=False)
     return m
 

@@ -17,12 +17,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import ChainSpec, ControlSchedule, ControlSegment
-from .operators import InvariantViolation, order_sums, pattern_index, spin_patterns
+from .operators import LAYOUT_BYTES_CAP, InvariantViolation, order_sums, pattern_index, spin_patterns
+from .operators import reachable_order_sums
 
-#: Largest n_logical whose 2**n_logical patterns the blockade residual enumerates.
-LOGICAL_CAP = 16
-#: Bytes the blockade residual may spend on one layout (see ``layout_bytes``).
-LAYOUT_BYTES_CAP = 2**26
 #: Peak bytes of the Python tuples that describe one site of a built layout.
 SITE_BYTES = 160
 
@@ -103,10 +100,10 @@ def layout_sites(n_logical: int, m: int | None = None) -> int:
     return (n_logical + 1) * m + 2 * n_logical
 
 
-def layout_bytes(n_logical: int, n_sites: int) -> int:
-    """Bytes the blockade residual spends on a layout: the int8 sigma^z
-    patterns of ``layout_patterns`` and the layout's own Python tuples."""
-    return n_sites * (2**n_logical + SITE_BYTES)
+def layout_bytes(n_sites: int) -> int:
+    """Bytes of the Python tuples that describe a built layout of ``n_sites``;
+    checked against ``LAYOUT_BYTES_CAP`` before a layout is built."""
+    return n_sites * SITE_BYTES
 
 
 def layout_patterns(layout: LogicalLayout) -> np.ndarray:
@@ -122,35 +119,50 @@ def layout_patterns(layout: LogicalLayout) -> np.ndarray:
     return s
 
 
+def layout_choices(layout: LogicalLayout) -> list:
+    """Per-site sigma^z choices for ``operators.reachable_order_sums``, logical |0> first;
+    a pair's second site is None, the negation of its first (|0>_L = |01>)."""
+    values = [(-1, 1)] * layout.n_sites
+    for site, bit in layout.blockade_sites:
+        values[site - 1] = (2 * bit - 1,)
+    for pair in layout.qubit_sites:
+        if len(pair) == 2:
+            values[pair[1] - 1] = None
+    return values
+
+
 def verify_blockade_cancellation(layout: LogicalLayout, couplings) -> float:
     """Residual uncancelled Ising energy on the logical subspace.
 
     ``couplings`` lists J_k by order (J_1 nearest-neighbor, J_2
-    next-nearest, ...).  For every logical basis pattern the frozen
-    interaction energy sum_k J_k sum_i s_i s_{i+k} is collected with
-    integer sigma^z sums per order, and the residual is half the spread
-    across patterns (the norm of the restricted operator after removing
-    the best constant).  Canonical layouts cancel all orders up to the
-    block width exactly, so the integer sums coincide and the residual
-    is exactly 0.0.
+    next-nearest, ...).  The frozen interaction energy
+    sum_k J_k sum_i s_i s_{i+k} of a logical basis pattern is collected
+    from its integer sigma^z sums per order, once per distinct tuple of
+    sums the layout reaches, and the residual is half the spread (the
+    norm of the restricted operator after removing the best constant).
+    Canonical layouts cancel all orders up to the block width exactly, so
+    one tuple is reachable and the residual is exactly 0.0.  Couplings
+    whose residual overflows raise ``ValueError``.
     """
     couplings = [float(j) for j in couplings]
     if not couplings:
         raise ValueError("need at least one coupling order")
     if not np.all(np.isfinite(couplings)):
         raise ValueError("couplings must be finite")
-    if layout.n_logical > LOGICAL_CAP:
-        raise ValueError(f"residual enumeration is capped at 2**{LOGICAL_CAP} logical patterns")
-    if layout_bytes(layout.n_logical, layout.n_sites) > LAYOUT_BYTES_CAP:
-        raise ValueError(f"the layout exceeds the residual's budget of {LAYOUT_BYTES_CAP} bytes")
-    s = layout_patterns(layout)
+    orders = range(1, min(len(couplings), layout.n_sites - 1) + 1)  # longer orders pair no sites
+    values = layout_choices(layout)
+    m = reachable_order_sums(values, orders)
+    m0 = reachable_order_sums([v and v[:1] for v in values], orders)[0]  # all-|0>_L
     # energy differences from integer deltas, added order by order: orders
     # whose sums coincide across patterns contribute exactly +0.0
-    deltas = np.zeros(s.shape[0])
-    for k, j in enumerate(couplings, start=1):
-        m = order_sums(s, k)
-        deltas += j * (m - m[0])
-    return float(deltas.max() - deltas.min()) / 2.0
+    deltas = np.zeros(m.shape[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for j, mk, m0k in zip(couplings, m.T, m0):
+            deltas += j * (mk - m0k)
+        residual = float(deltas.max() - deltas.min()) / 2.0
+    if not np.isfinite(residual):
+        raise ValueError("the couplings overflow the residual")
+    return residual
 
 
 @dataclass(frozen=True)

@@ -13,6 +13,19 @@ import numpy as np
 
 #: Largest number of spins whose sigma^z patterns are enumerated (2**20 rows).
 PATTERN_CAP = 20
+#: Bytes one blockade-residual check may spend: on its layout's sites
+#: (``gates.layout_bytes``) and on the states and sums ``reachable_order_sums`` holds.
+LAYOUT_BYTES_CAP = 2**26
+#: Bytes ``reachable_order_sums`` charges per state (key tuple, set, dict slot;
+#: plus 8 per spin of the key) and per sum (packed int in a set; plus 8 per
+#: order and 4 per 30 bits of the int): 1.6-3.2x the peak tracemalloc bytes on
+#: the ten layouts with 4-38 orders whose peak passed 1 MiB (CPython 3.11).
+STATE_BYTES = 384
+SUM_BYTES = 128
+#: Steps ``reachable_order_sums`` may take over a whole chain: one per sum
+#: carried into a site and per spin of its state (115-363 ns a step measured
+#: on a 2-core x86-64 VM, so at most about 6 s).
+SUMS_WORK_CAP = 2**24
 
 
 def spin_patterns(n: int) -> np.ndarray:
@@ -35,6 +48,47 @@ def order_sums(s: np.ndarray, k: int) -> np.ndarray:
     out = np.zeros(s.shape[0], dtype=np.int64)
     for i in range(s.shape[1] - k):
         out += s[:, i] * s[:, i + k]
+    return out
+
+
+def reachable_order_sums(values, orders) -> np.ndarray:
+    """Sorted distinct integer Ising sums (m_k for k in orders) a chain can reach, as int64 rows.
+
+    ``values[i]`` lists the sigma^z choices of site i + 1, or is None to
+    force the negation of the site before it.  A dynamic program along the
+    sites: the state is the sigma^z of the last max(orders) sites, mapped
+    to its reachable partial sums, each tuple packed into one int (base
+    2N + 1 per order, offset N, first order most significant, so the ints
+    sort as the tuples).  Raises ``ValueError`` past ``LAYOUT_BYTES_CAP``
+    bytes or ``SUMS_WORK_CAP`` steps.
+    """
+    n, width = len(values), max(orders)
+    base = 2 * n + 1
+    weights = [base ** (len(orders) - 1 - i) for i in range(len(orders))]
+    state_bytes = STATE_BYTES + 8 * width
+    sum_bytes = SUM_BYTES + 8 * len(orders) + (base ** len(orders)).bit_length() // 7
+    states = {(0,) * width: {n * sum(weights)}}  # zero spins before site 1
+    held, work = 1, 0
+    for choices in values:
+        nxt: dict = {}
+        new = 0
+        for state, sums in states.items():
+            field = sum(w * state[-k] for k, w in zip(orders, weights))
+            for c in choices or (-state[-1],):
+                target = nxt.setdefault(state[1:] + (c,), set())
+                new -= len(target)
+                target.update([x + c * field for x in sums])
+                new += len(target)
+                work += len(sums) + width
+            if (len(states) + len(nxt)) * state_bytes + (held + new) * sum_bytes > LAYOUT_BYTES_CAP:
+                raise ValueError(f"the reachable sums exceed the budget of {LAYOUT_BYTES_CAP} bytes")
+            if work > SUMS_WORK_CAP:
+                raise ValueError(f"the reachable sums exceed the budget of {SUMS_WORK_CAP} steps")
+        states, held = nxt, new
+    packed = sorted(set().union(*states.values()))
+    out = np.empty((len(packed), len(orders)), dtype=np.int64)
+    for i, w in enumerate(weights):
+        out[:, i] = [p // w % base - n for p in packed]
     return out
 
 

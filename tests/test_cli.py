@@ -1,5 +1,7 @@
 import csv
 import json
+import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -7,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from blockadechain import cli, deviation, gates
+from blockadechain import cli, deviation
 from blockadechain.chain import ChainSpec
 from blockadechain.cli import (
     EXIT_CONFIG,
@@ -27,7 +29,6 @@ from blockadechain.cli import (
 from blockadechain.deviation import MIN_QUBITS, Scenario, deviation_speed, scenario_deviation
 from blockadechain.gates import (
     LAYOUT_BYTES_CAP,
-    LOGICAL_CAP,
     logical_sigma_z,
     pair_encoded_layout,
     simulate_gate,
@@ -38,7 +39,7 @@ from blockadechain.josephson import (
     extract_couplings,
     invert_capacitance,
 )
-from blockadechain.operators import InvariantViolation
+from blockadechain.operators import SUMS_WORK_CAP, InvariantViolation
 from blockadechain.oracles import PauliTerm
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -554,18 +555,83 @@ def test_blockade_check_default_rows(tmp_path):
     assert float(rows[2]["residual"]) > 0.0   # injected third order
 
 
-@pytest.mark.parametrize("layout", ["single-spin", "pair-encoded"])
-def test_blockade_check_cap_checked_before_layout_is_built(tmp_path, capsys, monkeypatch, layout):
-    def builder(*args, **kwargs):
-        raise AssertionError("layout built for a check past the cap")
+@pytest.mark.parametrize(
+    "layout, m, n_logical, couplings, residual",
+    [
+        ("single-spin", None, 40, [1.0], 0.0),
+        ("single-spin", None, 40, [1.0, 0.05], 39 * 0.05),
+        ("pair-encoded", 2, 40, [1.0, 0.05], 0.0),
+        ("pair-encoded", 2, 40, [1.0, 0.05, 0.01], 39 * 0.01),
+        ("pair-encoded", 2, 400, [1.0, 0.05, 0.01], 399 * 0.01),
+    ],
+    ids=[
+        "single-spin-40-cancelled",
+        "single-spin-40",
+        "pair-encoded-40-cancelled",
+        "pair-encoded-40",
+        "pair-encoded-400",
+    ],
+)
+def test_blockade_check_large_layouts_match_closed_form(tmp_path, layout, m, n_logical, couplings, residual):
+    # orders up to the block width cancel; the next order leaves a
+    # +-J_{m+1} coupling between each pair of neighbouring qubits, a residual
+    # of (n_logical - 1) J_{m+1} (J3 at n_logical = 2, as in test_gates)
+    check = {"layout": layout, "n_logical": n_logical, "couplings": couplings}
+    if m is not None:
+        check["m"] = m
+    cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
+    out = tmp_path / "o.csv"
+    assert main(["blockade-check", "--config", cfg, "--out", str(out)]) == EXIT_OK
+    (row,) = read_rows(out)
+    assert int(row["n_logical"]) == n_logical
+    if residual == 0.0:
+        assert float(row["residual"]) == 0.0
+    else:
+        assert float(row["residual"]) == pytest.approx(residual, rel=1e-11)
 
-    monkeypatch.setattr(gates, "single_spin_layout", builder)
-    monkeypatch.setattr(gates, "pair_encoded_layout", builder)
-    check = {"layout": layout, "n_logical": LOGICAL_CAP + 1, "couplings": [1.0]}
+
+def test_blockade_check_many_orders_stop_at_the_budget(tmp_path, capsys):
+    # single-spin n_logical = 24 with 12 orders reaches far more tuples of
+    # sums than the budget admits; the run stops near the budget and names the check
+    small = {"layout": "single-spin", "n_logical": 4, "couplings": [1.0]}
+    check = {"layout": "single-spin", "n_logical": 24, "couplings": [1.0] * 12}
+    cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [small, check]}})
+    out = tmp_path / "o.csv"
+    tracemalloc.start()
+    try:
+        code = main(["blockade-check", "--config", cfg, "--out", str(out)])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err == f"config error: checks[1]: the reachable sums exceed the budget of {LAYOUT_BYTES_CAP} bytes\n"
+    assert not out.exists()
+    assert peak < 2 * LAYOUT_BYTES_CAP
+
+
+def test_blockade_check_long_chain_stops_at_the_step_budget(tmp_path, capsys):
+    # the sums a pair-encoded chain holds grow with its length, so the work
+    # grows as its square: a chain the layout budget admits stops on the steps
+    check = {"layout": "pair-encoded", "n_logical": 100_000, "m": 2, "couplings": [1.0, 0.05, 0.01]}
     cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
     out = tmp_path / "o.csv"
     assert main(["blockade-check", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
-    assert "config error: checks[0]: n_logical" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err == f"config error: checks[0]: the reachable sums exceed the budget of {SUMS_WORK_CAP} steps\n"
+    assert not out.exists()
+
+
+def test_blockade_check_overflowing_residual_is_a_config_error(tmp_path, capsys):
+    # finite couplings whose energies overflow used to write residual=inf with exit 0
+    check = {"layout": "single-spin", "n_logical": 4, "couplings": [1e308, 1e308]}
+    cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["blockade-check", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
 
 

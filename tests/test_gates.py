@@ -1,3 +1,4 @@
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -6,10 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment
-from blockadechain import gates
+from blockadechain import gates, operators
 from blockadechain.gates import (
     LAYOUT_BYTES_CAP,
-    LOGICAL_CAP,
     _evolve_state,
     _ising_energy,
     compile_cphase,
@@ -25,7 +25,7 @@ from blockadechain.gates import (
     single_spin_layout,
     verify_blockade_cancellation,
 )
-from blockadechain.operators import PATTERN_CAP, pattern_index, spin_patterns
+from blockadechain.operators import PATTERN_CAP, order_sums, pattern_index, spin_patterns
 from blockadechain.oracles import (
     build_h_model,
     evolve,
@@ -89,21 +89,64 @@ def test_layout_sites_arithmetic():
             assert layout_sites(n, m) == pair_encoded_layout(n, m).n_sites
 
 
-def test_layout_byte_budget_admits_capped_layouts():
-    # every check the logical cap admits at m <= 3, as in the benchmark, fits the budget
+def test_layout_byte_budget_admits_large_layouts():
+    # the budget bounds the sites alone; n_logical enters only through them
+    assert layout_bytes(layout_sites(400, 2)) <= LAYOUT_BYTES_CAP
     for m in (None, 1, 2, 3):
-        assert layout_bytes(LOGICAL_CAP, layout_sites(LOGICAL_CAP, m)) <= LAYOUT_BYTES_CAP
+        assert layout_bytes(layout_sites(10_000, m)) <= LAYOUT_BYTES_CAP
+
+
+def budget_error_peak(monkeypatch, n_logical, n_couplings):
+    """Traced peak bytes of a single-spin residual that stops at a 1 MiB budget."""
+    def patterns(layout):
+        raise AssertionError("patterns enumerated for the residual")
+
+    monkeypatch.setattr(gates, "layout_patterns", patterns)
+    monkeypatch.setattr(operators, "LAYOUT_BYTES_CAP", 2**20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"budget of {2**20} bytes"):
+            verify_blockade_cancellation(single_spin_layout(n_logical), [1.0] * n_couplings)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_cancellation_rejects_layout_past_byte_budget(monkeypatch):
-    def patterns(layout):
-        raise AssertionError("patterns built for a layout past the budget")
+    # single-spin n_logical = 24 with 12 orders reaches far more tuples of
+    # sums than a 1 MiB budget admits: the kernel stops near the budget and
+    # no pattern is enumerated
+    assert budget_error_peak(monkeypatch, 24, 12) < 2 * 2**20
 
-    monkeypatch.setattr(gates, "layout_patterns", patterns)
-    layout = pair_encoded_layout(LOGICAL_CAP, 60)
-    assert layout_bytes(layout.n_logical, layout.n_sites) > LAYOUT_BYTES_CAP
-    with pytest.raises(ValueError, match="budget"):
-        verify_blockade_cancellation(layout, [1.0, 0.05])
+
+@pytest.mark.parametrize("n_couplings", [41, 1000])
+def test_cancellation_budget_charges_long_state_keys(monkeypatch, n_couplings):
+    # 40 orders key each state by 40 spins and reach one sum per state; the
+    # budget charges the keys, and orders past the 41-site chain pair no sites
+    assert budget_error_peak(monkeypatch, 20, n_couplings) < 2 * 2**20
+
+
+def enumerated_residual(layout, couplings):
+    """Half the spread of the frozen energy over all 2^n_logical patterns."""
+    s = layout_patterns(layout)
+    deltas = np.zeros(s.shape[0])
+    for k, j in enumerate(couplings, start=1):
+        m = order_sums(s, k)
+        deltas += j * (m - m[0])
+    return float(deltas.max() - deltas.min()) / 2.0
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["single-spin", "pair-encoded"]),
+    st.integers(1, 12),
+    st.integers(1, 4),
+    st.lists(st.sampled_from([0.0, -0.0, -1.0]) | st.floats(-2.0, 2.0), min_size=1, max_size=5),
+)
+def test_cancellation_matches_pattern_enumeration(kind, n_logical, m, couplings):
+    layout = single_spin_layout(n_logical) if kind == "single-spin" else pair_encoded_layout(n_logical, m)
+    expected = enumerated_residual(layout, couplings)
+    assert verify_blockade_cancellation(layout, couplings).hex() == expected.hex()
 
 
 def test_single_spin_layout_next_nearest_survives():

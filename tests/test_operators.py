@@ -9,6 +9,7 @@ from blockadechain.operators import (
     order_sums,
     pattern_index,
     phase_set_distance,
+    reachable_order_sums,
     spin_patterns,
 )
 from blockadechain.oracles import (
@@ -166,6 +167,23 @@ def test_order_sums_and_pattern_index_match_row_loops(rows, width, k):
     assert sums.tolist() == [sum(r[i] * r[i + k] for i in range(width - k)) for r in rows]
     indices = [int("".join("1" if v > 0 else "0" for v in r), 2) for r in rows]
     assert pattern_index(s).tolist() == indices
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from([(-1,), (1,), (-1, 1), None]), min_size=1, max_size=11),
+    st.lists(st.integers(1, 6), min_size=1, max_size=4, unique=True),
+)
+def test_reachable_order_sums_match_enumeration(values, orders):
+    values[0] = values[0] or (-1, 1)  # the first site has no site to negate
+    s = spin_patterns(len(values))
+    allowed = np.ones(s.shape[0], dtype=bool)
+    for i, choices in enumerate(values):
+        allowed &= s[:, i] == -s[:, i - 1] if choices is None else np.isin(s[:, i], choices)
+    expected = np.unique(np.stack([order_sums(s[allowed], k) for k in orders], axis=1), axis=0)
+    got = reachable_order_sums(values, orders)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, expected)
 
 
 # ---------------------------------------------------------------------------
