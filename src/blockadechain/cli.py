@@ -155,7 +155,8 @@ def _validate_parameters(cfg: RunConfig) -> None:
     p = cfg.parameters
     _check_keys(p, set(DEFAULT_PARAMETERS[cfg.scenario]), f"{cfg.scenario} parameters")
     if cfg.scenario == "deviation-sweep":
-        from .deviation import MIN_QUBITS, Scenario, speed_stencil
+        from .deviation import CELL_BYTES, CELLS_CAP, MIN_QUBITS, Scenario, speed_stencil
+        from .gates import LAYOUT_BYTES_CAP
 
         if not _is_int(p["n_min"]) or not _is_int(p["n_max"]):
             raise ConfigError("n_min and n_max must be integers")
@@ -175,11 +176,21 @@ def _validate_parameters(cfg: RunConfig) -> None:
         # Every nonzero J2 needs a finite t grid end pi / (2|J2|n), largest at
         # the fewest qubits, and two distinct slope-stencil times, which
         # collapse to 0 where the scale (k+1)|J2| overflows, at the most qubits.
+        # Each (scenario, n) is one batch of P points against its k + 1 =
+        # n + 2 - MIN_QUBITS sums, P (k + 1) cells, summed over n in closed form.
         j2 = np.array([x for x in p["j2"] if x != 0.0])
+        points, cells = len(p["j2"]) * (p["t_points"] + 2), 0
         for name in dict.fromkeys(scenarios):
-            n_lo = max(p["n_min"], MIN_QUBITS[Scenario(name)])
+            least = MIN_QUBITS[Scenario(name)]
+            n_lo = max(p["n_min"], least)
             if n_lo > p["n_max"]:
                 continue
+            a, b = n_lo + 2 - least, p["n_max"] + 2 - least
+            cells += points * (a + b) * (b - a + 1) // 2
+            if cells > CELLS_CAP:
+                raise ConfigError(f"the sweep exceeds the budget of {CELLS_CAP} cells (points x sums)")
+            if points * b * CELL_BYTES > LAYOUT_BYTES_CAP:
+                raise ConfigError(f"a batch of {points * b} cells exceeds the budget of {LAYOUT_BYTES_CAP} bytes")
             with np.errstate(over="ignore"):
                 t_end = np.pi / (2.0 * np.abs(j2) * n_lo)
                 t1, t2 = speed_stencil(name, p["n_max"], j2)

@@ -12,7 +12,6 @@ global phase on the realistic side.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
@@ -20,8 +19,15 @@ from typing import NamedTuple
 import numpy as np
 
 from .chain import ChainSpec, ControlSegment
-from .gates import LogicalLayout, layout_choices, layout_patterns, single_spin_layout
-from .operators import InvariantViolation, pattern_index, phase_set_distance, reachable_order_sums
+from .gates import LogicalLayout, layout_patterns, single_spin_layout
+from .operators import InvariantViolation, pattern_index, phase_set_distance
+
+#: Peak bytes ``scenario_deviations`` spends per cell, one point's phase at
+#: one sum (32 traced on batches of 0.3-1.3 million cells, CPython 3.11).
+CELL_BYTES = 32
+#: Cells one deviation sweep may evaluate over all its batches (45-84 ns a
+#: cell measured on a 2-core x86-64 VM, so at most about 11 s).
+CELLS_CAP = 2**27
 
 #: Finite-difference stencil for the small-t deviation speed, in 1/|J1|;
 #: divided by (k+1)|J2| where that exceeds 1, so both points stay inside
@@ -41,6 +47,15 @@ class Scenario(str, Enum):
 #: survive the frozen configuration, so the minimum is the smallest n
 #: with a nonzero bound.
 MIN_QUBITS = {Scenario.IDLE: 2, Scenario.SIGMA_Z: 2, Scenario.SIGMA_X: 4, Scenario.INTER_QUBIT: 3}
+
+#: Largest next-nearest sum m over each scenario's frozen subspace.  The n
+#: blockade-blockade pairs add -n, as the blockades alternate.  The
+#: qubit-qubit pairs form paths that each hold at most one frozen qubit, so
+#: each of the k surviving pairs adds +1 or -1 independently and the sums
+#: are TOP_SUM - 2j, j = 0..k.  Besides, the frozen inter-qubit pair adds
+#: +1, and the x-rotation target's two pairs cancel (its neighbors are
+#: frozen opposite), leaving k = n - 3.
+TOP_SUM = {Scenario.IDLE: -1, Scenario.SIGMA_Z: -1, Scenario.SIGMA_X: -3, Scenario.INTER_QUBIT: -1}
 
 #: Qubits each scenario freezes, as offset from its target qubit -> frozen
 #: bit; the scenario's layout is ``single_spin_layout(n)`` with these
@@ -77,7 +92,7 @@ def _violations(scenario: Scenario, n: int, j2, t, raw, opt, bound) -> list:
     """
     raw, opt, bound = (np.asarray(a, dtype=float) for a in (raw, opt, bound))
     over_raw = opt > raw + 1e-12
-    # The reachable next-nearest sums are m_max - 2j, j = 0..k: k+1
+    # The reachable next-nearest sums are TOP_SUM - 2j, j = 0..k: k+1
     # phases 2|J2|t apart.  While (k+1)|J2|t <= pi the widest circular
     # gap closes the ends, the points span 2k|J2|t and the optimum is
     # exactly 2|sin(J2 t k / 2)|; past that they wrap around, can bunch
@@ -167,27 +182,20 @@ def _scenario_layout(scenario: Scenario, n: int) -> tuple[LogicalLayout, int | N
     return LogicalLayout(len(qubits), 1, qubits, blockades), i0
 
 
-@functools.lru_cache(maxsize=1)
 def _reachable_sums(scenario: Scenario, n: int) -> np.ndarray:
-    """Sorted distinct next-nearest sums m over the frozen subspace, read-only int64.
+    """Sorted distinct next-nearest sums m over the frozen subspace, read-only int64:
+    the k + 1 values TOP_SUM - 2j.
 
-    ``operators.reachable_order_sums`` at order 2 on the scenario's
-    layout.  The x-rotation target is free, held in |+>; its next-nearest
-    partners are the frozen qubits i0 +- 1, so its couplings cancel on
-    every path iff those two are frozen in opposite states, and the target
-    then counts with a single value.  The last result is kept for the
-    scalar ``scenario_deviation`` and ``deviation_speed``, whose callers
-    ask for one (scenario, n) at many (j2, t) in a row; the sweep asks
-    once per (scenario, n), through ``scenario_deviations``.
+    The x-rotation target is free, held in |+>; its couplings cancel on
+    every path iff its neighbors are frozen in opposite states.
     """
-    layout, i0 = _scenario_layout(scenario, n)
-    values = layout_choices(layout)
-    if scenario is Scenario.SIGMA_X:
-        frozen = dict(layout.blockade_sites)
-        if {frozen.get(2 * i0 - 2), frozen.get(2 * i0 + 2)} != {0, 1}:
-            raise InvariantViolation("x-rotation target couplings failed to cancel")
-        values[2 * i0 - 1] = (-1,)
-    m = reachable_order_sums(values, (2,))[:, 0]
+    if n < MIN_QUBITS[scenario]:
+        raise ValueError(f"{scenario.value} scenario needs n >= {MIN_QUBITS[scenario]}")
+    frozen = FROZEN[scenario]
+    if scenario is Scenario.SIGMA_X and {frozen.get(-1), frozen.get(1)} != {0, 1}:
+        raise InvariantViolation("x-rotation target couplings failed to cancel")
+    top, k = TOP_SUM[scenario], n + 1 - MIN_QUBITS[scenario]
+    m = np.arange(top - 2 * k, top + 1, 2, dtype=np.int64)
     m.setflags(write=False)
     return m
 

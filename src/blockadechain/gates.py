@@ -12,16 +12,30 @@ strengths.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chain import ChainSpec, ControlSchedule, ControlSegment
-from .operators import LAYOUT_BYTES_CAP, InvariantViolation, order_sums, pattern_index, spin_patterns
-from .operators import reachable_order_sums
+from .operators import InvariantViolation, order_sums, pattern_index, spin_patterns
 
+#: Bytes one blockade-residual check may spend, on its layout's sites
+#: (``layout_bytes``) and on the states ``verify_blockade_cancellation`` holds;
+#: also the bytes of one ``deviation.scenario_deviations`` batch in a sweep.
+LAYOUT_BYTES_CAP = 2**26
 #: Peak bytes of the Python tuples that describe one site of a built layout.
 SITE_BYTES = 160
+#: Bytes ``verify_blockade_cancellation`` charges per held state (key tuple,
+#: dict slot, pair of extreme sums; plus 8 per spin of the key and 8 per 30
+#: bits of the sums): 1.3-2.1x the peak tracemalloc bytes on the checks with
+#: 24-30 orders that held 512-32768 states (CPython 3.11).
+STATE_BYTES = 384
+#: Steps ``verify_blockade_cancellation`` may take over a whole chain: one per
+#: order of each state carried into a site (140-290 ns each for 12-26 orders
+#: on a 2-core x86-64 VM, so about 5 s at most; 1-3 orders, up to 1.7 us a
+#: step, are bounded first by their sites).
+STEPS_CAP = 2**24
 
 
 @dataclass(frozen=True)
@@ -120,8 +134,8 @@ def layout_patterns(layout: LogicalLayout) -> np.ndarray:
 
 
 def layout_choices(layout: LogicalLayout) -> list:
-    """Per-site sigma^z choices for ``operators.reachable_order_sums``, logical |0> first;
-    a pair's second site is None, the negation of its first (|0>_L = |01>)."""
+    """Per-site sigma^z choices of the logical basis patterns; a pair's second
+    site is None, the negation of its first (|0>_L = |01>)."""
     values = [(-1, 1)] * layout.n_sites
     for site, bit in layout.blockade_sites:
         values[site - 1] = (2 * bit - 1,)
@@ -135,34 +149,50 @@ def verify_blockade_cancellation(layout: LogicalLayout, couplings) -> float:
     """Residual uncancelled Ising energy on the logical subspace.
 
     ``couplings`` lists J_k by order (J_1 nearest-neighbor, J_2
-    next-nearest, ...).  The frozen interaction energy
-    sum_k J_k sum_i s_i s_{i+k} of a logical basis pattern is collected
-    from its integer sigma^z sums per order, once per distinct tuple of
-    sums the layout reaches, and the residual is half the spread (the
-    norm of the restricted operator after removing the best constant).
-    Canonical layouts cancel all orders up to the block width exactly, so
-    one tuple is reachable and the residual is exactly 0.0.  Couplings
-    whose residual overflows raise ``ValueError``.
+    next-nearest, ...).  The residual is half the spread of the frozen
+    energy sum_k J_k sum_i s_i s_{i+k} over the logical basis patterns (the
+    norm of the restricted operator after removing the best constant),
+    rounded once from exact integers: the couplings are scaled by one
+    power-of-two denominator, and a walk along the sites keeps, for each
+    sigma^z of the last K sites, the largest and smallest energy reaching
+    it.  Canonical layouts, which cancel all orders up to the block width,
+    give exactly 0.0.  Raises ``ValueError`` past ``LAYOUT_BYTES_CAP``
+    bytes or ``STEPS_CAP`` steps, and when the residual overflows.
     """
     couplings = [float(j) for j in couplings]
     if not couplings:
         raise ValueError("need at least one coupling order")
     if not np.all(np.isfinite(couplings)):
         raise ValueError("couplings must be finite")
-    orders = range(1, min(len(couplings), layout.n_sites - 1) + 1)  # longer orders pair no sites
-    values = layout_choices(layout)
-    m = reachable_order_sums(values, orders)
-    m0 = reachable_order_sums([v and v[:1] for v in values], orders)[0]  # all-|0>_L
-    # energy differences from integer deltas, added order by order: orders
-    # whose sums coincide across patterns contribute exactly +0.0
-    deltas = np.zeros(m.shape[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        for j, mk, m0k in zip(couplings, m.T, m0):
-            deltas += j * (mk - m0k)
-        residual = float(deltas.max() - deltas.min()) / 2.0
-    if not np.isfinite(residual):
-        raise ValueError("the couplings overflow the residual")
-    return residual
+    width = min(len(couplings), layout.n_sites - 1)  # longer orders pair no sites
+    ratios = [j.as_integer_ratio() for j in couplings[:width][::-1]]  # J_K first, as the state
+    den = max(d for _, d in ratios)
+    weights = [p * (den // d) for p, d in ratios]
+    state_bytes = STATE_BYTES + 8 * width + (layout.n_sites * sum(map(abs, weights))).bit_length() // 30 * 8
+    states = {(0,) * width: (0, 0)}  # zero spins before site 1
+    steps = 0
+    for choices in layout_choices(layout):
+        nxt: dict = {}
+        for state, (hi, lo) in states.items():
+            field = sum(map(operator.mul, weights, state))
+            head = state[1:]
+            for c in choices or (-state[-1],):
+                key = head + (c,)
+                e = c * field
+                old = nxt.get(key)
+                nxt[key] = (hi + e, lo + e) if old is None else (max(old[0], hi + e), min(old[1], lo + e))
+            if (len(states) + len(nxt)) * state_bytes > LAYOUT_BYTES_CAP:
+                raise ValueError(f"the reachable states exceed the budget of {LAYOUT_BYTES_CAP} bytes")
+        steps += len(states) * width
+        if steps > STEPS_CAP:
+            raise ValueError(f"the reachable states exceed the budget of {STEPS_CAP} steps")
+        states = nxt
+    hi = max(h for h, _ in states.values())
+    lo = min(low for _, low in states.values())
+    try:
+        return (hi - lo) / (2 * den)
+    except OverflowError:
+        raise ValueError("the couplings overflow the residual") from None
 
 
 @dataclass(frozen=True)

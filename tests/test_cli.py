@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from blockadechain import cli, deviation
+from blockadechain import cli, deviation, gates
 from blockadechain.chain import ChainSpec
 from blockadechain.cli import (
     EXIT_CONFIG,
@@ -39,7 +39,7 @@ from blockadechain.josephson import (
     extract_couplings,
     invert_capacitance,
 )
-from blockadechain.operators import SUMS_WORK_CAP, InvariantViolation
+from blockadechain.operators import InvariantViolation
 from blockadechain.oracles import PauliTerm
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -310,6 +310,19 @@ def test_sweep_past_the_enumeration_cap(tmp_path):
     assert all(r["bound_ok"] == "pass" for r in dev)
 
 
+@pytest.mark.parametrize(
+    "n_min, n_max, budget",
+    [(2, 10**9, rf"budget of {deviation.CELLS_CAP} cells"), (40_000, 40_000, rf"budget of {LAYOUT_BYTES_CAP} bytes")],
+    ids=["cells", "bytes"],
+)
+def test_sweep_size_checked_at_load(tmp_path, n_min, n_max, budget):
+    # through load_config only: the bound is a closed-form count, known before any batch runs
+    tree = {"scenario": "deviation-sweep", "parameters": {"n_min": n_min, "n_max": n_max}}
+    cfg = write_config(tmp_path, tree)
+    with pytest.raises(ConfigError, match=budget):
+        load_config("deviation-sweep", cfg, 0)
+
+
 DEVIATION_HEADER = [
     "record", "scenario", "n", "j2", "t",
     "exact_raw", "exact_phase_opt", "lower_bound", "bound_ok", "slope",
@@ -563,6 +576,7 @@ def test_blockade_check_default_rows(tmp_path):
         ("pair-encoded", 2, 40, [1.0, 0.05], 0.0),
         ("pair-encoded", 2, 40, [1.0, 0.05, 0.01], 39 * 0.01),
         ("pair-encoded", 2, 400, [1.0, 0.05, 0.01], 399 * 0.01),
+        ("pair-encoded", 2, 2000, [1.0, 0.05, 0.01], 1999 * 0.01),
     ],
     ids=[
         "single-spin-40-cancelled",
@@ -570,6 +584,7 @@ def test_blockade_check_default_rows(tmp_path):
         "pair-encoded-40-cancelled",
         "pair-encoded-40",
         "pair-encoded-400",
+        "pair-encoded-2000",
     ],
 )
 def test_blockade_check_large_layouts_match_closed_form(tmp_path, layout, m, n_logical, couplings, residual):
@@ -590,11 +605,14 @@ def test_blockade_check_large_layouts_match_closed_form(tmp_path, layout, m, n_l
         assert float(row["residual"]) == pytest.approx(residual, rel=1e-11)
 
 
-def test_blockade_check_many_orders_stop_at_the_budget(tmp_path, capsys):
-    # single-spin n_logical = 24 with 12 orders reaches far more tuples of
-    # sums than the budget admits; the run stops near the budget and names the check
+def test_blockade_check_many_orders_stop_at_the_budget(tmp_path, capsys, monkeypatch):
+    # single-spin n_logical = 20 with 41 orders walks a window of 40 sites,
+    # up to 2^20 states; the run stops near the budget and names the check
+    # (a 4 MiB budget keeps the traced run short)
+    budget = 2**22
+    monkeypatch.setattr(gates, "LAYOUT_BYTES_CAP", budget)
     small = {"layout": "single-spin", "n_logical": 4, "couplings": [1.0]}
-    check = {"layout": "single-spin", "n_logical": 24, "couplings": [1.0] * 12}
+    check = {"layout": "single-spin", "n_logical": 20, "couplings": [1.0] * 41}
     cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [small, check]}})
     out = tmp_path / "o.csv"
     tracemalloc.start()
@@ -605,20 +623,21 @@ def test_blockade_check_many_orders_stop_at_the_budget(tmp_path, capsys):
         tracemalloc.stop()
     assert code == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"config error: checks[1]: the reachable sums exceed the budget of {LAYOUT_BYTES_CAP} bytes\n"
+    assert err == f"config error: checks[1]: the reachable states exceed the budget of {budget} bytes\n"
     assert not out.exists()
-    assert peak < 2 * LAYOUT_BYTES_CAP
+    assert peak < 2 * budget
 
 
-def test_blockade_check_long_chain_stops_at_the_step_budget(tmp_path, capsys):
-    # the sums a pair-encoded chain holds grow with its length, so the work
-    # grows as its square: a chain the layout budget admits stops on the steps
+def test_blockade_check_long_chain_stops_at_the_step_budget(tmp_path, capsys, monkeypatch):
+    # the steps grow linearly with the chain: past a small budget a long chain
+    # stops with exit 1 and names the check
+    monkeypatch.setattr(gates, "STEPS_CAP", 2**16)
     check = {"layout": "pair-encoded", "n_logical": 100_000, "m": 2, "couplings": [1.0, 0.05, 0.01]}
     cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
     out = tmp_path / "o.csv"
     assert main(["blockade-check", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
     err = capsys.readouterr().err
-    assert err == f"config error: checks[0]: the reachable sums exceed the budget of {SUMS_WORK_CAP} steps\n"
+    assert err == f"config error: checks[0]: the reachable states exceed the budget of {2**16} steps\n"
     assert not out.exists()
 
 

@@ -1,5 +1,6 @@
 import tracemalloc
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment
-from blockadechain import gates, operators
+from blockadechain import gates
 from blockadechain.gates import (
     LAYOUT_BYTES_CAP,
     _evolve_state,
@@ -102,7 +103,7 @@ def budget_error_peak(monkeypatch, n_logical, n_couplings):
         raise AssertionError("patterns enumerated for the residual")
 
     monkeypatch.setattr(gates, "layout_patterns", patterns)
-    monkeypatch.setattr(operators, "LAYOUT_BYTES_CAP", 2**20)
+    monkeypatch.setattr(gates, "LAYOUT_BYTES_CAP", 2**20)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"budget of {2**20} bytes"):
@@ -113,27 +114,34 @@ def budget_error_peak(monkeypatch, n_logical, n_couplings):
 
 
 def test_cancellation_rejects_layout_past_byte_budget(monkeypatch):
-    # single-spin n_logical = 24 with 12 orders reaches far more tuples of
-    # sums than a 1 MiB budget admits: the kernel stops near the budget and
-    # no pattern is enumerated
-    assert budget_error_peak(monkeypatch, 24, 12) < 2 * 2**20
+    # single-spin n_logical = 24 with 30 orders walks a window of 30 sites,
+    # 2^15 states, far more than a 1 MiB budget admits: the walk stops near
+    # the budget and no pattern is enumerated
+    assert budget_error_peak(monkeypatch, 24, 30) < 2 * 2**20
 
 
 @pytest.mark.parametrize("n_couplings", [41, 1000])
 def test_cancellation_budget_charges_long_state_keys(monkeypatch, n_couplings):
-    # 40 orders key each state by 40 spins and reach one sum per state; the
-    # budget charges the keys, and orders past the 41-site chain pair no sites
+    # 40 orders key each of up to 2^20 states by 40 spins; the budget charges
+    # the keys, and orders past the 41-site chain pair no sites
     assert budget_error_peak(monkeypatch, 20, n_couplings) < 2 * 2**20
 
 
+def test_cancellation_stops_at_the_step_budget(monkeypatch):
+    # the steps grow with the chain: one that fits a budget runs, a longer one stops
+    monkeypatch.setattr(gates, "STEPS_CAP", 2**12)
+    assert verify_blockade_cancellation(pair_encoded_layout(40, 2), [1.0, 0.05, 0.01]) == pytest.approx(0.39)
+    with pytest.raises(ValueError, match=f"budget of {2**12} steps"):
+        verify_blockade_cancellation(pair_encoded_layout(400, 2), [1.0, 0.05, 0.01])
+
+
 def enumerated_residual(layout, couplings):
-    """Half the spread of the frozen energy over all 2^n_logical patterns."""
+    """Half the spread of the frozen energy over all 2^n_logical patterns,
+    summed exactly per distinct tuple of order sums and rounded once."""
     s = layout_patterns(layout)
-    deltas = np.zeros(s.shape[0])
-    for k, j in enumerate(couplings, start=1):
-        m = order_sums(s, k)
-        deltas += j * (m - m[0])
-    return float(deltas.max() - deltas.min()) / 2.0
+    tuples = set(zip(*(order_sums(s, k).tolist() for k in range(1, len(couplings) + 1))))
+    energies = [sum(Fraction(j) * m for j, m in zip(couplings, sums)) for sums in tuples]
+    return float((max(energies) - min(energies)) / 2)
 
 
 @settings(max_examples=80, deadline=None)
@@ -141,7 +149,9 @@ def enumerated_residual(layout, couplings):
     st.sampled_from(["single-spin", "pair-encoded"]),
     st.integers(1, 12),
     st.integers(1, 4),
-    st.lists(st.sampled_from([0.0, -0.0, -1.0]) | st.floats(-2.0, 2.0), min_size=1, max_size=5),
+    st.lists(
+        st.sampled_from([0.0, -0.0, -1.0, 0.1, 0.3, -0.1]) | st.floats(-2.0, 2.0), min_size=1, max_size=12
+    ),
 )
 def test_cancellation_matches_pattern_enumeration(kind, n_logical, m, couplings):
     layout = single_spin_layout(n_logical) if kind == "single-spin" else pair_encoded_layout(n_logical, m)
