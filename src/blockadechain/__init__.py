@@ -8,6 +8,8 @@ the model.
 The public names resolve on first access (PEP 562), so importing the
 package, or one CLI subcommand, loads only the modules it uses.  The
 dense reference implementations live in ``blockadechain.oracles``.
+``InvariantViolation`` is defined here, so the CLI can catch it without
+loading numpy.
 """
 
 import importlib
@@ -25,19 +27,21 @@ _EXPORTS = {
             "lower_bound",
             "scenario_deviation",
         ),
+        "blockade": (
+            "LogicalLayout",
+            "pair_encoded_layout",
+            "single_spin_layout",
+            "verify_blockade_cancellation",
+        ),
         "gates": (
             "GateReport",
-            "LogicalLayout",
             "PulseParameters",
             "compile_cphase",
             "composite_pulse_parameters",
             "logical_background_energy",
             "logical_sigma_x",
             "logical_sigma_z",
-            "pair_encoded_layout",
             "simulate_gate",
-            "single_spin_layout",
-            "verify_blockade_cancellation",
         ),
         "josephson": (
             "CouplingReport",
@@ -47,14 +51,18 @@ _EXPORTS = {
             "extract_couplings",
             "invert_capacitance",
         ),
-        "operators": ("InvariantViolation", "phase_set_distance"),
+        "operators": ("phase_set_distance",),
     }.items()
     for name in names
 }
 
-__all__ = sorted(_EXPORTS)
+__all__ = sorted([*_EXPORTS, "InvariantViolation"])
 
 __version__ = "0.1.0"
+
+
+class InvariantViolation(RuntimeError):
+    """A numerical invariant (unitarity, hermiticity, bound dominance) failed."""
 
 
 def __getattr__(name: str):

@@ -14,16 +14,15 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
-# Each subcommand imports the workflow modules it runs inside its own code
-# paths, so a run loads only those.
-from .operators import InvariantViolation
+# Each subcommand imports the workflow modules it runs, and numpy, inside its
+# own code paths, so a run loads only those; blockade-check loads no numpy.
+from . import InvariantViolation
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -31,6 +30,10 @@ EXIT_INVARIANT = 2
 
 #: Largest |phi - 4 J1 tau mod 2 pi| a compensated CPHASE row may report.
 PHASE_TOL = 1e-12
+
+#: Peak bytes of one deviation-sweep row, held from the run through the
+#: writer; checked with the sweep's row count against LAYOUT_BYTES_CAP at load.
+ROW_BYTES = 512
 
 SCENARIOS = ("deviation-sweep", "gate-fidelity", "josephson-map", "blockade-check")
 
@@ -100,7 +103,7 @@ def _finite(value, name: str) -> float:
         out = float(value)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name} must be a number") from exc
-    if not np.isfinite(out):
+    if not math.isfinite(out):
         raise ConfigError(f"{name} must be finite")
     return out
 
@@ -155,8 +158,10 @@ def _validate_parameters(cfg: RunConfig) -> None:
     p = cfg.parameters
     _check_keys(p, set(DEFAULT_PARAMETERS[cfg.scenario]), f"{cfg.scenario} parameters")
     if cfg.scenario == "deviation-sweep":
+        import numpy as np
+
+        from .blockade import LAYOUT_BYTES_CAP
         from .deviation import CELL_BYTES, CELLS_CAP, MIN_QUBITS, Scenario, speed_stencil
-        from .gates import LAYOUT_BYTES_CAP
 
         if not _is_int(p["n_min"]) or not _is_int(p["n_max"]):
             raise ConfigError("n_min and n_max must be integers")
@@ -178,9 +183,12 @@ def _validate_parameters(cfg: RunConfig) -> None:
         # collapse to 0 where the scale (k+1)|J2| overflows, at the most qubits.
         # Each (scenario, n) is one batch of P points against its k + 1 =
         # n + 2 - MIN_QUBITS sums, P (k + 1) cells, summed over n in closed form.
+        # The rows, one per t and one slope per J2 for each n and listing, are
+        # all held until the sweep is written.
         j2 = np.array([x for x in p["j2"] if x != 0.0])
-        points, cells = len(p["j2"]) * (p["t_points"] + 2), 0
-        for name in dict.fromkeys(scenarios):
+        points, cells, rows = len(p["j2"]) * (p["t_points"] + 2), 0, 0
+        copies = Counter(scenarios)
+        for name in copies:
             least = MIN_QUBITS[Scenario(name)]
             n_lo = max(p["n_min"], least)
             if n_lo > p["n_max"]:
@@ -189,6 +197,7 @@ def _validate_parameters(cfg: RunConfig) -> None:
             cells += points * (a + b) * (b - a + 1) // 2
             if cells > CELLS_CAP:
                 raise ConfigError(f"the sweep exceeds the budget of {CELLS_CAP} cells (points x sums)")
+            rows += copies[name] * (b - a + 1) * len(p["j2"]) * (p["t_points"] + 1)
             if points * b * CELL_BYTES > LAYOUT_BYTES_CAP:
                 raise ConfigError(f"a batch of {points * b} cells exceeds the budget of {LAYOUT_BYTES_CAP} bytes")
             with np.errstate(over="ignore"):
@@ -200,6 +209,8 @@ def _validate_parameters(cfg: RunConfig) -> None:
                     f"j2 value {float(j2[bad][0])!r} is out of range: the {name} t grid or slope "
                     f"stencil overflows for n in {n_lo}..{p['n_max']}"
                 )
+        if rows * ROW_BYTES > LAYOUT_BYTES_CAP:
+            raise ConfigError(f"the sweep's {rows} rows exceed the budget of {LAYOUT_BYTES_CAP} bytes")
     elif cfg.scenario == "gate-fidelity":
         p["j1"] = _finite(p["j1"], "j1")
         p["x1"] = _finite(p["x1"], "x1")
@@ -225,7 +236,7 @@ def _validate_parameters(cfg: RunConfig) -> None:
         if p["units"] not in ("reduced", "si"):
             raise ConfigError("units must be 'reduced' or 'si'")
     elif cfg.scenario == "blockade-check":
-        from .gates import LAYOUT_BYTES_CAP, layout_bytes, layout_sites
+        from .blockade import LAYOUT_BYTES_CAP, check_residual_budget, layout_bytes, layout_sites
 
         if not isinstance(p["checks"], list) or not p["checks"]:
             raise ConfigError("checks must be a nonempty list")
@@ -248,6 +259,10 @@ def _validate_parameters(cfg: RunConfig) -> None:
                     f"checks[{i}]: a layout of {n_sites} sites exceeds the budget of {LAYOUT_BYTES_CAP} bytes"
                 )
             chk["couplings"] = _finite_list(chk.get("couplings"), "couplings")
+            try:
+                check_residual_budget(_layout(chk), chk["couplings"])
+            except ValueError as exc:
+                raise ConfigError(f"checks[{i}]: {exc}") from None
     else:  # pragma: no cover
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
 
@@ -257,11 +272,13 @@ _SLICE_ROWS = 1024
 
 
 def _fmt(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
+    if type(value).__module__ == "numpy":  # a numpy scalar prints as its Python value
+        value = value.item()
+    if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, (int, np.integer)):
+    if isinstance(value, int):
         return str(int(value))
-    if isinstance(value, (float, np.floating)):
+    if isinstance(value, float):
         return f"{float(value):.12g}"
     return str(value)
 
@@ -296,15 +313,22 @@ class Table:
         return table
 
 
+def _is_array(column) -> bool:
+    """A 1-D numpy array, told apart without importing numpy."""
+    return getattr(column, "ndim", None) == 1
+
+
 def _cells(column, n_rows: int):
-    if isinstance(column, np.ndarray):
+    if _is_array(column):
         return column.tolist()  # Python scalars: an integer must not reach json's default=float
     return column if isinstance(column, list) else itertools.repeat(column, n_rows)
 
 
-def _format_array(values: np.ndarray) -> np.ndarray:
+def _format_array(values):
     """CSV cells of a numpy array as an object array; each distinct bit
     pattern is formatted once, which keeps -0.0 apart from 0.0."""
+    import numpy as np
+
     keys = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
     _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
     texts = np.array([_fmt(v) for v in values[first].tolist()], dtype=object)
@@ -315,7 +339,7 @@ def _format_column(column, n_rows: int):
     """CSV cells of one column of a block: a constant is formatted once and
     repeated, a numpy array by ``_format_array``, and a list in one pass
     that formats each distinct cell once."""
-    if isinstance(column, np.ndarray):
+    if _is_array(column):
         return _format_array(column)
     if not isinstance(column, list):
         return itertools.repeat(_text(column), n_rows)
@@ -336,18 +360,18 @@ def _format_column(column, n_rows: int):
 
 def _row_pieces(header: list, n: int, cells: dict) -> list:
     """The rows of one block as pieces: a ``str`` is the same on every row
-    (constant cells fold into it with their commas), and an object array
-    holds one text per row."""
+    (constant cells fold into it with their commas), and a list or an
+    object array holds one text per row."""
     pieces = []
     literal = ""
     for k, col in enumerate(header):
         if k:
             literal += ","
         cell = cells.get(col)
-        if isinstance(cell, (list, np.ndarray)):
+        if isinstance(cell, list) or _is_array(cell):
             if literal:
                 pieces.append(literal)
-            pieces.append(np.asarray(_format_column(cell, n), dtype=object))
+            pieces.append(_format_column(cell, n))
             literal = ""
         else:
             literal += _text(cell)
@@ -362,10 +386,16 @@ def _write_outputs(cfg: RunConfig, header: list, table: Table, out_path: str) ->
             pieces = _row_pieces(header, n, cells)
             for lo in range(0, n, _SLICE_ROWS):
                 hi = min(lo + _SLICE_ROWS, n)
-                grid = np.empty((hi - lo, len(pieces)), dtype=object)
+                texts = [""] * ((hi - lo) * len(pieces))  # row-major: piece k of each row at k::len(pieces)
                 for k, piece in enumerate(pieces):
-                    grid[:, k] = piece if isinstance(piece, str) else piece[lo:hi]
-                fh.write("".join(grid.ravel().tolist()))
+                    if isinstance(piece, str):
+                        cells = [piece] * (hi - lo)
+                    elif isinstance(piece, list):
+                        cells = piece[lo:hi]
+                    else:  # an object array, copied out in C
+                        cells = piece[lo:hi].tolist()
+                    texts[k :: len(pieces)] = cells
+                fh.write("".join(texts))
     if cfg.json_mirror:
         mirror = {
             "scenario": cfg.scenario,
@@ -395,6 +425,8 @@ def _deviation_columns(name: str, n: int, j2: list, t_points: int, copies: int) 
     scenario.  A point that breaks an invariant gives a ``fail:`` row; a
     slope point that does raises, as ``deviation_speed`` does.
     """
+    import numpy as np
+
     from .deviation import scenario_deviations, speed_stencil, stencil_slopes
 
     n_j2 = len(j2)
@@ -460,8 +492,11 @@ def run_deviation_sweep(cfg: RunConfig) -> tuple[list, Table]:
 # gate-fidelity
 
 def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
+    import numpy as np
+
+    from .blockade import pair_encoded_layout
     from .chain import ChainSpec
-    from .gates import compile_cphase, pair_encoded_layout, simulate_gate
+    from .gates import compile_cphase, simulate_gate
 
     p = cfg.parameters
     layout = pair_encoded_layout(2, 2)
@@ -511,6 +546,8 @@ def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
 # josephson-map
 
 def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
+    import numpy as np
+
     from .josephson import JosephsonArraySpec, build_capacitance_matrix, extract_couplings, invert_capacitance
 
     p = cfg.parameters
@@ -564,15 +601,21 @@ def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
 # ---------------------------------------------------------------------------
 # blockade-check
 
+def _layout(chk: dict):
+    """The layout one validated blockade check names."""
+    from .blockade import pair_encoded_layout, single_spin_layout
+
+    if chk["layout"] == "single-spin":
+        return single_spin_layout(chk["n_logical"])
+    return pair_encoded_layout(chk["n_logical"], chk.get("m", 2))
+
+
 def run_blockade_check(cfg: RunConfig) -> tuple[list, Table]:
-    from .gates import pair_encoded_layout, single_spin_layout, verify_blockade_cancellation
+    from .blockade import verify_blockade_cancellation
 
     rows = []
     for i, chk in enumerate(cfg.parameters["checks"]):
-        if chk["layout"] == "single-spin":
-            layout = single_spin_layout(chk["n_logical"])
-        else:
-            layout = pair_encoded_layout(chk["n_logical"], chk.get("m", 2))
+        layout = _layout(chk)
         try:
             residual = verify_blockade_cancellation(layout, chk["couplings"])
         except ValueError as exc:
@@ -633,7 +676,7 @@ def main(argv=None) -> int:
         out_path = args.out or cfg.output_path or f"{args.scenario}.csv"
         header, table = _RUNNERS[args.scenario](cfg)
         _write_outputs(cfg, header, table, out_path)
-    except (InvariantViolation, np.linalg.LinAlgError) as exc:
+    except InvariantViolation as exc:
         print(f"numerical invariant violation: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
     except (ConfigError, ValueError, OSError) as exc:  # OSError: unreadable config or unwritable output

@@ -18,9 +18,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from . import InvariantViolation
+from .blockade import LogicalLayout, single_spin_layout
 from .chain import ChainSpec, ControlSegment
-from .gates import LogicalLayout, layout_patterns, single_spin_layout
-from .operators import InvariantViolation, pattern_index, phase_set_distance
+from .gates import layout_patterns
+from .operators import pattern_index, phase_set_distance
 
 #: Peak bytes ``scenario_deviations`` spends per cell, one point's phase at
 #: one sum (32 traced on batches of 0.3-1.3 million cells, CPython 3.11).

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InvariantViolation
 from .chain import ChainSpec
-from .operators import InvariantViolation
 
 #: Cooper-pair charge squared, (2e)^2 in coulombs^2, for SI-mode energies.
 COOPER_PAIR_CHARGE_SQ = (2.0 * 1.602176634e-19) ** 2

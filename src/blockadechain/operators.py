@@ -47,10 +47,6 @@ def pattern_index(s: np.ndarray) -> np.ndarray:
     return idx
 
 
-class InvariantViolation(RuntimeError):
-    """A numerical invariant (unitarity, hermiticity, bound dominance) failed."""
-
-
 def phase_set_distance(phases) -> tuple:
     """Optimal global phase against a set of unit-circle points.
 

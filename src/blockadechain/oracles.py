@@ -16,14 +16,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import InvariantViolation
+from .blockade import pair_encoded_layout
 from .chain import ChainSpec, ControlSchedule, ControlSegment
-from .gates import (
-    PulseParameters,
-    composite_pulse_parameters,
-    logical_background_energy,
-    pair_encoded_layout,
-)
-from .operators import InvariantViolation, spin_patterns
+from .gates import PulseParameters, composite_pulse_parameters, logical_background_energy
+from .operators import spin_patterns
 
 #: Largest register realized as a dense 2^N x 2^N matrix.
 DIMENSION_CAP = 14

@@ -21,15 +21,8 @@ from blockadechain.deviation import (
     full_chain_deviation,
     scenario_deviation,
 )
-from blockadechain.gates import (
-    compile_cphase,
-    composite_pulse_parameters,
-    logical_sigma_z,
-    pair_encoded_layout,
-    simulate_gate,
-    single_spin_layout,
-    verify_blockade_cancellation,
-)
+from blockadechain.blockade import pair_encoded_layout, single_spin_layout, verify_blockade_cancellation
+from blockadechain.gates import compile_cphase, composite_pulse_parameters, logical_sigma_z, simulate_gate
 from blockadechain.josephson import (
     JosephsonArraySpec,
     build_capacitance_matrix,

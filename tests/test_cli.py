@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from blockadechain import cli, deviation, gates
+from blockadechain import InvariantViolation, blockade, cli, deviation
 from blockadechain.chain import ChainSpec
 from blockadechain.cli import (
     EXIT_CONFIG,
@@ -27,19 +27,14 @@ from blockadechain.cli import (
     main,
 )
 from blockadechain.deviation import MIN_QUBITS, Scenario, deviation_speed, scenario_deviation
-from blockadechain.gates import (
-    LAYOUT_BYTES_CAP,
-    logical_sigma_z,
-    pair_encoded_layout,
-    simulate_gate,
-)
+from blockadechain.blockade import LAYOUT_BYTES_CAP, pair_encoded_layout
+from blockadechain.gates import logical_sigma_z, simulate_gate
 from blockadechain.josephson import (
     JosephsonArraySpec,
     build_capacitance_matrix,
     extract_couplings,
     invert_capacitance,
 )
-from blockadechain.operators import InvariantViolation
 from blockadechain.oracles import PauliTerm
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -320,6 +315,25 @@ def test_sweep_size_checked_at_load(tmp_path, n_min, n_max, budget):
     tree = {"scenario": "deviation-sweep", "parameters": {"n_min": n_min, "n_max": n_max}}
     cfg = write_config(tmp_path, tree)
     with pytest.raises(ConfigError, match=budget):
+        load_config("deviation-sweep", cfg, 0)
+
+
+@pytest.mark.parametrize(
+    "scenarios, n_max, rows",
+    [(["idle"] * 50, 100, 50 * 99 * 3 * 21), (["idle"], 100, None),
+     (DEFAULT_PARAMETERS["deviation-sweep"]["scenarios"], 522, 63 * (4 * 522 - 7)),
+     (DEFAULT_PARAMETERS["deviation-sweep"]["scenarios"], 521, None)],
+    ids=["listed-50-times", "listed-once", "default-grid-522", "default-grid-521"],
+)
+def test_sweep_rows_checked_at_load(tmp_path, scenarios, n_max, rows):
+    # through load_config only: every listing of a scenario repeats its rows, one
+    # per t and one slope per J2 for each n, and the run holds them all until written
+    cfg = write_config(tmp_path, {"scenario": "deviation-sweep", "parameters": {"n_max": n_max, "scenarios": scenarios}})
+    if rows is None:
+        load_config("deviation-sweep", cfg, 0)
+        return
+    assert rows * cli.ROW_BYTES > LAYOUT_BYTES_CAP
+    with pytest.raises(ConfigError, match=rf"the sweep's {rows} rows exceed the budget of {LAYOUT_BYTES_CAP} bytes"):
         load_config("deviation-sweep", cfg, 0)
 
 
@@ -610,7 +624,7 @@ def test_blockade_check_many_orders_stop_at_the_budget(tmp_path, capsys, monkeyp
     # up to 2^20 states; the run stops near the budget and names the check
     # (a 4 MiB budget keeps the traced run short)
     budget = 2**22
-    monkeypatch.setattr(gates, "LAYOUT_BYTES_CAP", budget)
+    monkeypatch.setattr(blockade, "LAYOUT_BYTES_CAP", budget)
     small = {"layout": "single-spin", "n_logical": 4, "couplings": [1.0]}
     check = {"layout": "single-spin", "n_logical": 20, "couplings": [1.0] * 41}
     cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [small, check]}})
@@ -631,7 +645,7 @@ def test_blockade_check_many_orders_stop_at_the_budget(tmp_path, capsys, monkeyp
 def test_blockade_check_long_chain_stops_at_the_step_budget(tmp_path, capsys, monkeypatch):
     # the steps grow linearly with the chain: past a small budget a long chain
     # stops with exit 1 and names the check
-    monkeypatch.setattr(gates, "STEPS_CAP", 2**16)
+    monkeypatch.setattr(blockade, "STEPS_CAP", 2**16)
     check = {"layout": "pair-encoded", "n_logical": 100_000, "m": 2, "couplings": [1.0, 0.05, 0.01]}
     cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [check]}})
     out = tmp_path / "o.csv"
@@ -652,6 +666,15 @@ def test_blockade_check_overflowing_residual_is_a_config_error(tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_blockade_check_state_budget_checked_at_load(tmp_path):
+    # through load_config only: the states a walk would hold are counted from the layout
+    small = {"layout": "single-spin", "n_logical": 4, "couplings": [1.0]}
+    check = {"layout": "single-spin", "n_logical": 20, "couplings": [1.0] * 41}
+    cfg = write_config(tmp_path, {"scenario": "blockade-check", "parameters": {"checks": [small, check]}})
+    with pytest.raises(ConfigError, match=rf"^checks\[1\]: the reachable states exceed the budget of {LAYOUT_BYTES_CAP} bytes$"):
+        load_config("blockade-check", cfg, 0)
 
 
 @pytest.mark.parametrize("n_logical, m", [(16, 100000), (1, 10**7)])
@@ -682,11 +705,22 @@ def test_blockade_check_single_spin_m_rejected(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # column-wise writer against the row-wise one it replaced
 
+def numpy_fmt(value) -> str:
+    """The text of one CSV cell as the writer gave it when it imported numpy."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if isinstance(value, (float, np.floating)):
+        return f"{float(value):.12g}"
+    return str(value)
+
+
 def reference_write(cfg, header, rows, out_path):
-    """The row-wise writer: one dict per row, ``_fmt`` on every cell."""
+    """The row-wise writer: one dict per row, ``numpy_fmt`` on every cell."""
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(col, "")) for col in header))
+        lines.append(",".join(numpy_fmt(row.get(col, "")) for col in header))
     Path(out_path).write_text("\n".join(lines) + "\n", encoding="utf-8")
     if cfg.json_mirror:
         mirror = {
@@ -800,19 +834,31 @@ def test_writer_mixed_column_matches_reference(tmp_path):
 
 SPECIAL_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 2.2e-308, 1e308, -1e308, 0.1]
 TEXT = st.text(alphabet="ab%{},-0. ", max_size=6)
+FLOATS = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
+FLOATS32 = st.sampled_from([-0.0, 0.0, 0.1, float("nan")]) | st.floats(width=32)
+INTS = st.integers(-(2**63), 2**63 - 1)
+NUMPY_SCALARS = st.one_of(
+    st.booleans().map(np.bool_), INTS.map(np.int64), FLOATS32.map(np.float32), FLOATS.map(np.float64)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(NUMPY_SCALARS)
+def test_fmt_matches_the_numpy_formatting(value):
+    # the writer tells numpy scalars apart without importing numpy
+    assert _fmt(value) == numpy_fmt(value)
 
 
 def block_cells(n):
     """One block's cell of each kind: a numpy array, a list or a constant."""
-    floats = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
-    ints = st.integers(-(2**63), 2**63 - 1)
     arrays = st.one_of(
-        st.lists(floats, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float64)),
-        st.lists(ints, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
+        st.lists(FLOATS, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float64)),
+        st.lists(FLOATS32, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float32)),
+        st.lists(INTS, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
         st.lists(st.booleans(), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=bool)),
     )
-    lists = st.lists(st.sampled_from(MIXED) | TEXT | floats, min_size=n, max_size=n)
-    constants = st.none() | st.sampled_from(MIXED) | TEXT | floats | ints
+    lists = st.lists(st.sampled_from(MIXED) | TEXT | FLOATS | NUMPY_SCALARS, min_size=n, max_size=n)
+    constants = st.none() | st.sampled_from(MIXED) | TEXT | FLOATS | INTS | NUMPY_SCALARS
     return arrays | lists | constants
 
 

@@ -18,7 +18,8 @@ from blockadechain.deviation import (
     lower_bound,
     scenario_deviation,
 )
-from blockadechain.operators import InvariantViolation, order_sums, phase_set_distance
+from blockadechain import InvariantViolation
+from blockadechain.operators import order_sums, phase_set_distance
 from blockadechain.oracles import expm_unitary, spectral_norm
 
 

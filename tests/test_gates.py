@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -8,23 +9,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment
-from blockadechain import gates
-from blockadechain.gates import (
+from blockadechain import blockade
+from blockadechain.blockade import (
     LAYOUT_BYTES_CAP,
+    layout_bytes,
+    layout_sites,
+    pair_encoded_layout,
+    single_spin_layout,
+    state_counts,
+    verify_blockade_cancellation,
+)
+from blockadechain.gates import (
     _evolve_state,
     _ising_energy,
     compile_cphase,
     composite_pulse_parameters,
-    layout_bytes,
     layout_patterns,
-    layout_sites,
     logical_background_energy,
     logical_sigma_x,
     logical_sigma_z,
-    pair_encoded_layout,
     simulate_gate,
-    single_spin_layout,
-    verify_blockade_cancellation,
 )
 from blockadechain.operators import PATTERN_CAP, order_sums, pattern_index, spin_patterns
 from blockadechain.oracles import (
@@ -99,11 +103,8 @@ def test_layout_byte_budget_admits_large_layouts():
 
 def budget_error_peak(monkeypatch, n_logical, n_couplings):
     """Traced peak bytes of a single-spin residual that stops at a 1 MiB budget."""
-    def patterns(layout):
-        raise AssertionError("patterns enumerated for the residual")
-
-    monkeypatch.setattr(gates, "layout_patterns", patterns)
-    monkeypatch.setattr(gates, "LAYOUT_BYTES_CAP", 2**20)
+    monkeypatch.setitem(sys.modules, "numpy", None)  # no numpy pattern enumeration
+    monkeypatch.setattr(blockade, "LAYOUT_BYTES_CAP", 2**20)
     tracemalloc.start()
     try:
         with pytest.raises(ValueError, match=f"budget of {2**20} bytes"):
@@ -129,10 +130,35 @@ def test_cancellation_budget_charges_long_state_keys(monkeypatch, n_couplings):
 
 def test_cancellation_stops_at_the_step_budget(monkeypatch):
     # the steps grow with the chain: one that fits a budget runs, a longer one stops
-    monkeypatch.setattr(gates, "STEPS_CAP", 2**12)
+    monkeypatch.setattr(blockade, "STEPS_CAP", 2**12)
     assert verify_blockade_cancellation(pair_encoded_layout(40, 2), [1.0, 0.05, 0.01]) == pytest.approx(0.39)
     with pytest.raises(ValueError, match=f"budget of {2**12} steps"):
         verify_blockade_cancellation(pair_encoded_layout(400, 2), [1.0, 0.05, 0.01])
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.booleans(), st.integers(1, 7), st.integers(1, 4), st.integers(1, 14))
+def test_state_counts_match_the_walk(single, n_logical, m, width):
+    # the walk's own state count after every site, windows past the chain included
+    layout = single_spin_layout(n_logical) if single else pair_encoded_layout(n_logical, m)
+    walked = [len(states) for states in blockade._walk(layout, [1] * width)]
+    assert state_counts(layout, width) == walked
+
+
+@pytest.mark.parametrize(
+    "layout, n_couplings, message",
+    [(single_spin_layout(20), 41, f"budget of {blockade.LAYOUT_BYTES_CAP} bytes"),
+     (pair_encoded_layout(400, 2), 3, f"budget of {2**12} steps")],
+)
+def test_cancellation_checks_the_budget_before_walking(monkeypatch, layout, n_couplings, message):
+    def walk(layout, weights):
+        raise AssertionError("walked past the budget")
+
+    monkeypatch.setattr(blockade, "_walk", walk)
+    if "steps" in message:
+        monkeypatch.setattr(blockade, "STEPS_CAP", 2**12)
+    with pytest.raises(ValueError, match=message):
+        verify_blockade_cancellation(layout, [1.0] * n_couplings)
 
 
 def enumerated_residual(layout, couplings):

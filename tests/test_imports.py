@@ -15,10 +15,10 @@ SRC = Path(blockadechain.__file__).resolve().parents[1]
 #: ``python -m`` the CLI itself runs as ``__main__``, so ``cli`` is listed
 #: here but never imported under its own name.
 SUBCOMMAND_MODULES = {
-    "josephson-map": {"cli", "operators", "chain", "josephson"},
-    "gate-fidelity": {"cli", "operators", "chain", "gates"},
-    "blockade-check": {"cli", "operators", "chain", "gates"},
-    "deviation-sweep": {"cli", "operators", "chain", "gates", "deviation"},
+    "josephson-map": {"cli", "chain", "josephson"},
+    "gate-fidelity": {"cli", "operators", "chain", "blockade", "gates"},
+    "blockade-check": {"cli", "blockade"},
+    "deviation-sweep": {"cli", "operators", "chain", "blockade", "gates", "deviation"},
 }
 
 
@@ -50,6 +50,30 @@ def test_subcommand_loads_only_its_modules(tmp_path, subcommand):
     assert (tmp_path / "out.csv").stat().st_size > 0
     expected = {"blockadechain"} | {f"blockadechain.{m}" for m in SUBCOMMAND_MODULES[subcommand] - {"cli"}}
     assert imported_package_modules(out.stderr) == expected
+
+
+def test_blockade_check_runs_without_numpy(tmp_path):
+    config = str(SRC.parent / "configs" / "blockade_check.json")
+    code = (
+        "import sys; sys.modules['numpy'] = None; from blockadechain.cli import main; "
+        f"sys.exit(main(['blockade-check', '--config', {config!r}, '--out', 'blocked.csv']))"
+    )
+    blocked = run_python(["-c", code], tmp_path)
+    assert blocked.returncode == 0, blocked.stderr
+    normal = run_python(["-m", "blockadechain.cli", "blockade-check", "--config", config, "--out", "normal.csv"], tmp_path)
+    assert normal.returncode == 0, normal.stderr
+    assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "normal.csv").read_bytes()
+
+
+def test_cli_import_and_load_config_load_no_numpy(tmp_path):
+    code = (
+        "import sys; from blockadechain.cli import load_config; "
+        "[load_config(s, None, 0) for s in ('gate-fidelity', 'josephson-map', 'blockade-check')]; "
+        "print('numpy' in sys.modules)"
+    )
+    out = run_python(["-c", code], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_importing_the_package_loads_no_submodule(tmp_path):

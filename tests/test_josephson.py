@@ -11,7 +11,7 @@ from blockadechain.josephson import (
     extract_couplings,
     invert_capacitance,
 )
-from blockadechain.operators import InvariantViolation
+from blockadechain import InvariantViolation
 from blockadechain.oracles import OperatorSum, PauliTerm, realize
 
 

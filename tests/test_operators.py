@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from blockadechain import InvariantViolation
 from blockadechain.operators import (
     PATTERN_CAP,
-    InvariantViolation,
     order_sums,
     pattern_index,
     phase_set_distance,
