@@ -8,8 +8,8 @@ the model.
 The public names resolve on first access (PEP 562), so importing the
 package, or one CLI subcommand, loads only the modules it uses.  The
 dense reference implementations live in ``blockadechain.oracles``.
-``InvariantViolation`` is defined here, so the CLI can catch it without
-loading numpy.
+``InvariantViolation`` and the byte budget ``LAYOUT_BYTES_CAP`` are
+defined here, so the CLI can use both without loading numpy.
 """
 
 import importlib
@@ -59,6 +59,11 @@ _EXPORTS = {
 __all__ = sorted([*_EXPORTS, "InvariantViolation"])
 
 __version__ = "0.1.0"
+
+
+#: Bytes a run may hold in each budgeted part: a blockade check's layout or walk
+#: states, a deviation batch or the sweep's rows, a josephson map's arrays and rows.
+LAYOUT_BYTES_CAP = 2**26
 
 
 class InvariantViolation(RuntimeError):

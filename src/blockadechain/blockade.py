@@ -13,10 +13,8 @@ import math
 import operator
 from dataclasses import dataclass
 
-#: Bytes one blockade-residual check may spend, on its layout's sites
-#: (``layout_bytes``) and on the states ``verify_blockade_cancellation`` holds;
-#: also the bytes of one ``deviation.scenario_deviations`` batch in a sweep.
-LAYOUT_BYTES_CAP = 2**26
+from . import LAYOUT_BYTES_CAP
+
 #: Peak bytes of the Python tuples that describe one site of a built layout.
 SITE_BYTES = 160
 #: Bytes ``verify_blockade_cancellation`` charges per held state (key tuple,

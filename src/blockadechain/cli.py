@@ -22,7 +22,7 @@ from pathlib import Path
 
 # Each subcommand imports the workflow modules it runs, and numpy, inside its
 # own code paths, so a run loads only those; blockade-check loads no numpy.
-from . import InvariantViolation
+from . import LAYOUT_BYTES_CAP, InvariantViolation
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -34,6 +34,11 @@ PHASE_TOL = 1e-12
 #: Peak bytes of one deviation-sweep row, held from the run through the
 #: writer; checked with the sweep's row count against LAYOUT_BYTES_CAP at load.
 ROW_BYTES = 512
+
+#: Peak bytes of josephson-map per pair of boxes, the matrices and their rows
+#: (113-116 traced at 300-1000 boxes, CPython 3.11); checked at load, n_boxes^2
+#: of them, against LAYOUT_BYTES_CAP, which admits up to 724 boxes.
+BOX_PAIR_BYTES = 128
 
 SCENARIOS = ("deviation-sweep", "gate-fidelity", "josephson-map", "blockade-check")
 
@@ -123,7 +128,7 @@ def load_config(scenario: str, path: str | None, seed: int) -> RunConfig:
             tree = json.loads(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError as exc:
             raise ConfigError(f"config file not found: {path}") from exc
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deep
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(tree, dict):
         raise ConfigError("config root must be an object")
@@ -160,7 +165,6 @@ def _validate_parameters(cfg: RunConfig) -> None:
     if cfg.scenario == "deviation-sweep":
         import numpy as np
 
-        from .blockade import LAYOUT_BYTES_CAP
         from .deviation import CELL_BYTES, CELLS_CAP, MIN_QUBITS, Scenario, speed_stencil
 
         if not _is_int(p["n_min"]) or not _is_int(p["n_max"]):
@@ -229,6 +233,8 @@ def _validate_parameters(cfg: RunConfig) -> None:
     elif cfg.scenario == "josephson-map":
         if not _is_int(p["n_boxes"]) or p["n_boxes"] < 2:
             raise ConfigError("n_boxes must be an integer >= 2")
+        if p["n_boxes"] ** 2 * BOX_PAIR_BYTES > LAYOUT_BYTES_CAP:
+            raise ConfigError(f"an array of {p['n_boxes']} boxes exceeds the budget of {LAYOUT_BYTES_CAP} bytes")
         for key in ("c_g", "c_j", "c_c"):
             p[key] = _finite(p[key], key)
         if p["gate_charges"] is not None:
@@ -236,7 +242,7 @@ def _validate_parameters(cfg: RunConfig) -> None:
         if p["units"] not in ("reduced", "si"):
             raise ConfigError("units must be 'reduced' or 'si'")
     elif cfg.scenario == "blockade-check":
-        from .blockade import LAYOUT_BYTES_CAP, check_residual_budget, layout_bytes, layout_sites
+        from .blockade import check_residual_budget, layout_bytes, layout_sites
 
         if not isinstance(p["checks"], list) or not p["checks"]:
             raise ConfigError("checks must be a nonempty list")
@@ -506,8 +512,9 @@ def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
         spec = ChainSpec(layout.n_sites, j1=p["j1"], j2=j2, x1_max=p["x1"])
         for tau in p["tau"]:
             schedule = compile_cphase(spec, tau, layout=layout, naive=p["naive"])
-            compiled.append({"j1": p["j1"], "j2": j2, "x1": p["x1"], "tau": tau,
-                             "segments": schedule.to_payload()})
+            if p["schedule_out"]:
+                compiled.append({"j1": p["j1"], "j2": j2, "x1": p["x1"], "tau": tau,
+                                 "segments": schedule.to_payload()})
             report = simulate_gate(spec, layout, schedule)
             phi_target = (4.0 * p["j1"] * tau) % (2.0 * np.pi)
             resid = (report.phase_phi - phi_target + np.pi) % (2.0 * np.pi) - np.pi

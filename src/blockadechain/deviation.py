@@ -19,10 +19,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import InvariantViolation
-from .blockade import LogicalLayout, single_spin_layout
-from .chain import ChainSpec, ControlSegment
-from .gates import layout_patterns
-from .operators import pattern_index, phase_set_distance
+from .operators import phase_set_distance
 
 #: Peak bytes ``scenario_deviations`` spends per cell, one point's phase at
 #: one sum (32 traced on batches of 0.3-1.3 million cells, CPython 3.11).
@@ -58,31 +55,6 @@ MIN_QUBITS = {Scenario.IDLE: 2, Scenario.SIGMA_Z: 2, Scenario.SIGMA_X: 4, Scenar
 #: +1, and the x-rotation target's two pairs cancel (its neighbors are
 #: frozen opposite), leaving k = n - 3.
 TOP_SUM = {Scenario.IDLE: -1, Scenario.SIGMA_Z: -1, Scenario.SIGMA_X: -3, Scenario.INTER_QUBIT: -1}
-
-#: Qubits each scenario freezes, as offset from its target qubit -> frozen
-#: bit; the scenario's layout is ``single_spin_layout(n)`` with these
-#: qubits turned into blockades.
-FROZEN = {
-    Scenario.IDLE: {},
-    # The bz field acts identically in the intended and realistic
-    # evolutions restricted to the frozen subspace, so it cancels.
-    Scenario.SIGMA_Z: {0: 0},
-    # The target's neighbors are frozen in opposite states so its own
-    # long-range couplings cancel; the target stays free, held in |+>,
-    # and the bx drive then commutes with the restriction and drops out
-    # of the deviation like bz.
-    Scenario.SIGMA_X: {-1: 0, 1: 1},
-    Scenario.INTER_QUBIT: {0: 0, 1: 0},
-}
-
-#: Control the full-chain oracle switches on, as (field, strength, offsets
-#: from the 0-based index 2 i0 - 1 of the target's site or bond).
-CONTROL = {
-    Scenario.SIGMA_Z: ("bz", 0.3, (0,)),
-    Scenario.SIGMA_X: ("bx", 0.2, (0,)),
-    Scenario.INTER_QUBIT: ("jxy", 0.15, (0, 1)),
-}
-
 
 def _violations(scenario: Scenario, n: int, j2, t, raw, opt, bound) -> list:
     """Message of the first ScenarioResult invariant each point breaks, or None.
@@ -153,73 +125,16 @@ class DeviationBatch(NamedTuple):
     violations: list
 
 
-def default_target(scenario: Scenario, n: int) -> int:
-    """Default qubit position for the scenario; mid-chain where allowed."""
-    if scenario is Scenario.IDLE:
-        raise ValueError("idle scenario has no target qubit")
-    if scenario in (Scenario.SIGMA_Z, Scenario.SIGMA_X):
-        return (n + 1) // 2
-    # inter-qubit gate acts on (i, i+1); even i keeps the middle blockade
-    # in |0> so the exchange pulses annihilate the frozen subspace
-    candidates = range(2, n, 2)
-    if not candidates:
-        raise ValueError("no valid inter-qubit position")
-    mid = (n + 1) / 2
-    return min(candidates, key=lambda i: (abs(i - mid), i))
-
-
-def _scenario_layout(scenario: Scenario, n: int) -> tuple[LogicalLayout, int | None]:
-    """The scenario's layout and target qubit (None for idle).
-
-    The layout is ``single_spin_layout(n)`` with the FROZEN qubits made
-    blockades.
-    """
-    if n < MIN_QUBITS[scenario]:
-        raise ValueError(f"{scenario.value} scenario needs n >= {MIN_QUBITS[scenario]}")
-    base = single_spin_layout(n)
-    i0 = None if scenario is Scenario.IDLE else default_target(scenario, n)
-    frozen = {i0 + d: bit for d, bit in FROZEN[scenario].items()}
-    qubits = tuple(q for i, q in enumerate(base.qubit_sites, 1) if i not in frozen)
-    blockades = base.blockade_sites + tuple((base.qubit_sites[i - 1][0], b) for i, b in frozen.items())
-    return LogicalLayout(len(qubits), 1, qubits, blockades), i0
-
-
 def _reachable_sums(scenario: Scenario, n: int) -> np.ndarray:
     """Sorted distinct next-nearest sums m over the frozen subspace, read-only int64:
     the k + 1 values TOP_SUM - 2j.
-
-    The x-rotation target is free, held in |+>; its couplings cancel on
-    every path iff its neighbors are frozen in opposite states.
     """
     if n < MIN_QUBITS[scenario]:
         raise ValueError(f"{scenario.value} scenario needs n >= {MIN_QUBITS[scenario]}")
-    frozen = FROZEN[scenario]
-    if scenario is Scenario.SIGMA_X and {frozen.get(-1), frozen.get(1)} != {0, 1}:
-        raise InvariantViolation("x-rotation target couplings failed to cancel")
     top, k = TOP_SUM[scenario], n + 1 - MIN_QUBITS[scenario]
     m = np.arange(top - 2 * k, top + 1, 2, dtype=np.int64)
     m.setflags(write=False)
     return m
-
-
-def _scenario_rows(scenario: Scenario, n: int):
-    """sigma^z rows of the scenario's layout and the halves of each state.
-
-    The enumeration behind the full-chain oracle and the check on
-    ``_reachable_sums``; capped at ``PATTERN_CAP`` spins.
-
-    Returns ``(s, halves, i0)``: ``s`` has one row of all 2n+1 sites per
-    pattern of the free qubits, and each of ``halves`` selects one row
-    per frozen-subspace state, in the same order.  The x-rotation target
-    is free and held in |+>, so its halves are the rows with the target
-    down and up; otherwise one half holds every row.
-    """
-    layout, i0 = _scenario_layout(scenario, n)
-    s = layout_patterns(layout)
-    if scenario is not Scenario.SIGMA_X:
-        return s, (slice(None),), i0
-    up = s[:, 2 * i0 - 1] > 0
-    return s, (~up, up), i0
 
 
 def lower_bound(scenario: Scenario, n: int, j2: float, t: float) -> float:
@@ -302,15 +217,6 @@ def deviation_speed(scenario: Scenario, n: int, j2: float) -> float:
 # Full-chain oracle: the same deviations from 2^(2n+1)-dimensional propagators
 # restricted to the frozen configuration.
 
-def _embedding(s: np.ndarray, halves) -> np.ndarray:
-    """Isometry from the frozen-subspace states into the full-chain Hilbert space."""
-    cols = np.zeros((2 ** s.shape[1], s[halves[0]].shape[0]), dtype=complex)
-    p = np.arange(cols.shape[1])
-    for h in halves:
-        cols[pattern_index(s[h]), p] = 1.0 / np.sqrt(len(halves))
-    return cols
-
-
 def full_chain_deviation(scenario: Scenario, n: int, j2: float, t: float) -> tuple[float, float]:
     """(raw, phase-optimized) deviation from full-chain propagators.
 
@@ -320,6 +226,8 @@ def full_chain_deviation(scenario: Scenario, n: int, j2: float, t: float) -> tup
     two deviations as the reduced-space path.  Serves as the independent
     consistency oracle for chains of up to 9 spins.
     """
+    from .chain import ChainSpec, ControlSegment
+    from .oracles import CONTROL, _embedding, _scenario_rows
     from .oracles import build_h_ideal, build_h_long_range, expm_unitary, realize, spectral_norm
 
     scenario = Scenario(scenario)

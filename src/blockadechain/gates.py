@@ -98,6 +98,16 @@ def _cphase_bonds(layout: LogicalLayout) -> tuple[int, int]:
     return b1, a2 - 1  # bonds (b1, b1+1) and (a2-1, a2)
 
 
+def _phase_period(spec: ChainSpec) -> float:
+    """Period 2 pi / (4|J1|) of the CPHASE phase 4 J1 tau; ``ValueError`` for
+    a J1 that is zero or whose 4|J1| overflows, so that the period is 0."""
+    if spec.j1 == 0:
+        raise ValueError("CPHASE needs a nonzero static coupling J1")
+    if not np.isfinite(4.0 * spec.j1):
+        raise ValueError(f"J1 = {spec.j1!r} is out of range: 4 J1 overflows")
+    return 2.0 * np.pi / (4.0 * abs(spec.j1))
+
+
 def compile_cphase(
     spec: ChainSpec,
     tau: float,
@@ -120,8 +130,7 @@ def compile_cphase(
     """
     if not (np.isfinite(tau) and tau >= 0):
         raise ValueError("tau must be finite and nonnegative")
-    if spec.j1 == 0:
-        raise ValueError("CPHASE needs a nonzero static coupling J1")
+    period = _phase_period(spec)
     layout = pair_encoded_layout(2, 2) if layout is None else layout
     if layout.n_sites != spec.n_spins:
         raise ValueError("layout size does not match the chain")
@@ -135,7 +144,6 @@ def compile_cphase(
     transit += 4.0 * (spec.j1 + j2_model) * p2.total_duration
     # raw gate phase is -(transit + 4 J1 t_hold); choose the hold so it
     # equals +4 J1 tau modulo 2 pi
-    period = 2.0 * np.pi / (4.0 * abs(spec.j1))
     t_hold = ((-4.0 * spec.j1 * tau - transit) / (4.0 * spec.j1)) % period
 
     n = spec.n_spins
@@ -273,11 +281,9 @@ def logical_sigma_z(spec: ChainSpec, layout: LogicalLayout, qubit: int, phi: flo
         raise ValueError("qubit index out of range")
     if not np.isfinite(phi):
         raise ValueError("phi must be finite")
-    if spec.j1 == 0:
-        raise ValueError("CPHASE needs a nonzero static coupling J1")
+    period = _phase_period(spec)
     other = 2 if qubit == 1 else 1
     target_phase = 2.0 * phi if qubit == 1 else -2.0 * phi
-    period = 2.0 * np.pi / (4.0 * abs(spec.j1))
     tau = (target_phase / (4.0 * spec.j1)) % period
     cphase = compile_cphase(spec, tau, layout=layout)
     flip = logical_sigma_x(spec, layout, other, np.pi)

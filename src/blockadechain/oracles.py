@@ -3,10 +3,10 @@
 Pauli-string operators realized as dense 2^N x 2^N matrices,
 eigendecomposition propagators with a unitarity certificate, the chain
 Hamiltonian builders and time-ordered evolution, a grid search for the
-optimal global phase, and the reduced transfer blocks of the CPHASE
-protocol.  No CLI subcommand imports this module: the library's closed
-forms run on sigma^z patterns, and these dense paths check them in tests
-and in ``deviation.full_chain_deviation``.
+optimal global phase, the CPHASE transfer blocks and the frozen
+deviation layouts.  No CLI subcommand imports this module: the library's
+closed forms run on sigma^z patterns, and these dense paths check them
+in tests and in ``deviation.full_chain_deviation``.
 """
 
 from __future__ import annotations
@@ -17,10 +17,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import InvariantViolation
-from .blockade import pair_encoded_layout
+from .blockade import LogicalLayout, pair_encoded_layout, single_spin_layout
 from .chain import ChainSpec, ControlSchedule, ControlSegment
-from .gates import PulseParameters, composite_pulse_parameters, logical_background_energy
-from .operators import spin_patterns
+from .deviation import MIN_QUBITS, Scenario
+from .gates import PulseParameters, composite_pulse_parameters, layout_patterns, logical_background_energy
+from .operators import pattern_index, spin_patterns
 
 #: Largest register realized as a dense 2^N x 2^N matrix.
 DIMENSION_CAP = 14
@@ -341,3 +342,91 @@ def reduced_hamiltonians(spec: ChainSpec, j45: float, j67: float) -> ReducedHami
     )
     e0 = logical_background_energy(spec, pair_encoded_layout(2, 2))
     return ReducedHamiltonians(h2=h2, h3=h3, h4=h4, background_energy=e0)
+
+
+# ---------------------------------------------------------------------------
+# Frozen layouts of the deviation scenarios, for ``deviation.full_chain_deviation``
+
+#: Qubits each scenario freezes, as offset from its target qubit -> frozen
+#: bit; the scenario's layout is ``single_spin_layout(n)`` with these
+#: qubits turned into blockades.
+FROZEN = {
+    Scenario.IDLE: {},
+    # The bz field acts identically in the intended and realistic
+    # evolutions restricted to the frozen subspace, so it cancels.
+    Scenario.SIGMA_Z: {0: 0},
+    # The target's neighbors are frozen in opposite states so its own
+    # long-range couplings cancel; the target stays free, held in |+>,
+    # and the bx drive then commutes with the restriction and drops out
+    # of the deviation like bz.
+    Scenario.SIGMA_X: {-1: 0, 1: 1},
+    Scenario.INTER_QUBIT: {0: 0, 1: 0},
+}
+
+#: Control the full-chain oracle switches on, as (field, strength, offsets
+#: from the 0-based index 2 i0 - 1 of the target's site or bond).
+CONTROL = {
+    Scenario.SIGMA_Z: ("bz", 0.3, (0,)),
+    Scenario.SIGMA_X: ("bx", 0.2, (0,)),
+    Scenario.INTER_QUBIT: ("jxy", 0.15, (0, 1)),
+}
+
+
+def default_target(scenario: Scenario, n: int) -> int:
+    """Default qubit position for the scenario; mid-chain where allowed."""
+    if scenario is Scenario.IDLE:
+        raise ValueError("idle scenario has no target qubit")
+    if scenario in (Scenario.SIGMA_Z, Scenario.SIGMA_X):
+        return (n + 1) // 2
+    # inter-qubit gate acts on (i, i+1); even i keeps the middle blockade
+    # in |0> so the exchange pulses annihilate the frozen subspace
+    candidates = range(2, n, 2)
+    if not candidates:
+        raise ValueError("no valid inter-qubit position")
+    mid = (n + 1) / 2
+    return min(candidates, key=lambda i: (abs(i - mid), i))
+
+
+def _scenario_layout(scenario: Scenario, n: int) -> tuple[LogicalLayout, int | None]:
+    """The scenario's layout and target qubit (None for idle).
+
+    The layout is ``single_spin_layout(n)`` with the FROZEN qubits made
+    blockades.
+    """
+    if n < MIN_QUBITS[scenario]:
+        raise ValueError(f"{scenario.value} scenario needs n >= {MIN_QUBITS[scenario]}")
+    base = single_spin_layout(n)
+    i0 = None if scenario is Scenario.IDLE else default_target(scenario, n)
+    frozen = {i0 + d: bit for d, bit in FROZEN[scenario].items()}
+    qubits = tuple(q for i, q in enumerate(base.qubit_sites, 1) if i not in frozen)
+    blockades = base.blockade_sites + tuple((base.qubit_sites[i - 1][0], b) for i, b in frozen.items())
+    return LogicalLayout(len(qubits), 1, qubits, blockades), i0
+
+
+def _scenario_rows(scenario: Scenario, n: int):
+    """sigma^z rows of the scenario's layout and the halves of each state.
+
+    The enumeration behind the full-chain oracle and the check on
+    ``deviation._reachable_sums``; capped at ``PATTERN_CAP`` spins.
+
+    Returns ``(s, halves, i0)``: ``s`` has one row of all 2n+1 sites per
+    pattern of the free qubits, and each of ``halves`` selects one row
+    per frozen-subspace state, in the same order.  The x-rotation target
+    is free and held in |+>, so its halves are the rows with the target
+    down and up; otherwise one half holds every row.
+    """
+    layout, i0 = _scenario_layout(scenario, n)
+    s = layout_patterns(layout)
+    if scenario is not Scenario.SIGMA_X:
+        return s, (slice(None),), i0
+    up = s[:, 2 * i0 - 1] > 0
+    return s, (~up, up), i0
+
+
+def _embedding(s: np.ndarray, halves) -> np.ndarray:
+    """Isometry from the frozen-subspace states into the full-chain Hilbert space."""
+    cols = np.zeros((2 ** s.shape[1], s[halves[0]].shape[0]), dtype=complex)
+    p = np.arange(cols.shape[1])
+    for h in halves:
+        cols[pattern_index(s[h]), p] = 1.0 / np.sqrt(len(halves))
+    return cols

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from blockadechain import InvariantViolation, blockade, cli, deviation
+from blockadechain import LAYOUT_BYTES_CAP, InvariantViolation, blockade, cli, deviation
 from blockadechain.chain import ChainSpec
 from blockadechain.cli import (
     EXIT_CONFIG,
@@ -27,7 +27,7 @@ from blockadechain.cli import (
     main,
 )
 from blockadechain.deviation import MIN_QUBITS, Scenario, deviation_speed, scenario_deviation
-from blockadechain.blockade import LAYOUT_BYTES_CAP, pair_encoded_layout
+from blockadechain.blockade import pair_encoded_layout
 from blockadechain.gates import logical_sigma_z, simulate_gate
 from blockadechain.josephson import (
     JosephsonArraySpec,
@@ -150,6 +150,14 @@ def test_missing_config_file(tmp_path):
 def test_directory_config_is_config_error(tmp_path, capsys):
     assert main(["deviation-sweep", "--config", str(tmp_path), "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
     assert "config error:" in capsys.readouterr().err
+
+
+def test_deeply_nested_config_is_invalid_json(tmp_path):
+    # the JSON decoder recurses once per level and gives up long before 10^5
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000, encoding="utf-8")
+    with pytest.raises(ConfigError, match="^config is not valid JSON: "):
+        load_config("gate-fidelity", str(path), 0)
 
 
 @pytest.mark.parametrize("where", ["--out", "json_mirror", "schedule_out"])
@@ -520,6 +528,26 @@ def test_gate_fidelity_imprecise_phase_is_invariant_failure(tmp_path, capsys):
     assert main(["gate-fidelity", "--config", cfg, "--out", out, "--naive"]) == EXIT_OK
 
 
+@pytest.mark.parametrize("j1", [1e308, -1e308, 5e307])
+def test_gate_fidelity_overflowing_j1_is_a_config_error(tmp_path, capsys, j1):
+    # 4|J1| overflows, so the phase period 2 pi / (4|J1|) would be 0
+    cfg = write_config(tmp_path, {"scenario": "gate-fidelity", "parameters": {"j1": j1}})
+    out = tmp_path / "o.csv"
+    assert main(["gate-fidelity", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: J1 = {j1!r} is out of range: 4 J1 overflows\n"
+    assert not out.exists()
+
+
+def test_gate_fidelity_builds_no_schedule_payload_without_schedule_out(tmp_path, monkeypatch):
+    from blockadechain.chain import ControlSchedule
+
+    def to_payload(self):
+        raise AssertionError("schedule payload built without schedule_out")
+
+    monkeypatch.setattr(ControlSchedule, "to_payload", to_payload)
+    assert main(["gate-fidelity", "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+
+
 def test_gate_fidelity_checked_in_config_phase_exact(tmp_path):
     out = str(tmp_path / "gate.csv")
     assert main(["gate-fidelity", "--config", str(REPO_CONFIGS / "gate_fidelity.json"), "--out", out]) == EXIT_OK
@@ -561,6 +589,18 @@ def test_josephson_small_array_decay_unchecked(tmp_path, n_boxes):
     (check,) = [r for r in rows if r["record"] == "decay_check"]
     assert check["status"] == "unchecked"
     assert not [r for r in rows if r["record"] == "decay_ratio"]
+
+
+@pytest.mark.parametrize("n_boxes, admitted", [(724, True), (725, False), (100_000, False), (10**9, False)])
+def test_josephson_size_checked_at_load(tmp_path, n_boxes, admitted):
+    # through load_config only: n_boxes^2 box pairs at BOX_PAIR_BYTES each, before any matrix is built
+    assert (n_boxes**2 * cli.BOX_PAIR_BYTES <= LAYOUT_BYTES_CAP) == admitted
+    cfg = write_config(tmp_path, {"scenario": "josephson-map", "parameters": {"n_boxes": n_boxes}})
+    if admitted:
+        load_config("josephson-map", cfg, 0)
+        return
+    with pytest.raises(ConfigError, match=rf"^an array of {n_boxes} boxes exceeds the budget of {LAYOUT_BYTES_CAP} bytes$"):
+        load_config("josephson-map", cfg, 0)
 
 
 def test_josephson_rejects_single_box(tmp_path):

@@ -6,13 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockadechain.deviation import (
-    FROZEN,
     MIN_QUBITS,
     Scenario,
     ScenarioResult,
     _reachable_sums,
-    _scenario_rows,
-    default_target,
     deviation_speed,
     full_chain_deviation,
     lower_bound,
@@ -20,7 +17,7 @@ from blockadechain.deviation import (
 )
 from blockadechain import InvariantViolation
 from blockadechain.operators import order_sums, phase_set_distance
-from blockadechain.oracles import expm_unitary, spectral_norm
+from blockadechain.oracles import FROZEN, _scenario_rows, default_target, expm_unitary, spectral_norm
 
 
 def idle_phases_by_loop(n, j2, t):
@@ -379,10 +376,15 @@ def test_reachable_sums_match_enumeration(case):
 
 
 def test_reachable_sums_catch_uncancelled_x_target(monkeypatch):
-    # both target neighbors down: the target's couplings add to -2 s_t
+    # both target neighbors down: the target's couplings add to -2 s_t, so
+    # each half of the enumeration shifts by +-2 off the closed-form sums
     monkeypatch.setitem(FROZEN, Scenario.SIGMA_X, {-1: 0, 1: 0})
-    with pytest.raises(InvariantViolation, match="failed to cancel"):
-        scenario_deviation(Scenario.SIGMA_X, 5, 0.01, 1.0)
+    s, halves, _ = _scenario_rows(Scenario.SIGMA_X, 5)
+    m = order_sums(s, 2)
+    got = _reachable_sums(Scenario.SIGMA_X, 5)
+    for h, shift in zip(halves, (2, -2)):
+        assert not np.array_equal(np.unique(m[h]), got)
+        assert np.array_equal(np.unique(m[h]), got + shift)
 
 
 @pytest.mark.parametrize("n", [21, 40, 3000])

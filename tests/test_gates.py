@@ -562,6 +562,16 @@ def test_sigma_z_rejects_zero_j1():
         logical_sigma_z(spec, LAYOUT, 1, 0.3)
 
 
+@pytest.mark.parametrize("j1", [1e308, -1e308])
+def test_cphase_rejects_j1_whose_4_j1_overflows(j1):
+    # the phase period 2 pi / (4|J1|) would be 0, and the hold is taken modulo it
+    spec = ChainSpec(10, j1=j1, j2=0.05, x1_max=0.5)
+    with pytest.raises(ValueError, match="4 J1 overflows"):
+        compile_cphase(spec, 0.2, layout=LAYOUT)
+    with pytest.raises(ValueError, match="4 J1 overflows"):
+        logical_sigma_z(spec, LAYOUT, 1, 0.3)
+
+
 def test_sigma_z_second_qubit():
     phi = 0.4
     sched = logical_sigma_z(SPEC, LAYOUT, 2, phi)

@@ -18,7 +18,7 @@ SUBCOMMAND_MODULES = {
     "josephson-map": {"cli", "chain", "josephson"},
     "gate-fidelity": {"cli", "operators", "chain", "blockade", "gates"},
     "blockade-check": {"cli", "blockade"},
-    "deviation-sweep": {"cli", "operators", "chain", "blockade", "gates", "deviation"},
+    "deviation-sweep": {"cli", "operators", "deviation"},
 }
 
 
