@@ -23,8 +23,8 @@ _EXPORTS = {
             "Scenario",
             "ScenarioResult",
             "deviation_speed",
-            "full_chain_deviation",
             "lower_bound",
+            "phase_set_distance",
             "scenario_deviation",
         ),
         "blockade": (
@@ -51,7 +51,7 @@ _EXPORTS = {
             "extract_couplings",
             "invert_capacitance",
         ),
-        "operators": ("phase_set_distance",),
+        "oracles": ("full_chain_deviation",),
     }.items()
     for name in names
 }

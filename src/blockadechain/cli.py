@@ -518,26 +518,29 @@ def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
             report = simulate_gate(spec, layout, schedule)
             phi_target = (4.0 * p["j1"] * tau) % (2.0 * np.pi)
             resid = (report.phase_phi - phi_target + np.pi) % (2.0 * np.pi) - np.pi
+            row = {
+                "mode": "naive" if p["naive"] else "compensated",
+                "j1": p["j1"],
+                "j2": j2,
+                "x1": p["x1"],
+                "tau": tau,
+                "fidelity": report.fidelity,
+                "deficit": 1.0 - report.fidelity,
+                "leakage": report.leakage,
+                "phi": report.phase_phi,
+                "phi_target": phi_target,
+                "phi_residual": resid,
+            }
+            rows.append(row)
+            # a non-finite row fails in either mode, as abs(nan) > PHASE_TOL is False;
             # the compensated gate phase is exact; the naive residual is the point
-            if not p["naive"] and abs(resid) > PHASE_TOL:
+            bad = [col for col in ("fidelity", "leakage", "phi", "phi_residual") if not math.isfinite(row[col])]
+            if bad:
+                cfg.invariant_failures.append(f"non-finite {', '.join(bad)} at j2={j2}, tau={tau}")
+            elif not p["naive"] and abs(resid) > PHASE_TOL:
                 cfg.invariant_failures.append(
                     f"gate phase residual {resid:.3e} exceeds {PHASE_TOL} at j2={j2}, tau={tau}"
                 )
-            rows.append(
-                {
-                    "mode": "naive" if p["naive"] else "compensated",
-                    "j1": p["j1"],
-                    "j2": j2,
-                    "x1": p["x1"],
-                    "tau": tau,
-                    "fidelity": report.fidelity,
-                    "deficit": 1.0 - report.fidelity,
-                    "leakage": report.leakage,
-                    "phi": report.phase_phi,
-                    "phi_target": phi_target,
-                    "phi_residual": resid,
-                }
-            )
     if p["schedule_out"]:
         Path(p["schedule_out"]).write_text(
             json.dumps(compiled, sort_keys=True, indent=1) + "\n", encoding="utf-8"

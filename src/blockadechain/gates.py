@@ -8,6 +8,12 @@ one logical excitation onto the blockade block with composite
 tilt-compensated exchange pulses, lets the displaced configuration
 accumulate static phase, and retraces the transfer with negated pulse
 strengths.  The layouts and their static residual are in ``blockade``.
+
+Basis convention used across the package: site 1 is the most significant
+bit of the basis index, ``|1>`` is the ``sigma^z = +1`` eigenstate and
+``|0>`` the ``-1`` eigenstate, so the occupation operator is
+``n = (1 + sigma^z) / 2``.  All energies are in units with hbar = 1.
+The dense Pauli algebra these closed forms replace is in ``oracles``.
 """
 
 from __future__ import annotations
@@ -19,7 +25,41 @@ import numpy as np
 from . import InvariantViolation
 from .blockade import LogicalLayout, pair_encoded_layout
 from .chain import ChainSpec, ControlSchedule, ControlSegment
-from .operators import order_sums, pattern_index, spin_patterns
+
+#: Largest number of spins whose sigma^z patterns are enumerated (2**20 rows).
+PATTERN_CAP = 20
+
+
+def spin_patterns(n: int) -> np.ndarray:
+    """sigma^z of every site for all 2^n basis codes, shape (2^n, n), int8.
+
+    Row c holds the pattern of basis index c: site 1 is the most
+    significant bit and a set bit is ``sigma^z = +1``.
+    """
+    if n > PATTERN_CAP:
+        raise ValueError(f"2**{n} patterns exceed the enumeration cap of 2**{PATTERN_CAP}")
+    codes = np.arange(2**n, dtype=np.int64)
+    s = np.empty((codes.size, n), dtype=np.int8, order="F")
+    for j in range(n):
+        s[:, j] = 2 * ((codes >> (n - 1 - j)) & 1) - 1
+    return s
+
+
+def order_sums(s: np.ndarray, k: int) -> np.ndarray:
+    """Integer Ising order-k sum ``sum_i s_i s_{i+k}`` of every pattern row."""
+    out = np.zeros(s.shape[0], dtype=np.int64)
+    for i in range(s.shape[1] - k):
+        out += s[:, i] * s[:, i + k]
+    return out
+
+
+def pattern_index(s: np.ndarray) -> np.ndarray:
+    """Basis index of every sigma^z pattern row (site 1 most significant)."""
+    idx = np.zeros(s.shape[0], dtype=np.int64)
+    for j in range(s.shape[1]):
+        idx <<= 1
+        idx |= s[:, j] > 0
+    return idx
 
 
 def layout_patterns(layout: LogicalLayout) -> np.ndarray:

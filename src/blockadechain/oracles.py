@@ -3,10 +3,11 @@
 Pauli-string operators realized as dense 2^N x 2^N matrices,
 eigendecomposition propagators with a unitarity certificate, the chain
 Hamiltonian builders and time-ordered evolution, a grid search for the
-optimal global phase, the CPHASE transfer blocks and the frozen
-deviation layouts.  No CLI subcommand imports this module: the library's
+optimal global phase, the CPHASE transfer blocks, and the frozen
+deviation layouts with the full-chain deviation ``full_chain_deviation``
+built on them.  No CLI subcommand imports this module: the library's
 closed forms run on sigma^z patterns, and these dense paths check them
-in tests and in ``deviation.full_chain_deviation``.
+in tests.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ import numpy as np
 from . import InvariantViolation
 from .blockade import LogicalLayout, pair_encoded_layout, single_spin_layout
 from .chain import ChainSpec, ControlSchedule, ControlSegment
-from .deviation import MIN_QUBITS, Scenario
+from .deviation import MIN_QUBITS, Scenario, phase_set_distance
 from .gates import PulseParameters, composite_pulse_parameters, layout_patterns, logical_background_energy
-from .operators import pattern_index, spin_patterns
+from .gates import pattern_index, spin_patterns
 
 #: Largest register realized as a dense 2^N x 2^N matrix.
 DIMENSION_CAP = 14
@@ -345,7 +346,7 @@ def reduced_hamiltonians(spec: ChainSpec, j45: float, j67: float) -> ReducedHami
 
 
 # ---------------------------------------------------------------------------
-# Frozen layouts of the deviation scenarios, for ``deviation.full_chain_deviation``
+# Frozen layouts of the deviation scenarios, for ``full_chain_deviation``
 
 #: Qubits each scenario freezes, as offset from its target qubit -> frozen
 #: bit; the scenario's layout is ``single_spin_layout(n)`` with these
@@ -387,11 +388,19 @@ def default_target(scenario: Scenario, n: int) -> int:
     return min(candidates, key=lambda i: (abs(i - mid), i))
 
 
-def _scenario_layout(scenario: Scenario, n: int) -> tuple[LogicalLayout, int | None]:
-    """The scenario's layout and target qubit (None for idle).
+def _scenario_rows(scenario: Scenario, n: int):
+    """sigma^z rows of the scenario's layout and the halves of each state.
 
     The layout is ``single_spin_layout(n)`` with the FROZEN qubits made
-    blockades.
+    blockades.  The enumeration behind the full-chain oracle and the check
+    on ``deviation._reachable_sums``; capped at ``PATTERN_CAP`` spins.
+
+    Returns ``(s, halves, i0)``: ``s`` has one row of all 2n+1 sites per
+    pattern of the free qubits, and each of ``halves`` selects one row
+    per frozen-subspace state, in the same order.  ``i0`` is the target
+    qubit (None for idle).  The x-rotation target is free and held in |+>,
+    so its halves are the rows with the target down and up; otherwise one
+    half holds every row.
     """
     if n < MIN_QUBITS[scenario]:
         raise ValueError(f"{scenario.value} scenario needs n >= {MIN_QUBITS[scenario]}")
@@ -400,23 +409,7 @@ def _scenario_layout(scenario: Scenario, n: int) -> tuple[LogicalLayout, int | N
     frozen = {i0 + d: bit for d, bit in FROZEN[scenario].items()}
     qubits = tuple(q for i, q in enumerate(base.qubit_sites, 1) if i not in frozen)
     blockades = base.blockade_sites + tuple((base.qubit_sites[i - 1][0], b) for i, b in frozen.items())
-    return LogicalLayout(len(qubits), 1, qubits, blockades), i0
-
-
-def _scenario_rows(scenario: Scenario, n: int):
-    """sigma^z rows of the scenario's layout and the halves of each state.
-
-    The enumeration behind the full-chain oracle and the check on
-    ``deviation._reachable_sums``; capped at ``PATTERN_CAP`` spins.
-
-    Returns ``(s, halves, i0)``: ``s`` has one row of all 2n+1 sites per
-    pattern of the free qubits, and each of ``halves`` selects one row
-    per frozen-subspace state, in the same order.  The x-rotation target
-    is free and held in |+>, so its halves are the rows with the target
-    down and up; otherwise one half holds every row.
-    """
-    layout, i0 = _scenario_layout(scenario, n)
-    s = layout_patterns(layout)
+    s = layout_patterns(LogicalLayout(len(qubits), 1, qubits, blockades))
     if scenario is not Scenario.SIGMA_X:
         return s, (slice(None),), i0
     up = s[:, 2 * i0 - 1] > 0
@@ -430,3 +423,55 @@ def _embedding(s: np.ndarray, halves) -> np.ndarray:
     for h in halves:
         cols[pattern_index(s[h]), p] = 1.0 / np.sqrt(len(halves))
     return cols
+
+
+# ---------------------------------------------------------------------------
+# Full-chain oracle: the same deviations from 2^(2n+1)-dimensional propagators
+# restricted to the frozen configuration.
+
+def full_chain_deviation(scenario: Scenario, n: int, j2: float, t: float) -> tuple[float, float]:
+    """(raw, phase-optimized) deviation from full-chain propagators.
+
+    Builds exp(-i t H_ideal) and exp(-i t (H_ideal + H_L)) on all
+    2n+1 spins with J1 = 1 and the scenario's CONTROL switched on,
+    restricts both to the frozen configuration, and measures the same
+    two deviations as the reduced-space path.  Serves as the independent
+    consistency oracle for chains of up to 9 spins.
+    """
+    scenario = Scenario(scenario)
+    s, halves, i0 = _scenario_rows(scenario, n)
+    n_sites = s.shape[1]
+    spec = ChainSpec(n_sites, j1=1.0, j2=j2, x1_max=1.0)
+    fields = {"bx": [0.0] * n_sites, "bz": [0.0] * n_sites, "jxy": [0.0] * (n_sites - 1)}
+    if scenario in CONTROL:
+        name, strength, offsets = CONTROL[scenario]
+        for d in offsets:
+            fields[name][2 * i0 - 1 + d] = strength
+    seg = ControlSegment(max(t, 1.0), **fields)
+
+    h_ideal = realize(build_h_ideal(spec, seg))
+    h_real = h_ideal + realize(build_h_long_range(spec))
+    u = expm_unitary(h_ideal, t).matrix
+    v = expm_unitary(h_real, t).matrix
+
+    e = _embedding(s, halves)
+    u_sub = e.conj().T @ u @ e
+    v_sub = e.conj().T @ v @ e
+    closure = max(
+        float(np.max(np.abs(u @ e - e @ u_sub))),
+        float(np.max(np.abs(v @ e - e @ v_sub))),
+    )
+    if closure > 1e-10:
+        raise InvariantViolation(f"frozen subspace not closed under evolution ({closure:.3e})")
+
+    raw = spectral_norm(u_sub - v_sub)
+    du = np.diag(u_sub)
+    dv = np.diag(v_sub)
+    offdiag = max(
+        float(np.max(np.abs(u_sub - np.diag(du)))),
+        float(np.max(np.abs(v_sub - np.diag(dv)))),
+    )
+    if offdiag > 1e-12:
+        raise InvariantViolation("restricted propagators are not diagonal")
+    _, opt = phase_set_distance(np.angle(dv) - np.angle(du))
+    return raw, opt

@@ -18,7 +18,6 @@ from blockadechain.cli import main as cli_main
 from blockadechain.deviation import (
     Scenario,
     deviation_speed,
-    full_chain_deviation,
     scenario_deviation,
 )
 from blockadechain.blockade import pair_encoded_layout, single_spin_layout, verify_blockade_cancellation
@@ -30,7 +29,7 @@ from blockadechain.josephson import (
     extract_couplings,
     invert_capacitance,
 )
-from blockadechain.oracles import expm_unitary, pulse_rotation, spectral_norm
+from blockadechain.oracles import expm_unitary, full_chain_deviation, pulse_rotation, spectral_norm
 
 GATE_SPEC = ChainSpec(10, j1=1.0, j2=0.05, x1_max=0.5)
 GATE_LAYOUT = pair_encoded_layout(2, 2)

@@ -538,6 +538,25 @@ def test_gate_fidelity_overflowing_j1_is_a_config_error(tmp_path, capsys, j1):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "params",
+    [{"j1": 4.4e307}, {"j1": -4.4e307}, {"j1": 4.4e307, "naive": True}, {"j2": [4.4e307]}],
+)
+def test_gate_fidelity_non_finite_row_is_invariant_failure(tmp_path, capsys, params):
+    # 4|J1| is finite, but the Ising energies overflow and every gate row is nan
+    cfg = write_config(tmp_path, {"scenario": "gate-fidelity", "parameters": params})
+    out = tmp_path / "o.csv"
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert main(["gate-fidelity", "--config", cfg, "--out", str(out)]) == EXIT_INVARIANT
+    j2 = params.get("j2", [0.05])[0]
+    assert capsys.readouterr().err.splitlines() == [
+        f"numerical invariant violation: non-finite fidelity, leakage, phi, phi_residual at j2={j2}, tau={tau}"
+        for tau in (0.1, 0.2, 0.4)
+    ]
+    assert len(read_rows(out)) == 3
+
+
 def test_gate_fidelity_builds_no_schedule_payload_without_schedule_out(tmp_path, monkeypatch):
     from blockadechain.chain import ControlSchedule
 

@@ -2,15 +2,16 @@
 
 Each example mutates one subcommand's default config (wrong types, null,
 huge, subnormal and non-finite numbers, unknown keys, nested lists) and
-runs it through ``cli.main``.  All examples run in one child process
-under an address-space limit, so a missing size budget shows as a
-``MemoryError`` instead of exhausting the machine.  Run this file as a
-script, with an output directory, to run the property in the current
-process.
+runs it through ``cli.main``; a run that exits 0 must write only finite
+numbers.  All examples run in one child process under an address-space
+limit, so a missing size budget shows as a ``MemoryError`` instead of
+exhausting the machine.  Run this file as a script, with an output
+directory, to run the property in the current process.
 """
 
 import contextlib
 import copy
+import csv
 import io
 import json
 import os
@@ -32,7 +33,7 @@ ADDRESS_SPACE_BYTES = 3 << 30
 
 #: Values a mutation puts in place of a config entry: wrong types, null,
 #: extreme and non-finite numbers, and a nested list.
-VALUES = ["x", True, None, [[1.0]], 1e308, -1e308, 5e307, 1e-320, 10**9, float("nan"), float("inf")]
+VALUES = ["x", True, None, [[1.0]], 1e308, -1e308, 5e307, 4.4e307, 1e-320, 10**9, float("nan"), float("inf")]
 
 
 def containers(node) -> list:
@@ -86,6 +87,9 @@ def check_property(workdir: Path) -> None:
         elif code == EXIT_INVARIANT:
             assert lines and all(line.startswith("numerical invariant violation: ") for line in lines), lines
         else:
+            with open(workdir / "first.csv", newline="", encoding="utf-8") as fh:
+                cells = {cell for row in csv.reader(fh) for cell in row}
+            assert not cells & {"nan", "inf", "-inf"}, "a successful run wrote a non-finite cell"
             again, _ = run(scenario, config, workdir / "second.csv")
             assert again == EXIT_OK
             assert (workdir / "first.csv").read_bytes() == (workdir / "second.csv").read_bytes()

@@ -11,13 +11,20 @@ from blockadechain.deviation import (
     ScenarioResult,
     _reachable_sums,
     deviation_speed,
-    full_chain_deviation,
     lower_bound,
+    phase_set_distance,
     scenario_deviation,
 )
 from blockadechain import InvariantViolation
-from blockadechain.operators import order_sums, phase_set_distance
-from blockadechain.oracles import FROZEN, _scenario_rows, default_target, expm_unitary, spectral_norm
+from blockadechain.gates import order_sums
+from blockadechain.oracles import (
+    FROZEN,
+    _scenario_rows,
+    default_target,
+    expm_unitary,
+    full_chain_deviation,
+    spectral_norm,
+)
 
 
 def idle_phases_by_loop(n, j2, t):

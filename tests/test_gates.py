@@ -20,6 +20,7 @@ from blockadechain.blockade import (
     verify_blockade_cancellation,
 )
 from blockadechain.gates import (
+    PATTERN_CAP,
     _evolve_state,
     _ising_energy,
     compile_cphase,
@@ -28,9 +29,11 @@ from blockadechain.gates import (
     logical_background_energy,
     logical_sigma_x,
     logical_sigma_z,
+    order_sums,
+    pattern_index,
     simulate_gate,
+    spin_patterns,
 )
-from blockadechain.operators import PATTERN_CAP, order_sums, pattern_index, spin_patterns
 from blockadechain.oracles import (
     build_h_model,
     evolve,

@@ -16,10 +16,23 @@ SRC = Path(blockadechain.__file__).resolve().parents[1]
 #: here but never imported under its own name.
 SUBCOMMAND_MODULES = {
     "josephson-map": {"cli", "chain", "josephson"},
-    "gate-fidelity": {"cli", "operators", "chain", "blockade", "gates"},
+    "gate-fidelity": {"cli", "chain", "blockade", "gates"},
     "blockade-check": {"cli", "blockade"},
-    "deviation-sweep": {"cli", "operators", "deviation"},
+    "deviation-sweep": {"cli", "deviation"},
 }
+
+#: The package's public names, pinned so that moving a name between modules
+#: cannot drop it.
+PUBLIC_NAMES = [
+    "ChainSpec", "ControlSchedule", "ControlSegment", "CouplingReport", "GateReport",
+    "InvariantViolation", "JosephsonArraySpec", "LogicalLayout", "PulseParameters",
+    "Scenario", "ScenarioResult", "build_capacitance_matrix", "compile_cphase",
+    "composite_pulse_parameters", "decay_check", "deviation_speed", "extract_couplings",
+    "full_chain_deviation", "invert_capacitance", "logical_background_energy",
+    "logical_sigma_x", "logical_sigma_z", "lower_bound", "pair_encoded_layout",
+    "phase_set_distance", "scenario_deviation", "simulate_gate", "single_spin_layout",
+    "verify_blockade_cancellation",
+]
 
 
 def run_python(args, cwd):
@@ -81,6 +94,25 @@ def test_importing_the_package_loads_no_submodule(tmp_path):
     out = run_python(["-c", code], tmp_path)
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "['blockadechain']"
+
+
+def test_importing_deviation_loads_no_other_package_module(tmp_path):
+    code = "import sys, blockadechain.deviation; print(sorted(m for m in sys.modules if m.startswith('blockadechain')))"
+    out = run_python(["-c", code], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "['blockadechain', 'blockadechain.deviation']"
+
+
+def test_deviation_resolves_the_oracle_from_oracles():
+    from blockadechain import deviation, oracles
+
+    assert deviation.full_chain_deviation is oracles.full_chain_deviation
+    with pytest.raises(AttributeError, match="no attribute 'no_such_name'"):
+        deviation.no_such_name
+
+
+def test_public_names_are_unchanged():
+    assert blockadechain.__all__ == PUBLIC_NAMES
 
 
 def test_public_names_resolve_and_are_listed():

@@ -4,13 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockadechain import InvariantViolation
-from blockadechain.operators import (
-    PATTERN_CAP,
-    order_sums,
-    pattern_index,
-    phase_set_distance,
-    spin_patterns,
-)
+from blockadechain.deviation import phase_set_distance
+from blockadechain.gates import PATTERN_CAP, order_sums, pattern_index, spin_patterns
 from blockadechain.oracles import (
     OperatorSum,
     PauliTerm,
