@@ -8,10 +8,9 @@ Hamiltonians and time-ordered evolution are in ``oracles``.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
-
-import numpy as np
 
 
 @dataclass(frozen=True)
@@ -31,14 +30,14 @@ class ChainSpec:
         if self.n_spins < 2:
             raise ValueError("a chain needs at least two spins")
         for name in ("j1", "j2", "x1_max"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite")
         if self.x1_max < 0:
             raise ValueError("x1_max must be nonnegative")
         if self.j2 != 0.0 and abs(self.j2) >= abs(self.j1):
             warnings.warn(
                 "next-nearest coupling |j2| >= |j1|; outside the weak long-range regime",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
 
@@ -46,7 +45,7 @@ def _as_floats(values, length: int, name: str) -> tuple:
     out = tuple(float(v) for v in values)
     if len(out) != length:
         raise ValueError(f"{name} must have length {length}, got {len(out)}")
-    if not all(np.isfinite(out)):
+    if not all(map(math.isfinite, out)):
         raise ValueError(f"{name} has non-finite entries")
     return out
 
@@ -66,7 +65,7 @@ class ControlSegment:
 
     def __init__(self, duration: float, bx, bz, jxy) -> None:
         duration = float(duration)
-        if not (np.isfinite(duration) and duration > 0):
+        if not (math.isfinite(duration) and duration > 0):
             raise ValueError("segment duration must be positive and finite")
         bx = tuple(float(v) for v in bx)
         n = len(bx)
@@ -74,7 +73,7 @@ class ControlSegment:
         object.__setattr__(self, "bx", bx)
         object.__setattr__(self, "bz", _as_floats(bz, n, "bz"))
         object.__setattr__(self, "jxy", _as_floats(jxy, n - 1, "jxy"))
-        if not all(np.isfinite(bx)):
+        if not all(map(math.isfinite, bx)):
             raise ValueError("bx has non-finite entries")
 
     @property

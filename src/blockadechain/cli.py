@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 # Each subcommand imports the workflow modules it runs, and numpy, inside its
-# own code paths, so a run loads only those; blockade-check loads no numpy.
+# own code paths, so a run loads only those; blockade-check and gate-fidelity
+# load no numpy.
 from . import LAYOUT_BYTES_CAP, InvariantViolation
 
 EXIT_OK = 0
@@ -498,8 +499,6 @@ def run_deviation_sweep(cfg: RunConfig) -> tuple[list, Table]:
 # gate-fidelity
 
 def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
-    import numpy as np
-
     from .blockade import pair_encoded_layout
     from .chain import ChainSpec
     from .gates import compile_cphase, simulate_gate
@@ -516,8 +515,8 @@ def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
                 compiled.append({"j1": p["j1"], "j2": j2, "x1": p["x1"], "tau": tau,
                                  "segments": schedule.to_payload()})
             report = simulate_gate(spec, layout, schedule)
-            phi_target = (4.0 * p["j1"] * tau) % (2.0 * np.pi)
-            resid = (report.phase_phi - phi_target + np.pi) % (2.0 * np.pi) - np.pi
+            phi_target = (4.0 * p["j1"] * tau) % (2.0 * math.pi)
+            resid = (report.phase_phi - phi_target + math.pi) % (2.0 * math.pi) - math.pi
             row = {
                 "mode": "naive" if p["naive"] else "compensated",
                 "j1": p["j1"],

@@ -10,69 +10,43 @@ accumulate static phase, and retraces the transfer with negated pulse
 strengths.  The layouts and their static residual are in ``blockade``.
 
 Basis convention used across the package: site 1 is the most significant
-bit of the basis index, ``|1>`` is the ``sigma^z = +1`` eigenstate and
+bit of the basis code, ``|1>`` is the ``sigma^z = +1`` eigenstate and
 ``|0>`` the ``-1`` eigenstate, so the occupation operator is
 ``n = (1 + sigma^z) / 2``.  All energies are in units with hbar = 1.
-The dense Pauli algebra these closed forms replace is in ``oracles``.
+Gates run on Python integers and floats; the numpy pattern arrays and
+dense Pauli algebra these closed forms replace are in ``oracles``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import InvariantViolation
-from .blockade import LogicalLayout, pair_encoded_layout
+from . import LAYOUT_BYTES_CAP, InvariantViolation
+from .blockade import LogicalLayout, pair_encoded_layout, verify_blockade_cancellation
 from .chain import ChainSpec, ControlSchedule, ControlSegment
 
-#: Largest number of spins whose sigma^z patterns are enumerated (2**20 rows).
-PATTERN_CAP = 20
+#: Bytes charged per basis code a gate simulation reaches, plus 4 per 30 spins:
+#: 1.6-1.8x its peak tracemalloc bytes per code (the code, its energy and its
+#: four amplitudes twice) for 9 to 9880 codes of 10 to 100 spins, CPython 3.11.
+CODE_BYTES = 1024
 
 
-def spin_patterns(n: int) -> np.ndarray:
-    """sigma^z of every site for all 2^n basis codes, shape (2^n, n), int8.
-
-    Row c holds the pattern of basis index c: site 1 is the most
-    significant bit and a set bit is ``sigma^z = +1``.
-    """
-    if n > PATTERN_CAP:
-        raise ValueError(f"2**{n} patterns exceed the enumeration cap of 2**{PATTERN_CAP}")
-    codes = np.arange(2**n, dtype=np.int64)
-    s = np.empty((codes.size, n), dtype=np.int8, order="F")
-    for j in range(n):
-        s[:, j] = 2 * ((codes >> (n - 1 - j)) & 1) - 1
-    return s
+def _energy(spec: ChainSpec, code: int, n: int) -> float:
+    """Static J1 + J2 Ising energy of a basis code of ``n`` spins: each of the
+    n - k pairs of order k adds J_k, or -J_k where its two bits differ."""
+    m1, m2 = (n - k - 2 * ((code ^ (code >> k)) & ((1 << (n - k)) - 1)).bit_count() for k in (1, 2))
+    return spec.j1 * m1 + spec.j2 * m2
 
 
-def order_sums(s: np.ndarray, k: int) -> np.ndarray:
-    """Integer Ising order-k sum ``sum_i s_i s_{i+k}`` of every pattern row."""
-    out = np.zeros(s.shape[0], dtype=np.int64)
-    for i in range(s.shape[1] - k):
-        out += s[:, i] * s[:, i + k]
-    return out
-
-
-def pattern_index(s: np.ndarray) -> np.ndarray:
-    """Basis index of every sigma^z pattern row (site 1 most significant)."""
-    idx = np.zeros(s.shape[0], dtype=np.int64)
-    for j in range(s.shape[1]):
-        idx <<= 1
-        idx |= s[:, j] > 0
-    return idx
-
-
-def layout_patterns(layout: LogicalLayout) -> np.ndarray:
-    """sigma^z of every site for every logical basis pattern, shape (2^n_logical, N)."""
-    logical = spin_patterns(layout.n_logical)  # +1 for logical |1>
-    s = np.empty((logical.shape[0], layout.n_sites), dtype=np.int8, order="F")
-    for site, bit in layout.blockade_sites:
-        s[:, site - 1] = 2 * bit - 1
-    for q, pair in enumerate(layout.qubit_sites):
-        s[:, pair[0] - 1] = logical[:, q]
-        if len(pair) == 2:  # |0>_L = |01>, |1>_L = |10>
-            s[:, pair[1] - 1] = -logical[:, q]
-    return s
+def _logical_code(layout: LogicalLayout, value: int) -> int:
+    """Basis code of the logical basis state ``value``, qubit 1 its most
+    significant bit, with every blockade in its frozen state."""
+    bits = list(layout.blockade_sites)
+    for q, sites in enumerate(layout.qubit_sites):
+        one = value >> (layout.n_logical - 1 - q) & 1
+        bits += zip(sites, (one, 1 - one))  # |1>_L = |10>, |0>_L = |01>; a single site holds the bit
+    return sum(bit << (layout.n_sites - site) for site, bit in bits)
 
 
 @dataclass(frozen=True)
@@ -106,29 +80,23 @@ def composite_pulse_parameters(x1: float, delta: float) -> PulseParameters:
     """
     if x1 <= 0:
         raise ValueError("pulse amplitude x1 must be positive")
-    theta = float(np.arctan2(delta, x1))
+    theta = math.atan2(delta, x1)
     if delta == 0.0:
         x2 = x1
-    elif abs(np.cos(2 * theta)) < 1e-15:
+    elif abs(math.cos(2 * theta)) < 1e-15:
         x2 = 0.0
     else:
-        x2 = delta * np.cos(2 * theta) / np.sin(2 * theta)
-    t_r1 = np.pi / (2.0 * np.hypot(x1, delta))
-    t_r2 = np.pi / (2.0 * np.hypot(x2, delta))
-    return PulseParameters(x1=x1, theta=theta, x2=x2, t_r1=float(t_r1), t_r2=float(t_r2))
-
-
-def _ising_energy(spec: ChainSpec, s: np.ndarray) -> np.ndarray:
-    """Static J1 + J2 Ising energy of every sigma^z pattern row."""
-    return spec.j1 * order_sums(s, 1) + spec.j2 * order_sums(s, 2)
+        x2 = delta * math.cos(2 * theta) / math.sin(2 * theta)
+    t_r1 = math.pi / (2.0 * math.hypot(x1, delta))
+    t_r2 = math.pi / (2.0 * math.hypot(x2, delta))
+    return PulseParameters(x1=x1, theta=theta, x2=x2, t_r1=t_r1, t_r2=t_r2)
 
 
 def logical_background_energy(spec: ChainSpec, layout: LogicalLayout) -> float:
     """Static Ising energy shared by all logical basis states."""
-    energies = _ising_energy(spec, layout_patterns(layout))
-    if energies.max() - energies.min() > 1e-12:
+    if verify_blockade_cancellation(layout, [spec.j1, spec.j2]) > 0.5e-12:
         raise InvariantViolation("logical basis states are not degenerate for this layout")
-    return float(energies[0])
+    return _energy(spec, _logical_code(layout, 0), layout.n_sites)
 
 
 def _cphase_bonds(layout: LogicalLayout) -> tuple[int, int]:
@@ -143,9 +111,9 @@ def _phase_period(spec: ChainSpec) -> float:
     a J1 that is zero or whose 4|J1| overflows, so that the period is 0."""
     if spec.j1 == 0:
         raise ValueError("CPHASE needs a nonzero static coupling J1")
-    if not np.isfinite(4.0 * spec.j1):
+    if not math.isfinite(4.0 * spec.j1):
         raise ValueError(f"J1 = {spec.j1!r} is out of range: 4 J1 overflows")
-    return 2.0 * np.pi / (4.0 * abs(spec.j1))
+    return 2.0 * math.pi / (4.0 * abs(spec.j1))
 
 
 def compile_cphase(
@@ -168,7 +136,7 @@ def compile_cphase(
     schemes that omit the long-range coupling; simulated against the
     true chain this leaves a measurable fidelity deficit.
     """
-    if not (np.isfinite(tau) and tau >= 0):
+    if not (math.isfinite(tau) and tau >= 0):
         raise ValueError("tau must be finite and nonnegative")
     period = _phase_period(spec)
     layout = pair_encoded_layout(2, 2) if layout is None else layout
@@ -205,81 +173,111 @@ def compile_cphase(
 
 @dataclass(frozen=True)
 class GateReport:
-    """Logical action of a simulated schedule on the two-qubit register."""
+    """Logical action of a simulated schedule on the two-qubit register;
+    ``logical_matrix`` is the 4x4 block as a tuple of rows of complex."""
 
-    logical_matrix: np.ndarray
+    logical_matrix: tuple
     leakage: float
     fidelity: float
     phase_phi: float
 
 
-def _evolve_state(spec: ChainSpec, schedule: ControlSchedule, psi: np.ndarray) -> np.ndarray:
-    """Apply the schedule's propagator to a state (2^N,) or to columns (2^N, k).
-
-    Idle segments are phases of the static Ising diagonal.  A single XY
-    bond of strength j couples each |..10..>, |..01..> pair of its sites
-    through the block [[E_a, 2j], [2j, E_c]], rotated in closed form;
-    |..00..> and |..11..> only pick up their phase.  Encoded gates keep
-    every field off, so any other segment raises ``ValueError``.
-    """
-    if any(any(seg.bx) or any(seg.bz) or np.count_nonzero(seg.jxy) > 1 for seg in schedule.segments):
+def _bond_bit(seg: ControlSegment, n: int) -> int:
+    """Bit of the first site of the segment's XY bond, 0 for an idle segment;
+    ``ValueError`` for any other segment, which encoded gates never need."""
+    on = [b for b, j in enumerate(seg.jxy, start=1) if j]
+    if any(seg.bx) or any(seg.bz) or len(on) > 1:
         raise ValueError("encoded gates need bx == 0, bz == 0 and at most one XY bond per segment")
-    n = spec.n_spins
-    energy = _ising_energy(spec, spin_patterns(n))
-    codes = np.arange(energy.size)
-    shape = np.shape(psi)
-    psi = np.asarray(psi, dtype=complex).reshape(energy.size, -1)
+    return 1 << (n - on[0]) if on else 0
+
+
+def _reachable_codes(schedule: ControlSchedule, starts) -> list:
+    """Sorted basis codes the schedule can populate from the codes ``starts``:
+    a bond flips |..10..> <-> |..01..> on its sites, so the codes held after
+    a segment are those before it and their flips.  Raises ``ValueError``
+    once they pass ``LAYOUT_BYTES_CAP``, before anything is propagated."""
+    n = schedule.n_spins
+    held = set(starts)
     for seg in schedule.segments:
-        bonds = [b for b, j in enumerate(seg.jxy, start=1) if j]
-        t = seg.duration
-        out = np.exp(-1j * t * energy)[:, None] * psi
-        if bonds:
-            hi = 1 << (n - bonds[0])  # bit of the bond's first site
-            pair = hi | (hi >> 1)
-            a = codes[(codes & pair) == hi]  # |..10..>
-            c = a ^ pair  # |..01..>
-            g = 2.0 * seg.jxy[bonds[0] - 1]
-            ea, ec = energy[a, None], energy[c, None]
+        hi = _bond_bit(seg, n)
+        pair = hi | (hi >> 1)
+        held.update([c ^ pair for c in held if hi and c & pair in (hi, hi >> 1)])
+        if len(held) * (CODE_BYTES + n // 30 * 4) > LAYOUT_BYTES_CAP:
+            raise ValueError(f"the reachable basis codes exceed the budget of {LAYOUT_BYTES_CAP} bytes")
+    return sorted(held)
+
+
+def _cis(x: float) -> complex:
+    """e^{i x}; nan for a non-finite x, where overflowed energies lead."""
+    if not math.isfinite(x):
+        return complex(math.nan, math.nan)
+    return complex(math.cos(x), math.sin(x))
+
+
+def _propagate(spec: ChainSpec, schedule: ControlSchedule, starts: list) -> dict:
+    """Amplitudes of every reachable code in the columns that start on the
+    basis codes ``starts``.  Idle segments are phases of the static Ising
+    energy.  A single XY bond of strength j couples each |..10..>, |..01..>
+    pair of its sites through the block [[E_a, 2j], [2j, E_c]], rotated in
+    closed form; |..00..> and |..11..> only pick up their phase, and so does
+    a code whose partner is unreachable, as it holds no amplitude yet."""
+    codes = _reachable_codes(schedule, starts)
+    n = spec.n_spins
+    energy = {c: _energy(spec, c, n) for c in codes}
+    psi = {c: [complex(c == s) for s in starts] for c in codes}
+    for seg in schedule.segments:
+        t, hi, g = seg.duration, _bond_bit(seg, n), 2.0 * max(seg.jxy, key=abs)
+        pair = hi | (hi >> 1)
+        out = {}
+        for c in codes:
+            phase = _cis(-t * energy[c])
+            out[c] = [phase * x for x in psi[c]]
+        for a in codes:
+            c = a ^ pair
+            if not hi or a & pair != hi or c not in psi:
+                continue
+            ea, ec = energy[a], energy[c]
             half = (ea - ec) / 2.0
-            w = np.hypot(half, g)
-            cos = np.cos(w * t)
-            sinc = np.sin(w * t) / w
-            phase = np.exp(-0.5j * t * (ea + ec))
-            u_aa = phase * (cos - 1j * sinc * half)
-            u_cc = phase * (cos + 1j * sinc * half)
+            w = math.hypot(half, g)
+            rot = _cis(w * t)
+            sinc = rot.imag / w
+            phase = _cis(-0.5 * t * (ea + ec))
+            u_aa = phase * (rot.real - 1j * sinc * half)
+            u_cc = phase * (rot.real + 1j * sinc * half)
             u_ac = phase * (-1j * sinc * g)
-            out[a] = u_aa * psi[a] + u_ac * psi[c]
-            out[c] = u_ac * psi[a] + u_cc * psi[c]
+            out[a] = [u_aa * x + u_ac * y for x, y in zip(psi[a], psi[c])]
+            out[c] = [u_ac * x + u_cc * y for x, y in zip(psi[a], psi[c])]
         psi = out
-    return psi.reshape(shape)
+    return psi
 
 
 def simulate_gate(spec: ChainSpec, layout: LogicalLayout, schedule: ControlSchedule) -> GateReport:
     """Evolve the logical basis under the full chain and project back.
 
-    The report's 4x4 matrix is normalized so the |00>_L element is real
-    and positive; ``phase_phi`` is the argument of the |01>_L diagonal
-    element, the slot where the CPHASE protocol deposits its phase.
-    Fidelity is |tr(V^dag M)|^2 / 16 against the ideal CPHASE of that
-    extracted phase, and leakage is the largest population that left
-    the logical subspace.
+    The four logical codes are propagated on the codes the schedule reaches
+    from them (``_propagate``).  The report's 4x4 matrix is normalized so
+    the |00>_L element is real and positive; ``phase_phi`` is the argument
+    of the |01>_L diagonal element, the slot where the CPHASE protocol
+    deposits its phase.  Fidelity is |tr(V^dag M)|^2 / 16 against the ideal
+    CPHASE of that extracted phase, and leakage is the largest population
+    that left the logical subspace.
     """
     if layout.n_logical != 2:
         raise ValueError("gate simulation reports the two-logical-qubit register")
     if layout.n_sites != spec.n_spins or schedule.n_spins != spec.n_spins:
         raise ValueError("chain, layout, and schedule sizes must agree")
-    idx = pattern_index(layout_patterns(layout))  # |q1 q2>_L in binary order
-    basis = np.zeros((2**layout.n_sites, idx.size), dtype=complex)
-    basis[idx, np.arange(idx.size)] = 1.0
-    m = _evolve_state(spec, schedule, basis)[idx]
-    leakage = float(max(1.0 - np.linalg.norm(m[:, k]) ** 2 for k in range(4)))
-    a00 = m[0, 0]
+    codes = [_logical_code(layout, v) for v in range(4)]  # |q1 q2>_L in binary order
+    psi = _propagate(spec, schedule, codes)
+    m = [psi[c] for c in codes]  # m[i][k]: logical state i from column k
+    leakage = max(1.0 - math.sqrt(sum(z.real * z.real for z in col) + sum(z.imag * z.imag for z in col)) ** 2
+                  for col in zip(*m))
+    a00 = m[0][0]
     if abs(a00) < 1e-12:
         raise InvariantViolation("|00> amplitude vanished; cannot fix the global phase")
-    m = m * (a00.conjugate() / abs(a00))
-    phi = float(np.angle(m[1, 1]) % (2.0 * np.pi))
-    ideal = np.diag([1.0, np.exp(1j * phi), 1.0, 1.0])
-    fidelity = float(abs(np.trace(ideal.conj().T @ m)) ** 2 / 16.0)
+    unphase = a00.conjugate() * (1.0 / abs(a00))
+    m = tuple(tuple(x * unphase for x in row) for row in m)
+    phi = math.atan2(m[1][1].imag, m[1][1].real) % (2.0 * math.pi)
+    fidelity = abs(m[0][0] + _cis(phi).conjugate() * m[1][1] + m[2][2] + m[3][3]) ** 2 / 16.0
     return GateReport(logical_matrix=m, leakage=leakage, fidelity=fidelity, phase_phi=phi)
 
 
@@ -295,7 +293,7 @@ def logical_sigma_x(spec: ChainSpec, layout: LogicalLayout, qubit: int, angle: f
     pair = layout.qubit_sites[qubit - 1]
     if len(pair) != 2:
         raise ValueError("x-rotations need the pair encoding")
-    if not np.isfinite(angle):
+    if not math.isfinite(angle):
         raise ValueError("angle must be finite")
     if spec.x1_max <= 0:
         raise ValueError("chain has no tunable XY range (x1_max == 0)")
@@ -319,12 +317,12 @@ def logical_sigma_z(spec: ChainSpec, layout: LogicalLayout, qubit: int, phi: flo
         raise ValueError("the z-rotation composite needs two logical qubits")
     if qubit not in (1, 2):
         raise ValueError("qubit index out of range")
-    if not np.isfinite(phi):
+    if not math.isfinite(phi):
         raise ValueError("phi must be finite")
     period = _phase_period(spec)
     other = 2 if qubit == 1 else 1
     target_phase = 2.0 * phi if qubit == 1 else -2.0 * phi
     tau = (target_phase / (4.0 * spec.j1)) % period
     cphase = compile_cphase(spec, tau, layout=layout)
-    flip = logical_sigma_x(spec, layout, other, np.pi)
+    flip = logical_sigma_x(spec, layout, other, math.pi)
     return cphase + flip + cphase + flip

@@ -56,7 +56,7 @@ class JosephsonArraySpec:
             warnings.warn(
                 f"epsilon = {self.epsilon:.3g} exceeds {DECAY_REGIME_EPS}; "
                 "the exponential-decay analysis assumes epsilon << 1",
-                stacklevel=2,
+                stacklevel=3,  # the caller of the generated __init__
             )
 
     @property

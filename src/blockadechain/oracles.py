@@ -1,13 +1,15 @@
 """Dense reference implementations: the independent oracles of the library.
 
+The sigma^z patterns of all 2^N basis codes with their integer Ising
+sums and the dense-vector gate propagator ``_evolve_state`` on them,
 Pauli-string operators realized as dense 2^N x 2^N matrices,
 eigendecomposition propagators with a unitarity certificate, the chain
 Hamiltonian builders and time-ordered evolution, a grid search for the
 optimal global phase, the CPHASE transfer blocks, and the frozen
 deviation layouts with the full-chain deviation ``full_chain_deviation``
 built on them.  No CLI subcommand imports this module: the library's
-closed forms run on sigma^z patterns, and these dense paths check them
-in tests.
+closed forms run on the basis codes they reach, and these dense paths
+check them in tests.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from . import InvariantViolation
 from .blockade import LogicalLayout, pair_encoded_layout, single_spin_layout
 from .chain import ChainSpec, ControlSchedule, ControlSegment
 from .deviation import MIN_QUBITS, Scenario, phase_set_distance
-from .gates import PulseParameters, composite_pulse_parameters, layout_patterns, logical_background_energy
-from .gates import pattern_index, spin_patterns
+from .gates import PulseParameters, composite_pulse_parameters, logical_background_energy
 
 #: Largest register realized as a dense 2^N x 2^N matrix.
 DIMENSION_CAP = 14
@@ -32,6 +33,104 @@ UNITARITY_TOL = 1e-10
 
 # i**k for the number k of Y letters in a Pauli string, exact in both parts
 _I_POWERS = (1.0 + 0.0j, 1.0j, -1.0 + 0.0j, -1.0j)
+
+
+# ---------------------------------------------------------------------------
+# sigma^z patterns of basis codes and the dense-vector gate propagator
+
+#: Largest number of spins whose sigma^z patterns are enumerated (2**20 rows).
+PATTERN_CAP = 20
+
+
+def spin_patterns(n: int) -> np.ndarray:
+    """sigma^z of every site for all 2^n basis codes, shape (2^n, n), int8.
+
+    Row c holds the pattern of basis index c: site 1 is the most
+    significant bit and a set bit is ``sigma^z = +1``.
+    """
+    if n > PATTERN_CAP:
+        raise ValueError(f"2**{n} patterns exceed the enumeration cap of 2**{PATTERN_CAP}")
+    codes = np.arange(2**n, dtype=np.int64)
+    s = np.empty((codes.size, n), dtype=np.int8, order="F")
+    for j in range(n):
+        s[:, j] = 2 * ((codes >> (n - 1 - j)) & 1) - 1
+    return s
+
+
+def order_sums(s: np.ndarray, k: int) -> np.ndarray:
+    """Integer Ising order-k sum ``sum_i s_i s_{i+k}`` of every pattern row."""
+    out = np.zeros(s.shape[0], dtype=np.int64)
+    for i in range(s.shape[1] - k):
+        out += s[:, i] * s[:, i + k]
+    return out
+
+
+def pattern_index(s: np.ndarray) -> np.ndarray:
+    """Basis index of every sigma^z pattern row (site 1 most significant)."""
+    idx = np.zeros(s.shape[0], dtype=np.int64)
+    for j in range(s.shape[1]):
+        idx <<= 1
+        idx |= s[:, j] > 0
+    return idx
+
+
+def layout_patterns(layout: LogicalLayout) -> np.ndarray:
+    """sigma^z of every site for every logical basis pattern, shape (2^n_logical, N)."""
+    logical = spin_patterns(layout.n_logical)  # +1 for logical |1>
+    s = np.empty((logical.shape[0], layout.n_sites), dtype=np.int8, order="F")
+    for site, bit in layout.blockade_sites:
+        s[:, site - 1] = 2 * bit - 1
+    for q, pair in enumerate(layout.qubit_sites):
+        s[:, pair[0] - 1] = logical[:, q]
+        if len(pair) == 2:  # |0>_L = |01>, |1>_L = |10>
+            s[:, pair[1] - 1] = -logical[:, q]
+    return s
+
+
+def _ising_energy(spec: ChainSpec, s: np.ndarray) -> np.ndarray:
+    """Static J1 + J2 Ising energy of every sigma^z pattern row."""
+    return spec.j1 * order_sums(s, 1) + spec.j2 * order_sums(s, 2)
+
+
+def _evolve_state(spec: ChainSpec, schedule: ControlSchedule, psi: np.ndarray) -> np.ndarray:
+    """Apply the schedule's propagator to a state (2^N,) or to columns (2^N, k).
+
+    Idle segments are phases of the static Ising diagonal.  A single XY
+    bond of strength j couples each |..10..>, |..01..> pair of its sites
+    through the block [[E_a, 2j], [2j, E_c]], rotated in closed form;
+    |..00..> and |..11..> only pick up their phase.  Encoded gates keep
+    every field off, so any other segment raises ``ValueError``.
+    """
+    if any(any(seg.bx) or any(seg.bz) or np.count_nonzero(seg.jxy) > 1 for seg in schedule.segments):
+        raise ValueError("encoded gates need bx == 0, bz == 0 and at most one XY bond per segment")
+    n = spec.n_spins
+    energy = _ising_energy(spec, spin_patterns(n))
+    codes = np.arange(energy.size)
+    shape = np.shape(psi)
+    psi = np.asarray(psi, dtype=complex).reshape(energy.size, -1)
+    for seg in schedule.segments:
+        bonds = [b for b, j in enumerate(seg.jxy, start=1) if j]
+        t = seg.duration
+        out = np.exp(-1j * t * energy)[:, None] * psi
+        if bonds:
+            hi = 1 << (n - bonds[0])  # bit of the bond's first site
+            pair = hi | (hi >> 1)
+            a = codes[(codes & pair) == hi]  # |..10..>
+            c = a ^ pair  # |..01..>
+            g = 2.0 * seg.jxy[bonds[0] - 1]
+            ea, ec = energy[a, None], energy[c, None]
+            half = (ea - ec) / 2.0
+            w = np.hypot(half, g)
+            cos = np.cos(w * t)
+            sinc = np.sin(w * t) / w
+            phase = np.exp(-0.5j * t * (ea + ec))
+            u_aa = phase * (cos - 1j * sinc * half)
+            u_cc = phase * (cos + 1j * sinc * half)
+            u_ac = phase * (-1j * sinc * g)
+            out[a] = u_aa * psi[a] + u_ac * psi[c]
+            out[c] = u_ac * psi[a] + u_cc * psi[c]
+        psi = out
+    return psi.reshape(shape)
 
 
 # ---------------------------------------------------------------------------

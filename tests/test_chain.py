@@ -42,6 +42,13 @@ def test_chain_spec_validation():
         ChainSpec(4, 0.1, 0.2)
 
 
+def test_regime_warning_names_the_caller():
+    # the dataclass-generated __init__ sits between __post_init__ and the caller
+    with pytest.warns(UserWarning, match="regime") as record:
+        ChainSpec(4, 0.1, 0.2)
+    assert record[0].filename == __file__
+
+
 def test_segment_validation():
     with pytest.raises(ValueError, match="duration"):
         ControlSegment(0.0, [0, 0], [0, 0], [0])

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -38,6 +41,7 @@ from blockadechain.josephson import (
 from blockadechain.oracles import PauliTerm
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+SRC = Path(cli.__file__).resolve().parents[1]
 
 
 def write_config(tmp_path, tree, name="config.json"):
@@ -555,6 +559,32 @@ def test_gate_fidelity_non_finite_row_is_invariant_failure(tmp_path, capsys, par
         for tau in (0.1, 0.2, 0.4)
     ]
     assert len(read_rows(out)) == 3
+
+
+@pytest.mark.parametrize("params", [{"j1": 4.4e307}, {"j1": -4.4e307}, {"j2": [4.4e307]}])
+def test_gate_fidelity_non_finite_row_prints_only_its_invariant_lines(tmp_path, params):
+    # the overflowed energies print no arithmetic warnings; a huge J2 earns
+    # the one regime warning, which names the runner's line
+    cfg = write_config(tmp_path, {"scenario": "gate-fidelity", "parameters": params})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-m", "blockadechain.cli", "gate-fidelity", "--config", cfg, "--out", "o.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert out.returncode == EXIT_INVARIANT
+    j2 = params.get("j2", [0.05])[0]
+    lines = out.stderr.splitlines()
+    assert lines[-3:] == [
+        f"numerical invariant violation: non-finite fidelity, leakage, phi, phi_residual at j2={j2}, tau={tau}"
+        for tau in (0.1, 0.2, 0.4)
+    ]
+    if "j2" not in params:
+        assert len(lines) == 3
+    else:
+        warning, source = lines[:-3]
+        assert warning.startswith(f"{Path(cli.__file__)}:")
+        assert warning.endswith(": UserWarning: next-nearest coupling |j2| >= |j1|; outside the weak long-range regime")
+        assert source.strip().startswith("spec = ChainSpec(")
 
 
 def test_gate_fidelity_builds_no_schedule_payload_without_schedule_out(tmp_path, monkeypatch):

@@ -16,13 +16,13 @@ from blockadechain.deviation import (
     scenario_deviation,
 )
 from blockadechain import InvariantViolation
-from blockadechain.gates import order_sums
 from blockadechain.oracles import (
     FROZEN,
     _scenario_rows,
     default_target,
     expm_unitary,
     full_chain_deviation,
+    order_sums,
     spectral_norm,
 )
 

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment
-from blockadechain import blockade
+from blockadechain import blockade, gates
 from blockadechain.blockade import (
     LAYOUT_BYTES_CAP,
     layout_bytes,
@@ -20,27 +20,27 @@ from blockadechain.blockade import (
     verify_blockade_cancellation,
 )
 from blockadechain.gates import (
-    PATTERN_CAP,
-    _evolve_state,
-    _ising_energy,
     compile_cphase,
     composite_pulse_parameters,
-    layout_patterns,
     logical_background_energy,
     logical_sigma_x,
     logical_sigma_z,
-    order_sums,
-    pattern_index,
     simulate_gate,
-    spin_patterns,
 )
 from blockadechain.oracles import (
+    PATTERN_CAP,
+    _evolve_state,
+    _ising_energy,
     build_h_model,
     evolve,
+    layout_patterns,
+    order_sums,
+    pattern_index,
     pulse_rotation,
     realize,
     reduced_hamiltonians,
     solve_pulse_parameters,
+    spin_patterns,
 )
 
 SPEC = ChainSpec(10, j1=1.0, j2=0.05, x1_max=0.5)
@@ -481,6 +481,65 @@ def test_structured_propagation_matches_dense_evolve(run):
     single = _evolve_state(spec, sched, psi[:, 0])
     assert single.shape == (2**spec.n_spins,)
     assert np.max(np.abs(single - u @ psi[:, 0])) < 1e-12
+
+
+@st.composite
+def logical_register_runs(draw):
+    layout = pair_encoded_layout(2, draw(st.integers(1, 3)))
+    n = layout.n_sites
+    j2 = draw(st.just(0.0) | st.floats(-2.0, 2.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # |j2| >= |j1| is allowed here
+        spec = ChainSpec(n, j1=draw(st.floats(-2.0, 2.0)), j2=j2)
+    duration = st.floats(0.01, 3.0)
+    idle = st.builds(ControlSegment.idle, st.just(n), duration)
+    pulse = st.builds(
+        ControlSegment.bond_pulse, st.just(n), st.integers(1, n - 1), st.floats(-1.5, 1.5), duration
+    )
+    return spec, layout, ControlSchedule(draw(st.lists(idle | pulse, min_size=1, max_size=8)))
+
+
+@settings(max_examples=80, deadline=None)
+@given(logical_register_runs())
+def test_reachable_propagation_matches_dense_vector(run):
+    # the four logical columns on the reachable codes against all 2^N rows
+    spec, layout, sched = run
+    idx = pattern_index(layout_patterns(layout))
+    basis = np.zeros((2**layout.n_sites, idx.size), dtype=complex)
+    basis[idx, np.arange(idx.size)] = 1.0
+    psi = gates._propagate(spec, sched, idx.tolist())
+    reached = np.zeros_like(basis)
+    for code, amplitudes in psi.items():
+        reached[code] = amplitudes
+    assert np.max(np.abs(reached - _evolve_state(spec, sched, basis))) < 1e-12
+
+
+def logical_codes(layout):
+    return [gates._logical_code(layout, v) for v in range(4)]
+
+
+def test_cphase_reaches_nine_codes():
+    sched = compile_cphase(SPEC, 0.2, layout=LAYOUT)
+    assert len(gates._reachable_codes(sched, logical_codes(LAYOUT))) == 9
+
+
+def test_sigma_z_composite_reaches_nine_codes():
+    sched = logical_sigma_z(SPEC, LAYOUT, 1, 0.7)
+    assert len(sched.segments) == 28
+    assert len(gates._reachable_codes(sched, logical_codes(LAYOUT))) == 9
+
+
+def test_reachable_codes_budget_stops_before_propagating(monkeypatch):
+    def energy(spec, code, n):
+        raise AssertionError("propagated past the budget")
+
+    sched = compile_cphase(SPEC, 0.2, layout=LAYOUT)
+    monkeypatch.setattr(gates, "LAYOUT_BYTES_CAP", 9 * gates.CODE_BYTES)
+    assert len(gates._reachable_codes(sched, logical_codes(LAYOUT))) == 9
+    monkeypatch.setattr(gates, "LAYOUT_BYTES_CAP", 8 * gates.CODE_BYTES)
+    monkeypatch.setattr(gates, "_energy", energy)
+    with pytest.raises(ValueError, match=f"budget of {8 * gates.CODE_BYTES} bytes"):
+        simulate_gate(SPEC, LAYOUT, sched)
 
 
 @pytest.mark.parametrize(

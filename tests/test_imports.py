@@ -1,5 +1,6 @@
 """The package root resolves names lazily, and each subcommand loads only its modules."""
 
+import json
 import os
 import subprocess
 import sys
@@ -76,6 +77,23 @@ def test_blockade_check_runs_without_numpy(tmp_path):
     normal = run_python(["-m", "blockadechain.cli", "blockade-check", "--config", config, "--out", "normal.csv"], tmp_path)
     assert normal.returncode == 0, normal.stderr
     assert (tmp_path / "blocked.csv").read_bytes() == (tmp_path / "normal.csv").read_bytes()
+
+
+@pytest.mark.parametrize("naive", [[], ["--naive"]], ids=["compensated", "naive"])
+def test_gate_fidelity_runs_without_numpy(tmp_path, naive):
+    tree = json.loads((SRC.parent / "configs" / "gate_fidelity.json").read_text(encoding="utf-8"))
+    outputs = {}
+    for side, prefix in (("blocked", "import sys; sys.modules['numpy'] = None; "), ("normal", "")):
+        tree["parameters"]["schedule_out"] = f"{side}_schedule.json"
+        (tmp_path / f"{side}.json").write_text(json.dumps(tree), encoding="utf-8")
+        code = (
+            f"{prefix}from blockadechain.cli import main; import sys; "
+            f"sys.exit(main(['gate-fidelity', '--config', '{side}.json', '--out', '{side}.csv', *{naive!r}]))"
+        )
+        out = run_python(["-c", code], tmp_path)
+        assert out.returncode == 0, out.stderr
+        outputs[side] = [(tmp_path / f"{side}{suffix}").read_bytes() for suffix in (".csv", "_schedule.json")]
+    assert outputs["blocked"] == outputs["normal"]
 
 
 def test_cli_import_and_load_config_load_no_numpy(tmp_path):

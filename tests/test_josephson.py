@@ -97,6 +97,13 @@ def test_spec_validation():
         JosephsonArraySpec(4, 0.5, 0.5, 0.5)
 
 
+def test_decay_regime_warning_names_the_caller():
+    # the dataclass-generated __init__ sits between __post_init__ and the caller
+    with pytest.warns(UserWarning, match="epsilon") as record:
+        JosephsonArraySpec(4, 0.5, 0.5, 0.5)
+    assert record[0].filename == __file__
+
+
 # ---------------------------------------------------------------------------
 # inversion
 

@@ -5,15 +5,18 @@ from hypothesis import strategies as st
 
 from blockadechain import InvariantViolation
 from blockadechain.deviation import phase_set_distance
-from blockadechain.gates import PATTERN_CAP, order_sums, pattern_index, spin_patterns
 from blockadechain.oracles import (
+    PATTERN_CAP,
     OperatorSum,
     PauliTerm,
     Propagator,
     expm_unitary,
+    order_sums,
+    pattern_index,
     phase_optimized_distance,
     realize,
     spectral_norm,
+    spin_patterns,
 )
 
 rng = np.random.default_rng(20260810)
