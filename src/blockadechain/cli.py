@@ -164,8 +164,6 @@ def _validate_parameters(cfg: RunConfig) -> None:
     p = cfg.parameters
     _check_keys(p, set(DEFAULT_PARAMETERS[cfg.scenario]), f"{cfg.scenario} parameters")
     if cfg.scenario == "deviation-sweep":
-        import numpy as np
-
         from .deviation import CELL_BYTES, CELLS_CAP, MIN_QUBITS, Scenario, speed_stencil
 
         if not _is_int(p["n_min"]) or not _is_int(p["n_max"]):
@@ -187,10 +185,11 @@ def _validate_parameters(cfg: RunConfig) -> None:
         # the fewest qubits, and two distinct slope-stencil times, which
         # collapse to 0 where the scale (k+1)|J2| overflows, at the most qubits.
         # Each (scenario, n) is one batch of P points against its k + 1 =
-        # n + 2 - MIN_QUBITS sums, P (k + 1) cells, summed over n in closed form.
+        # n + 2 - MIN_QUBITS sums, P (k + 1) cells, summed over n in closed form,
+        # and holds one point's row of k + 1 phases at a time.
         # The rows, one per t and one slope per J2 for each n and listing, are
         # all held until the sweep is written.
-        j2 = np.array([x for x in p["j2"] if x != 0.0])
+        j2 = [x for x in p["j2"] if x != 0.0]
         points, cells, rows = len(p["j2"]) * (p["t_points"] + 2), 0, 0
         copies = Counter(scenarios)
         for name in copies:
@@ -203,17 +202,15 @@ def _validate_parameters(cfg: RunConfig) -> None:
             if cells > CELLS_CAP:
                 raise ConfigError(f"the sweep exceeds the budget of {CELLS_CAP} cells (points x sums)")
             rows += copies[name] * (b - a + 1) * len(p["j2"]) * (p["t_points"] + 1)
-            if points * b * CELL_BYTES > LAYOUT_BYTES_CAP:
-                raise ConfigError(f"a batch of {points * b} cells exceeds the budget of {LAYOUT_BYTES_CAP} bytes")
-            with np.errstate(over="ignore"):
-                t_end = np.pi / (2.0 * np.abs(j2) * n_lo)
-                t1, t2 = speed_stencil(name, p["n_max"], j2)
-            bad = ~np.isfinite(t_end) | (t1 == t2)
-            if bad.any():
-                raise ConfigError(
-                    f"j2 value {float(j2[bad][0])!r} is out of range: the {name} t grid or slope "
-                    f"stencil overflows for n in {n_lo}..{p['n_max']}"
-                )
+            if b * CELL_BYTES > LAYOUT_BYTES_CAP:
+                raise ConfigError(f"a row of {b} phases exceeds the budget of {LAYOUT_BYTES_CAP} bytes")
+            t1, t2 = speed_stencil(name, p["n_max"], j2)
+            for x, s1, s2 in zip(j2, t1, t2):
+                if not math.isfinite(math.pi / (2.0 * abs(x) * n_lo)) or s1 == s2:
+                    raise ConfigError(
+                        f"j2 value {x!r} is out of range: the {name} t grid or slope "
+                        f"stencil overflows for n in {n_lo}..{p['n_max']}"
+                    )
         if rows * ROW_BYTES > LAYOUT_BYTES_CAP:
             raise ConfigError(f"the sweep's {rows} rows exceed the budget of {LAYOUT_BYTES_CAP} bytes")
     elif cfg.scenario == "gate-fidelity":
@@ -423,6 +420,15 @@ def _write_outputs(cfg: RunConfig, header: list, table: Table, out_path: str) ->
 # ---------------------------------------------------------------------------
 # deviation-sweep
 
+def _linspace(start: float, stop: float, num: int) -> list:
+    """``np.linspace(start, stop, num)`` by numpy's arithmetic: i * step + start
+    with step = (stop - start) / (num - 1), the last point exactly stop."""
+    if num == 1:
+        return [start]
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
 def _deviation_columns(name: str, n: int, j2: list, t_points: int, copies: int) -> dict:
     """The rows of one (scenario, n) as columns of cells, from one batch over
     every J2's t grid and slope stencil.
@@ -432,45 +438,37 @@ def _deviation_columns(name: str, n: int, j2: list, t_points: int, copies: int) 
     scenario.  A point that breaks an invariant gives a ``fail:`` row; a
     slope point that does raises, as ``deviation_speed`` does.
     """
-    import numpy as np
-
     from .deviation import scenario_deviations, speed_stencil, stencil_slopes
 
-    n_j2 = len(j2)
-    t = np.concatenate([
-        np.linspace(0.0, np.pi / (2.0 * abs(x) * n) if x != 0 else 1.0, t_points) for x in j2
-    ])
+    t = [s for x in j2 for s in _linspace(0.0, math.pi / (2.0 * abs(x) * n) if x != 0 else 1.0, t_points)]
     t1, t2 = speed_stencil(name, n, j2)
-    n_dev = t.size
-    j2_index = np.concatenate([np.repeat(np.arange(n_j2), t_points), np.arange(n_j2)])
-    j2_rows = np.asarray(j2)[j2_index]
-    batch = scenario_deviations(name, n, np.concatenate([j2_rows, j2]), np.concatenate([t, t1, t2]))
+    n_dev = len(t)
+    # the config's own objects, which the writer formats once per run of equal cells
+    j2_rows = [x for x in j2 for _ in range(t_points)] + j2
+    batch = scenario_deviations(name, n, j2_rows + j2, t + t1 + t2)
     slope = stencil_slopes(batch, t1, t2)
 
-    is_slope = np.arange(n_dev + n_j2) >= n_dev
-    t_key = np.concatenate([t, np.zeros(n_j2)])
+    size = len(j2_rows)
+    keys = [(x, i >= n_dev, t[i] if i < n_dev else 0.0) for i, x in enumerate(j2_rows)]
     # each listing of the scenario adds the rows again, after the earlier ones on ties
-    order = np.lexsort([np.tile(key, copies) for key in (t_key, is_slope, j2_rows)]) % is_slope.size
+    order = [i % size for i in sorted(range(size * copies), key=lambda i: keys[i % size])]
 
-    def column(values, rows) -> list:
-        cells = np.full(is_slope.size, None, dtype=object)
-        cells[rows] = values
-        return cells[order].tolist()
+    def column(cells: list) -> list:
+        return [cells[i] for i in order]
 
-    dev = slice(0, n_dev)
-    ok = np.flatnonzero([v is None for v in batch.violations[dev]])
+    ok = [v is None for v in batch.violations[:n_dev]]
+    no_slope = [None] * len(j2)
     return {
-        # the config's own objects, which the writer formats once per run of equal cells
-        "record": ["slope" if s else "deviation" for s in is_slope[order].tolist()],
-        "scenario": [name] * order.size,
-        "n": [n] * order.size,
-        "j2": [j2[k] for k in j2_index[order].tolist()],
-        "t": column(t, dev),
-        "exact_raw": column(batch.exact_raw[ok], ok),
-        "exact_phase_opt": column(batch.exact_phase_opt[ok], ok),
-        "lower_bound": column(batch.lower_bound[ok], ok),
-        "bound_ok": column(["pass" if v is None else f"fail: {v}" for v in batch.violations[dev]], dev),
-        "slope": column(slope, slice(n_dev, None)),
+        "record": ["slope" if i >= n_dev else "deviation" for i in order],
+        "scenario": [name] * len(order),
+        "n": [n] * len(order),
+        "j2": column(j2_rows),
+        "t": column(t + no_slope),
+        "exact_raw": column([x if k else None for x, k in zip(batch.exact_raw, ok)] + no_slope),
+        "exact_phase_opt": column([x if k else None for x, k in zip(batch.exact_phase_opt, ok)] + no_slope),
+        "lower_bound": column([x if k else None for x, k in zip(batch.lower_bound, ok)] + no_slope),
+        "bound_ok": column(["pass" if v is None else f"fail: {v}" for v in batch.violations[:n_dev]] + no_slope),
+        "slope": column([None] * n_dev + slope),
     }
 
 

@@ -13,20 +13,20 @@ form; the dense full-chain oracle ``full_chain_deviation`` is in ``oracles``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import NamedTuple
 
-import numpy as np
-
 from . import InvariantViolation
 
-#: Peak bytes ``scenario_deviations`` spends per cell, one point's phase at
-#: one sum (32 traced on batches of 0.3-1.3 million cells, CPython 3.11).
-CELL_BYTES = 32
-#: Cells one deviation sweep may evaluate over all its batches (45-84 ns a
-#: cell measured on a 2-core x86-64 VM, so at most about 11 s).
-CELLS_CAP = 2**27
+#: Peak bytes ``scenario_deviations`` spends per reachable sum: the sums, and
+#: one point's phases, their sorted residues and gaps (136-146 traced for
+#: 1000-200000 sums, CPython 3.11), since it holds one point's row at a time.
+CELL_BYTES = 160
+#: Cells one deviation sweep may evaluate over all its batches, points times
+#: sums (270-490 ns a cell measured on a 2-core x86-64 VM, so at most about 8 s).
+CELLS_CAP = 2**24
 
 #: Finite-difference stencil for the small-t deviation speed, in 1/|J1|;
 #: divided by (k+1)|J2| where that exceeds 1, so both points stay inside
@@ -62,52 +62,42 @@ def phase_set_distance(phases) -> tuple:
 
     For diagonal unitaries ``V = diag(e^{i theta_k})`` this returns
     ``(phi*, d*)`` with ``d* = min_phi max_k |1 - e^{i(phi + theta_k)}|``,
-    located exactly through the largest circular gap of the phase set.
-    A 2-D array holds one phase set per row; ``phi*`` and ``d*`` are
-    then arrays with one entry per row, each equal to the call on its row.
+    located exactly through the largest circular gap of the phase set
+    (the first of equal gaps).  ``oracles.phase_set_distance`` is the
+    row-wise numpy reference, equal to this bit for bit.
     """
-    phases = np.asarray(phases, dtype=float)
-    p = np.sort(np.mod(np.atleast_2d(phases), 2.0 * np.pi), axis=1)
-    if p.shape[1] == 0:
+    p = sorted(float(x) % math.tau for x in phases)
+    if not p:
         raise ValueError("empty phase set")
-    gaps = np.diff(np.concatenate([p, p[:, :1] + 2.0 * np.pi], axis=1), axis=1)
-    g = np.argmax(gaps, axis=1)
-    rows = np.arange(p.shape[0])
-    width = 2.0 * np.pi - gaps[rows, g]
-    start = p[rows, (g + 1) % p.shape[1]]
-    centre = start + width / 2.0
-    dist = 2.0 * np.sin(width / 4.0)
-    phi = (-centre) % (2.0 * np.pi)
-    if phases.ndim < 2:
-        return float(phi[0]), float(dist[0])
-    return phi, dist
+    gaps = [b - a for a, b in zip(p, p[1:])]
+    gaps.append(p[0] + math.tau - p[-1])
+    g = gaps.index(max(gaps))
+    width = math.tau - gaps[g]
+    centre = p[(g + 1) % len(p)] + width / 2.0
+    return (-centre) % math.tau, 2.0 * math.sin(width / 4.0)
 
 
 def _violations(scenario: Scenario, n: int, j2, t, raw, opt, bound) -> list:
     """Message of the first ScenarioResult invariant each point breaks, or None.
 
-    ``raw``, ``opt`` and ``bound`` hold one entry per point, and ``j2``
-    and ``t`` broadcast against them.  The raw deviation must dominate
-    the phase-optimized one, and the phase-optimized one the lower bound
-    while (k+1)|J2|t <= pi.
+    The five sequences hold one entry per point.  The raw deviation must
+    dominate the phase-optimized one, and the phase-optimized one the
+    lower bound while (k+1)|J2|t <= pi.
     """
-    raw, opt, bound = (np.asarray(a, dtype=float) for a in (raw, opt, bound))
-    over_raw = opt > raw + 1e-12
     # The reachable next-nearest sums are TOP_SUM - 2j, j = 0..k: k+1
     # phases 2|J2|t apart.  While (k+1)|J2|t <= pi the widest circular
     # gap closes the ends, the points span 2k|J2|t and the optimum is
     # exactly 2|sin(J2 t k / 2)|; past that they wrap around, can bunch
     # into a shorter arc, and the bound no longer holds.
     k = n + 1 - MIN_QUBITS[scenario]
-    in_window = (k + 1) * np.abs(j2) * t <= np.pi
-    under_bound = in_window & (opt < bound - 1e-9)
-    messages = [None] * len(opt)
-    for i in np.flatnonzero(over_raw | under_bound):
-        messages[i] = (
-            "phase-optimized deviation exceeds raw deviation"
-            if over_raw[i]
-            else f"deviation {opt[i]:.3e} undercuts the lower bound {bound[i]:.3e} for {scenario.value}"
-        )
+    messages = []
+    for x, s, r, o, b in zip(j2, t, raw, opt, bound):
+        if o > r + 1e-12:
+            messages.append("phase-optimized deviation exceeds raw deviation")
+        elif (k + 1) * abs(x) * s <= math.pi and o < b - 1e-9:
+            messages.append(f"deviation {o:.3e} undercuts the lower bound {b:.3e} for {scenario.value}")
+        else:
+            messages.append(None)
     return messages
 
 
@@ -131,7 +121,7 @@ class ScenarioResult:
 
     def __post_init__(self) -> None:
         (message,) = _violations(
-            self.scenario, self.n_logical, self.j2, self.t,
+            self.scenario, self.n_logical, [self.j2], [self.t],
             [self.exact_raw], [self.exact_phase_opt], [self.lower_bound],
         )
         if message:
@@ -141,32 +131,30 @@ class ScenarioResult:
 class DeviationBatch(NamedTuple):
     """Deviations of one scenario and chain length at points (j2[i], t[i]).
 
-    The arrays hold ScenarioResult's three numbers, one entry per point;
+    The lists hold ScenarioResult's three numbers, one entry per point;
     ``violations[i]`` is the message of the first invariant point i
     breaks, or None.
     """
 
-    exact_raw: np.ndarray
-    exact_phase_opt: np.ndarray
-    lower_bound: np.ndarray
+    exact_raw: list
+    exact_phase_opt: list
+    lower_bound: list
     violations: list
 
 
-def _reachable_sums(scenario: Scenario, n: int) -> np.ndarray:
-    """Sorted distinct next-nearest sums m over the frozen subspace, read-only int64:
-    the k + 1 values TOP_SUM - 2j.
+def _reachable_sums(scenario: Scenario, n: int) -> range:
+    """Sorted distinct next-nearest sums m over the frozen subspace:
+    the k + 1 integers TOP_SUM - 2j.
     """
     if n < MIN_QUBITS[scenario]:
         raise ValueError(f"{scenario.value} scenario needs n >= {MIN_QUBITS[scenario]}")
     top, k = TOP_SUM[scenario], n + 1 - MIN_QUBITS[scenario]
-    m = np.arange(top - 2 * k, top + 1, 2, dtype=np.int64)
-    m.setflags(write=False)
-    return m
+    return range(top - 2 * k, top + 1, 2)
 
 
 def lower_bound(scenario: Scenario, n: int, j2: float, t: float) -> float:
-    """Analytic deviation bound 2|sin(J2 t k / 2)| for the scenario; elementwise on arrays."""
-    return 2.0 * abs(np.sin(j2 * t * (n + 1 - MIN_QUBITS[scenario]) / 2.0))
+    """Analytic deviation bound 2|sin(J2 t k / 2)| for the scenario."""
+    return 2.0 * abs(math.sin(j2 * t * (n + 1 - MIN_QUBITS[scenario]) / 2.0))
 
 
 def scenario_deviations(scenario: Scenario, n: int, j2, t) -> DeviationBatch:
@@ -175,16 +163,22 @@ def scenario_deviations(scenario: Scenario, n: int, j2, t) -> DeviationBatch:
     The realistic propagator restricted to the frozen configuration is
     diagonal, so the deviation reduces to phases exp(-i J2 t m) with m
     the integer next-nearest sigma^z sums reachable over the free-qubit
-    patterns; one row of phases per point.
+    patterns; one row of phases per point, held one at a time.
     """
     scenario = Scenario(scenario)
-    j2, t = np.broadcast_arrays(np.asarray(j2, dtype=float), np.asarray(t, dtype=float))
-    if np.any(t < 0):
+    j2, t = [float(x) for x in j2], [float(x) for x in t]
+    if any(x < 0 for x in t):
         raise ValueError("time must be nonnegative")
-    phases = (-j2 * t)[:, None] * _reachable_sums(scenario, n)
-    raw = np.max(2.0 * np.abs(np.sin(phases / 2.0)), axis=1)
-    _, opt = phase_set_distance(phases)
-    bound = lower_bound(scenario, n, j2, t)
+    sums = [float(m) for m in _reachable_sums(scenario, n)]
+    if not all(math.isfinite(x * s * sums[0]) for x, s in zip(j2, t)):  # sums[0] has the largest |m|
+        raise ValueError("the phases J2 t m must be finite")
+    raw, opt, bound = [], [], []
+    for x, s in zip(j2, t):
+        c = -x * s
+        phases = [c * m for m in sums]
+        raw.append(max(2.0 * abs(math.sin(p / 2.0)) for p in phases))
+        opt.append(phase_set_distance(phases)[1])
+        bound.append(lower_bound(scenario, n, x, s))
     return DeviationBatch(raw, opt, bound, _violations(scenario, n, j2, t, raw, opt, bound))
 
 
@@ -196,17 +190,17 @@ def scenario_deviation(scenario: Scenario, n: int, j2: float, t: float) -> Scena
         n_logical=n,
         j2=j2,
         t=t,
-        exact_raw=float(batch.exact_raw[0]),
-        exact_phase_opt=float(batch.exact_phase_opt[0]),
+        exact_raw=batch.exact_raw[0],
+        exact_phase_opt=batch.exact_phase_opt[0],
         lower_bound=batch.lower_bound[0],
     )
 
 
 def speed_stencil(scenario: Scenario, n: int, j2) -> tuple:
-    """The two times ``deviation_speed`` samples at each J2 (SPEED_STEPS, scaled), as two arrays."""
+    """The two times ``deviation_speed`` samples at each J2 (SPEED_STEPS, scaled), as two lists."""
     k = n + 1 - MIN_QUBITS[Scenario(scenario)]
-    scale = np.maximum(1.0, (k + 1) * np.abs(np.asarray(j2, dtype=float)))
-    return SPEED_STEPS[0] / scale, SPEED_STEPS[1] / scale
+    scale = [max(1.0, (k + 1) * abs(x)) for x in j2]
+    return [SPEED_STEPS[0] / s for s in scale], [SPEED_STEPS[1] / s for s in scale]
 
 
 def stencil_slopes(batch: DeviationBatch, t1, t2) -> list:
@@ -217,10 +211,10 @@ def stencil_slopes(batch: DeviationBatch, t1, t2) -> list:
     before its t2 point.
     """
     k = len(t1)
-    d = batch.exact_phase_opt[-2 * k:].tolist()
+    d = batch.exact_phase_opt[-2 * k:]
     violations = batch.violations[-2 * k:]
     slopes = []
-    for i, (s1, s2) in enumerate(zip(t1.tolist(), t2.tolist())):
+    for i, (s1, s2) in enumerate(zip(t1, t2)):
         message = violations[i] or violations[k + i]
         if message:
             raise InvariantViolation(message)
@@ -236,7 +230,7 @@ def deviation_speed(scenario: Scenario, n: int, j2: float) -> float:
     lower bound.
     """
     t1, t2 = speed_stencil(scenario, n, [j2])
-    (speed,) = stencil_slopes(scenario_deviations(scenario, n, j2, np.concatenate([t1, t2])), t1, t2)
+    (speed,) = stencil_slopes(scenario_deviations(scenario, n, [j2, j2], t1 + t2), t1, t2)
     return speed
 
 

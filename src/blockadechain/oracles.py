@@ -5,11 +5,12 @@ sums and the dense-vector gate propagator ``_evolve_state`` on them,
 Pauli-string operators realized as dense 2^N x 2^N matrices,
 eigendecomposition propagators with a unitarity certificate, the chain
 Hamiltonian builders and time-ordered evolution, a grid search for the
-optimal global phase, the CPHASE transfer blocks, and the frozen
-deviation layouts with the full-chain deviation ``full_chain_deviation``
-built on them.  No CLI subcommand imports this module: the library's
-closed forms run on the basis codes they reach, and these dense paths
-check them in tests.
+optimal global phase, the CPHASE transfer blocks, the deviation kernel in
+numpy (``phase_set_distance`` row by row, ``deviation_batch``), and the
+frozen deviation layouts with the full-chain deviation
+``full_chain_deviation`` built on them.  No CLI subcommand imports this
+module: the library's closed forms run on the basis codes they reach,
+and these dense paths check them in tests.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from . import InvariantViolation
 from .blockade import LogicalLayout, pair_encoded_layout, single_spin_layout
 from .chain import ChainSpec, ControlSchedule, ControlSegment
-from .deviation import MIN_QUBITS, Scenario, phase_set_distance
+from .deviation import MIN_QUBITS, Scenario, _reachable_sums
 from .gates import PulseParameters, composite_pulse_parameters, logical_background_energy
 
 #: Largest register realized as a dense 2^N x 2^N matrix.
@@ -522,6 +523,49 @@ def _embedding(s: np.ndarray, halves) -> np.ndarray:
     for h in halves:
         cols[pattern_index(s[h]), p] = 1.0 / np.sqrt(len(halves))
     return cols
+
+
+# ---------------------------------------------------------------------------
+# The deviation kernel in numpy, one 2-D array of phase rows per batch: the
+# reference that ``deviation``'s one-row-at-a-time loops equal bit for bit.
+
+def phase_set_distance(phases) -> tuple:
+    """Optimal global phase against a set of unit-circle points.
+
+    For diagonal unitaries ``V = diag(e^{i theta_k})`` this returns
+    ``(phi*, d*)`` with ``d* = min_phi max_k |1 - e^{i(phi + theta_k)}|``,
+    located exactly through the largest circular gap of the phase set.
+    A 2-D array holds one phase set per row; ``phi*`` and ``d*`` are
+    then arrays with one entry per row, each equal to the call on its row.
+    """
+    phases = np.asarray(phases, dtype=float)
+    p = np.sort(np.mod(np.atleast_2d(phases), 2.0 * np.pi), axis=1)
+    if p.shape[1] == 0:
+        raise ValueError("empty phase set")
+    gaps = np.diff(np.concatenate([p, p[:, :1] + 2.0 * np.pi], axis=1), axis=1)
+    g = np.argmax(gaps, axis=1)
+    rows = np.arange(p.shape[0])
+    width = 2.0 * np.pi - gaps[rows, g]
+    start = p[rows, (g + 1) % p.shape[1]]
+    centre = start + width / 2.0
+    dist = 2.0 * np.sin(width / 4.0)
+    phi = (-centre) % (2.0 * np.pi)
+    if phases.ndim < 2:
+        return float(phi[0]), float(dist[0])
+    return phi, dist
+
+
+def deviation_batch(scenario: Scenario, n: int, j2, t) -> tuple:
+    """``exact_raw``, ``exact_phase_opt`` and ``lower_bound`` of
+    ``deviation.scenario_deviations`` as three arrays, from one row of
+    phases per point (j2[i], t[i]) on the closed-form reachable sums."""
+    scenario = Scenario(scenario)
+    j2, t = np.broadcast_arrays(np.asarray(j2, dtype=float), np.asarray(t, dtype=float))
+    phases = (-j2 * t)[:, None] * np.array(_reachable_sums(scenario, n), dtype=np.int64)
+    raw = np.max(2.0 * np.abs(np.sin(phases / 2.0)), axis=1)
+    _, opt = phase_set_distance(phases)
+    bound = 2.0 * np.abs(np.sin(j2 * t * (n + 1 - MIN_QUBITS[scenario]) / 2.0))
+    return raw, opt, bound
 
 
 # ---------------------------------------------------------------------------

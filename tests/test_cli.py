@@ -318,35 +318,45 @@ def test_sweep_past_the_enumeration_cap(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "n_min, n_max, budget",
-    [(2, 10**9, rf"budget of {deviation.CELLS_CAP} cells"), (40_000, 40_000, rf"budget of {LAYOUT_BYTES_CAP} bytes")],
-    ids=["cells", "bytes"],
+    "parameters, budget",
+    [({"n_max": 10**9}, rf"budget of {deviation.CELLS_CAP} cells"),
+     ({"n_min": 500_000, "n_max": 500_000, "j2": [0.01], "t_points": 1, "scenarios": ["idle"]},
+      rf"a row of 500000 phases exceeds the budget of {LAYOUT_BYTES_CAP} bytes"),
+     ({"n_max": 357}, rf"budget of {deviation.CELLS_CAP} cells"), ({"n_max": 356}, None)],
+    ids=["cells", "bytes", "default-grid-357", "default-grid-356"],
 )
-def test_sweep_size_checked_at_load(tmp_path, n_min, n_max, budget):
+def test_sweep_size_checked_at_load(tmp_path, parameters, budget):
     # through load_config only: the bound is a closed-form count, known before any batch runs
-    tree = {"scenario": "deviation-sweep", "parameters": {"n_min": n_min, "n_max": n_max}}
-    cfg = write_config(tmp_path, tree)
+    cfg = write_config(tmp_path, {"scenario": "deviation-sweep", "parameters": parameters})
+    if budget is None:
+        load_config("deviation-sweep", cfg, 0)
+        return
     with pytest.raises(ConfigError, match=budget):
         load_config("deviation-sweep", cfg, 0)
 
 
 @pytest.mark.parametrize(
-    "scenarios, n_max, rows",
-    [(["idle"] * 50, 100, 50 * 99 * 3 * 21), (["idle"], 100, None),
-     (DEFAULT_PARAMETERS["deviation-sweep"]["scenarios"], 522, 63 * (4 * 522 - 7)),
-     (DEFAULT_PARAMETERS["deviation-sweep"]["scenarios"], 521, None)],
-    ids=["listed-50-times", "listed-once", "default-grid-522", "default-grid-521"],
+    "parameters, rows",
+    [({"n_max": 100, "scenarios": ["idle"] * 50}, 50 * 99 * 3 * 21), ({"n_max": 100, "scenarios": ["idle"]}, None),
+     ({"n_max": 10, "t_points": 1323}, 99 * 1324), ({"n_max": 10, "t_points": 1322}, None)],
+    ids=["listed-50-times", "listed-once", "long-t-grid-1323", "long-t-grid-1322"],
 )
-def test_sweep_rows_checked_at_load(tmp_path, scenarios, n_max, rows):
+def test_sweep_rows_checked_at_load(tmp_path, parameters, rows):
     # through load_config only: every listing of a scenario repeats its rows, one
     # per t and one slope per J2 for each n, and the run holds them all until written
-    cfg = write_config(tmp_path, {"scenario": "deviation-sweep", "parameters": {"n_max": n_max, "scenarios": scenarios}})
+    cfg = write_config(tmp_path, {"scenario": "deviation-sweep", "parameters": parameters})
     if rows is None:
         load_config("deviation-sweep", cfg, 0)
         return
     assert rows * cli.ROW_BYTES > LAYOUT_BYTES_CAP
     with pytest.raises(ConfigError, match=rf"the sweep's {rows} rows exceed the budget of {LAYOUT_BYTES_CAP} bytes"):
         load_config("deviation-sweep", cfg, 0)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 64), st.floats(1e-300, 1e300))
+def test_linspace_replica_matches_numpy(num, stop):
+    assert [x.hex() for x in cli._linspace(0.0, stop, num)] == [x.hex() for x in np.linspace(0.0, stop, num).tolist()]
 
 
 DEVIATION_HEADER = [

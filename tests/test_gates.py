@@ -542,6 +542,29 @@ def test_reachable_codes_budget_stops_before_propagating(monkeypatch):
         simulate_gate(SPEC, LAYOUT, sched)
 
 
+def test_reachable_codes_step_budget_stops_before_propagating(monkeypatch):
+    def energy(spec, code, n):
+        raise AssertionError("propagated past the budget")
+
+    # the CPHASE takes 13 segments x 9 codes x 4 columns = 468 steps
+    sched = compile_cphase(SPEC, 0.2, layout=LAYOUT)
+    monkeypatch.setattr(gates, "STEPS_CAP", 468)
+    assert len(gates._reachable_codes(sched, logical_codes(LAYOUT))) == 9
+    monkeypatch.setattr(gates, "STEPS_CAP", 467)
+    with pytest.raises(ValueError, match="budget of 467 steps"):
+        gates._reachable_codes(sched, logical_codes(LAYOUT))
+    # 12 sweeps over the 39 bonds of a 40-spin chain from four 3-excitation codes:
+    # thousands of codes within the byte budget, but millions of steps
+    n = 40
+    bonds = [[0.0] * k + [0.3] + [0.0] * (n - 2 - k) for k in range(n - 1)]
+    sweep = ControlSchedule([ControlSegment(0.5, [0.0] * n, [0.0] * n, jxy) for jxy in bonds * 12])
+    starts = [(1 << 39 - q) | (1 << 19 - q) | (1 << q) for q in range(4)]
+    monkeypatch.setattr(gates, "STEPS_CAP", 2**20)
+    monkeypatch.setattr(gates, "_energy", energy)
+    with pytest.raises(ValueError, match=f"budget of {2**20} steps"):
+        gates._propagate(ChainSpec(n, j1=1.0, j2=0.05), sweep, starts)
+
+
 @pytest.mark.parametrize(
     "seg",
     [

@@ -96,10 +96,29 @@ def test_gate_fidelity_runs_without_numpy(tmp_path, naive):
     assert outputs["blocked"] == outputs["normal"]
 
 
+@pytest.mark.parametrize("config", ["deviation_sweep.json", None], ids=["config", "defaults"])
+def test_deviation_sweep_runs_without_numpy(tmp_path, config):
+    tree = {"scenario": "deviation-sweep"}
+    if config:
+        tree = json.loads((SRC.parent / "configs" / config).read_text(encoding="utf-8"))
+    outputs = {}
+    for side, prefix in (("blocked", "import sys; sys.modules['numpy'] = None; "), ("normal", "")):
+        tree["json_mirror"] = f"{side}_mirror.json"
+        (tmp_path / f"{side}.json").write_text(json.dumps(tree), encoding="utf-8")
+        code = (
+            f"{prefix}from blockadechain.cli import main; import sys; "
+            f"sys.exit(main(['deviation-sweep', '--config', '{side}.json', '--out', '{side}.csv']))"
+        )
+        out = run_python(["-c", code], tmp_path)
+        assert out.returncode == 0, out.stderr
+        outputs[side] = [(tmp_path / f"{side}{suffix}").read_bytes() for suffix in (".csv", "_mirror.json")]
+    assert outputs["blocked"] == outputs["normal"]
+
+
 def test_cli_import_and_load_config_load_no_numpy(tmp_path):
     code = (
         "import sys; from blockadechain.cli import load_config; "
-        "[load_config(s, None, 0) for s in ('gate-fidelity', 'josephson-map', 'blockade-check')]; "
+        "[load_config(s, None, 0) for s in ('gate-fidelity', 'josephson-map', 'blockade-check', 'deviation-sweep')]; "
         "print('numpy' in sys.modules)"
     )
     out = run_python(["-c", code], tmp_path)
