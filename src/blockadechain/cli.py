@@ -164,12 +164,14 @@ def _validate_parameters(cfg: RunConfig) -> None:
     p = cfg.parameters
     _check_keys(p, set(DEFAULT_PARAMETERS[cfg.scenario]), f"{cfg.scenario} parameters")
     if cfg.scenario == "deviation-sweep":
-        from .deviation import CELL_BYTES, CELLS_CAP, MIN_QUBITS, Scenario, speed_stencil
+        from .deviation import MIN_QUBITS, Scenario, speed_stencil
 
         if not _is_int(p["n_min"]) or not _is_int(p["n_max"]):
             raise ConfigError("n_min and n_max must be integers")
         if p["n_min"] < 2 or p["n_max"] < p["n_min"]:
             raise ConfigError("need 2 <= n_min <= n_max")
+        if p["n_max"] > 2**40:
+            raise ConfigError("need n_max <= 2**40, where every t grid stays inside the O(1) window")
         p["j2"] = _finite_list(p["j2"], "j2")
         if not _is_int(p["t_points"]) or p["t_points"] < 1:
             raise ConfigError("t_points must be a positive integer (empty t-grids are invalid)")
@@ -181,29 +183,17 @@ def _validate_parameters(cfg: RunConfig) -> None:
             or any(not isinstance(s, str) or s not in names for s in scenarios)
         ):
             raise ConfigError(f"scenarios must be a nonempty subset of {sorted(names)}")
-        # Every nonzero J2 needs a finite t grid end pi / (2|J2|n), largest at
-        # the fewest qubits, and two distinct slope-stencil times, which
-        # collapse to 0 where the scale (k+1)|J2| overflows, at the most qubits.
-        # Each (scenario, n) is one batch of P points against its k + 1 =
-        # n + 2 - MIN_QUBITS sums, P (k + 1) cells, summed over n in closed form,
-        # and holds one point's row of k + 1 phases at a time.
-        # The rows, one per t and one slope per J2 for each n and listing, are
-        # all held until the sweep is written.
+        # Every nonzero J2 needs a finite t grid end pi / (2|J2|n), largest at the fewest
+        # qubits, and two distinct slope-stencil times, which collapse to 0 where the scale
+        # (k+1)|J2| overflows, at the most qubits.  The rows, one per t and one slope per J2
+        # for each n and listing, are all held until the sweep is written; each costs O(1).
         j2 = [x for x in p["j2"] if x != 0.0]
-        points, cells, rows = len(p["j2"]) * (p["t_points"] + 2), 0, 0
-        copies = Counter(scenarios)
+        rows, copies = 0, Counter(scenarios)
         for name in copies:
-            least = MIN_QUBITS[Scenario(name)]
-            n_lo = max(p["n_min"], least)
+            n_lo = max(p["n_min"], MIN_QUBITS[Scenario(name)])
             if n_lo > p["n_max"]:
                 continue
-            a, b = n_lo + 2 - least, p["n_max"] + 2 - least
-            cells += points * (a + b) * (b - a + 1) // 2
-            if cells > CELLS_CAP:
-                raise ConfigError(f"the sweep exceeds the budget of {CELLS_CAP} cells (points x sums)")
-            rows += copies[name] * (b - a + 1) * len(p["j2"]) * (p["t_points"] + 1)
-            if b * CELL_BYTES > LAYOUT_BYTES_CAP:
-                raise ConfigError(f"a row of {b} phases exceeds the budget of {LAYOUT_BYTES_CAP} bytes")
+            rows += copies[name] * (p["n_max"] - n_lo + 1) * len(p["j2"]) * (p["t_points"] + 1)
             t1, t2 = speed_stencil(name, p["n_max"], j2)
             for x, s1, s2 in zip(j2, t1, t2):
                 if not math.isfinite(math.pi / (2.0 * abs(x) * n_lo)) or s1 == s2:
@@ -401,20 +391,27 @@ def _write_outputs(cfg: RunConfig, header: list, table: Table, out_path: str) ->
                     texts[k :: len(pieces)] = cells
                 fh.write("".join(texts))
     if cfg.json_mirror:
-        mirror = {
-            "scenario": cfg.scenario,
-            "seed": cfg.seed,
-            "parameters": cfg.parameters,
-            "columns": header,
-            "rows": [
-                dict(zip(header, row))
-                for n, cells in table.blocks
-                for row in zip(*(_cells(cells.get(col), n) for col in header))
-            ],
-        }
-        Path(cfg.json_mirror).write_text(
-            json.dumps(mirror, sort_keys=True, indent=1, default=float) + "\n", encoding="utf-8"
-        )
+        mirror = {"scenario": cfg.scenario, "seed": cfg.seed, "parameters": cfg.parameters,
+                  "columns": header, "rows": _MirrorRows(header, table)}
+        chunks = json.JSONEncoder(sort_keys=True, indent=1, default=float).iterencode(mirror)
+        with open(cfg.json_mirror, "w", encoding="utf-8") as fh:
+            fh.writelines(iter(lambda: "".join(itertools.islice(chunks, 1 << 16)), ""))
+            fh.write("\n")
+
+
+class _MirrorRows(list):
+    """The mirror's rows: a list that ``iterencode`` walks lazily, to ``json.dumps``'s text."""
+
+    def __init__(self, header: list, table: Table):
+        self.header, self.table = header, table
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def __iter__(self):
+        for n, cells in self.table.blocks:
+            for row in zip(*(_cells(cells.get(col), n) for col in self.header)):
+                yield dict(zip(self.header, row))
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,6 @@ from typing import NamedTuple
 
 from . import InvariantViolation
 
-#: Peak bytes ``scenario_deviations`` spends per reachable sum: the sums, and
-#: one point's phases, their sorted residues and gaps (136-146 traced for
-#: 1000-200000 sums, CPython 3.11), since it holds one point's row at a time.
-CELL_BYTES = 160
-#: Cells one deviation sweep may evaluate over all its batches, points times
-#: sums (270-490 ns a cell measured on a 2-core x86-64 VM, so at most about 8 s).
-CELLS_CAP = 2**24
-
 #: Finite-difference stencil for the small-t deviation speed, in 1/|J1|;
 #: divided by (k+1)|J2| where that exceeds 1, so both points stay inside
 #: the bound's window.
@@ -143,9 +135,7 @@ class DeviationBatch(NamedTuple):
 
 
 def _reachable_sums(scenario: Scenario, n: int) -> range:
-    """Sorted distinct next-nearest sums m over the frozen subspace:
-    the k + 1 integers TOP_SUM - 2j.
-    """
+    """Sorted distinct next-nearest sums m over the frozen subspace: the k + 1 integers TOP_SUM - 2j."""
     if n < MIN_QUBITS[scenario]:
         raise ValueError(f"{scenario.value} scenario needs n >= {MIN_QUBITS[scenario]}")
     top, k = TOP_SUM[scenario], n + 1 - MIN_QUBITS[scenario]
@@ -163,21 +153,34 @@ def scenario_deviations(scenario: Scenario, n: int, j2, t) -> DeviationBatch:
     The realistic propagator restricted to the frozen configuration is
     diagonal, so the deviation reduces to phases exp(-i J2 t m) with m
     the integer next-nearest sigma^z sums reachable over the free-qubit
-    patterns; one row of phases per point, held one at a time.
+    patterns; a point inside the window |J2 t m| < pi costs O(1), any
+    other builds its row of k + 1 phases.
     """
     scenario = Scenario(scenario)
     j2, t = [float(x) for x in j2], [float(x) for x in t]
     if any(x < 0 for x in t):
         raise ValueError("time must be nonnegative")
-    sums = [float(m) for m in _reachable_sums(scenario, n)]
-    if not all(math.isfinite(x * s * sums[0]) for x, s in zip(j2, t)):  # sums[0] has the largest |m|
+    sums = _reachable_sums(scenario, n)
+    far, near = float(sums[0]), float(sums[-1])  # the largest and the smallest |m|, all m < 0
+    if not all(math.isfinite(x * s * far) for x, s in zip(j2, t)):
         raise ValueError("the phases J2 t m must be finite")
     raw, opt, bound = [], [], []
     for x, s in zip(j2, t):
         c = -x * s
-        phases = [c * m for m in sums]
-        raw.append(max(2.0 * abs(math.sin(p / 2.0)) for p in phases))
-        opt.append(phase_set_distance(phases)[1])
+        if abs(c * far) < math.pi:
+            # The row loop's expressions on the two end phases: every c m lies within
+            # half a turn of 0 on one side, so |sin(c m / 2)| peaks at far, the residues
+            # of far and near are the extremes, and their wrap gap (>= pi) beats each
+            # inner gap 2|c| < pi.  Every CLI point is here: its t ends at pi / (2|J2|n)
+            # and |far| < 2n, a margin of 1/(2n) that the CLI's n <= 2**40 keeps far above
+            # the few ulps the products round by; the slope stencil keeps |J2 t far| < 6e-4.
+            lo, hi = sorted((c * far % math.tau, c * near % math.tau))
+            raw.append(2.0 * abs(math.sin(c * far / 2.0)))
+            opt.append(2.0 * math.sin((math.tau - (lo + math.tau - hi)) / 4.0))
+        else:
+            phases = [c * float(m) for m in sums]
+            raw.append(max(2.0 * abs(math.sin(p / 2.0)) for p in phases))
+            opt.append(phase_set_distance(phases)[1])
         bound.append(lower_bound(scenario, n, x, s))
     return DeviationBatch(raw, opt, bound, _violations(scenario, n, j2, t, raw, opt, bound))
 

@@ -319,20 +319,63 @@ def test_sweep_past_the_enumeration_cap(tmp_path):
 
 @pytest.mark.parametrize(
     "parameters, budget",
-    [({"n_max": 10**9}, rf"budget of {deviation.CELLS_CAP} cells"),
-     ({"n_min": 500_000, "n_max": 500_000, "j2": [0.01], "t_points": 1, "scenarios": ["idle"]},
-      rf"a row of 500000 phases exceeds the budget of {LAYOUT_BYTES_CAP} bytes"),
-     ({"n_max": 357}, rf"budget of {deviation.CELLS_CAP} cells"), ({"n_max": 356}, None)],
-    ids=["cells", "bytes", "default-grid-357", "default-grid-356"],
+    [({"n_max": 10**9}, rf"the sweep's \d+ rows exceed the budget of {LAYOUT_BYTES_CAP} bytes"),
+     ({"n_min": 10**400, "n_max": 10**400}, r"need n_max <= 2\*\*40"),
+     ({"n_min": 2**40 + 1, "n_max": 2**40 + 1}, r"need n_max <= 2\*\*40"),
+     ({"n_min": 500_000, "n_max": 500_000, "j2": [0.01], "t_points": 1, "scenarios": ["idle"]}, None),
+     ({"n_min": 2**40, "n_max": 2**40, "j2": [0.01], "t_points": 1, "scenarios": ["idle"]}, None),
+     ({"n_max": 522}, rf"the sweep's 131103 rows exceed the budget of {LAYOUT_BYTES_CAP} bytes"),
+     ({"n_max": 521}, None)],
+    ids=["rows", "huge-n", "past-the-window-cap", "single-row-500000", "single-row-2**40", "default-grid-522",
+         "default-grid-521"],
 )
-def test_sweep_size_checked_at_load(tmp_path, parameters, budget):
-    # through load_config only: the bound is a closed-form count, known before any batch runs
+def test_sweep_size_checked_at_load(tmp_path, capsys, parameters, budget):
+    # the bound is a closed-form count, known before any batch runs; a sweep
+    # inside it runs, each point in O(1)
     cfg = write_config(tmp_path, {"scenario": "deviation-sweep", "parameters": parameters})
     if budget is None:
-        load_config("deviation-sweep", cfg, 0)
+        assert main(["deviation-sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+        assert capsys.readouterr().err == ""
         return
     with pytest.raises(ConfigError, match=budget):
         load_config("deviation-sweep", cfg, 0)
+    assert main(["deviation-sweep", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "parameters",
+    [None, "deviation_sweep.json",
+     {"n_min": 2, "n_max": 30, "j2": [0.03, -0.0, 0.01, 0.03, 0.0, -0.02, 1e5], "t_points": 1,
+      "scenarios": DEFAULT_PARAMETERS["deviation-sweep"]["scenarios"]},
+     {"n_min": 5000, "n_max": 5000, "scenarios": ["idle"]},
+     {"n_max": 521},
+     {"n_min": 2**40 - 2, "n_max": 2**40, "j2": [0.005, -0.01, 0.05, 0.3, -7.0, 1e5, 1e-300], "t_points": 5}],
+    ids=["defaults", "checked-config", "edge", "n5000", "default-grid-521", "window-cap-2**40"],
+)
+def test_sweep_points_never_take_the_row_loop(tmp_path, monkeypatch, parameters):
+    # every CLI point lies inside the window |J2 t m| < pi, where a point costs
+    # O(1) from the two end sums; this is why no budget charges the k + 1 sums
+    # of a row.  Iterating the sums raises before a row is built, at any n.
+    class SumEnds:
+        def __init__(self, sums):
+            self.sums = sums
+
+        def __getitem__(self, i):
+            return self.sums[i]
+
+        def __iter__(self):
+            raise AssertionError("a CLI point built its row of phases")
+
+    reachable_sums = deviation._reachable_sums
+    monkeypatch.setattr(deviation, "_reachable_sums", lambda scenario, n: SumEnds(reachable_sums(scenario, n)))
+    argv = ["deviation-sweep", "--out", str(tmp_path / "o.csv")]
+    if isinstance(parameters, str):
+        argv += ["--config", str(REPO_CONFIGS / parameters)]
+    elif parameters is not None:
+        argv += ["--config", write_config(tmp_path, {"scenario": "deviation-sweep", "parameters": parameters})]
+    assert main(argv) == EXIT_OK
 
 
 @pytest.mark.parametrize(

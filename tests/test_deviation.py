@@ -1,8 +1,9 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from blockadechain.deviation import (
@@ -431,6 +432,42 @@ def deviation_points(draw):
 def test_scenario_deviations_equal_the_numpy_batch_bit_for_bit(case):
     # the loops keep the numpy batch's arithmetic in its order; this also needs
     # numpy's float64 sin to round as libm's math.sin does, and fails where it does not
+    batch = scenario_deviations(*case)
+    for got, want in zip(batch, deviation_batch(*case)):
+        assert [x.hex() for x in got] == [x.hex() for x in want.tolist()]
+
+
+#: ±0.0 and subnormal couplings or times, and a coupling far past the weak regime
+EDGE_J2 = [0.0, -0.0, 5e-324, -1e-310, 1e5, -1e5]
+EDGE_T = [0.0, -0.0, 5e-324, 1e-310]
+
+
+@st.composite
+def window_points(draw):
+    """A scenario, n up to 40, and 1-8 points, most of them inside the window
+    |J2 t m| < pi: t up to 1.25 times its end pi / (|J2| |m|) at the largest |m|,
+    or one ulp either side of that end, or an edge value."""
+    scenario = draw(st.sampled_from(list(Scenario)))
+    n = draw(st.integers(MIN_QUBITS[scenario], 40))
+    far = abs(_reachable_sums(scenario, n)[0])
+    size = draw(st.integers(1, 8))
+    j2 = draw(st.lists(st.floats(-0.1, 0.1) | st.sampled_from(EDGE_J2), min_size=size, max_size=size))
+    t = []
+    for x in j2:
+        end = math.pi / (abs(x) * far) if x else math.inf
+        fraction = st.floats(0.0, 1.25).map(lambda f: f * end)
+        ends = st.sampled_from([math.nextafter(end, 0.0), end, math.nextafter(end, math.inf)])
+        times = fraction | ends if math.isfinite(end) else st.floats(0.0, 50.0)
+        t.append(draw(times | st.sampled_from(EDGE_T)))
+    return scenario, n, j2, t
+
+
+@settings(max_examples=200, deadline=None)
+@given(window_points())
+@example(("sigma_x", 4, [0.1] * 3, [math.nextafter(2 * math.pi, 0.0), 2 * math.pi, math.nextafter(2 * math.pi, 7.0)]))
+def test_window_points_equal_the_numpy_batch_bit_for_bit(case):
+    # inside the window scenario_deviations takes each point's floats from its
+    # two end phases; they must be the row's, bit for bit (k = 1 at sigma_x, n = 4)
     batch = scenario_deviations(*case)
     for got, want in zip(batch, deviation_batch(*case)):
         assert [x.hex() for x in got] == [x.hex() for x in want.tolist()]
