@@ -15,6 +15,7 @@ import argparse
 import itertools
 import json
 import math
+import struct
 import sys
 from collections import Counter
 from dataclasses import dataclass, field
@@ -36,10 +37,10 @@ PHASE_TOL = 1e-12
 #: writer; checked with the sweep's row count against LAYOUT_BYTES_CAP at load.
 ROW_BYTES = 512
 
-#: Peak bytes of josephson-map per pair of boxes, the matrices and their rows
-#: (113-116 traced at 300-1000 boxes, CPython 3.11); checked at load, n_boxes^2
-#: of them, against LAYOUT_BYTES_CAP, which admits up to 724 boxes.
-BOX_PAIR_BYTES = 128
+#: Peak bytes of josephson-map per pair of boxes: matrices, index columns and writer
+#: (40-64 traced at 300-1000 boxes, with or without a json_mirror, CPython 3.11);
+#: checked at load, n_boxes^2 of them, against LAYOUT_BYTES_CAP: up to 965 boxes.
+BOX_PAIR_BYTES = 72
 
 SCENARIOS = ("deviation-sweep", "gate-fidelity", "josephson-map", "blockade-check")
 
@@ -312,35 +313,44 @@ def _is_array(column) -> bool:
     return getattr(column, "ndim", None) == 1
 
 
-def _cells(column, n_rows: int):
+def _cells(column, lo: int, hi: int):
+    """Rows lo:hi of a column as Python values: an integer must not reach json's default=float."""
     if _is_array(column):
-        return column.tolist()  # Python scalars: an integer must not reach json's default=float
-    return column if isinstance(column, list) else itertools.repeat(column, n_rows)
+        return column[lo:hi].tolist()
+    return column[lo:hi] if isinstance(column, list) else itertools.repeat(column, hi - lo)
 
 
-def _format_array(values):
-    """CSV cells of a numpy array as an object array; each distinct bit
-    pattern is formatted once, which keeps -0.0 apart from 0.0."""
-    import numpy as np
+class _ArrayTexts(dict):
+    """CSV texts of the array cells of one dtype, each formatted when first
+    looked up; a float is keyed by its bit pattern, which keeps -0.0 apart from 0.0."""
 
-    keys = values.view(f"u{values.itemsize}") if values.dtype.kind == "f" else values
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    texts = np.array([_fmt(v) for v in values[first].tolist()], dtype=object)
-    return texts[inverse]
+    def __init__(self, dtype):
+        self.dtype = dtype
+
+    def texts(self, cells) -> list:
+        if self.dtype.kind == "f":
+            cells = cells.view(self.dtype.str.replace("f", "u"))  # same size and byte order
+        return list(map(self.__getitem__, cells.tolist()))
+
+    def __missing__(self, key):
+        value = key
+        if self.dtype.kind == "f":
+            value = struct.unpack(self.dtype.char, key.to_bytes(self.dtype.itemsize, sys.byteorder))[0]
+        text = self[key] = _fmt(value)
+        return text
 
 
-def _format_column(column, n_rows: int):
-    """CSV cells of one column of a block: a constant is formatted once and
-    repeated, a numpy array by ``_format_array``, and a list in one pass
-    that formats each distinct cell once."""
+def _texts(column, lo: int, hi: int, memos: dict) -> list:
+    """CSV texts of rows lo:hi of a list or array column; ``memos`` keeps
+    each distinct cell's text for the whole write."""
     if _is_array(column):
-        return _format_array(column)
-    if not isinstance(column, list):
-        return itertools.repeat(_text(column), n_rows)
-    memo = {}
-    cells = []
+        if column.dtype.str not in memos:
+            memos[column.dtype.str] = _ArrayTexts(column.dtype)
+        return memos[column.dtype.str].texts(column[lo:hi])
+    memo = memos.setdefault(list, {})
+    texts = []
     last = text = object()
-    for value in column:
+    for value in column[lo:hi]:
         if value is not last:  # the runners repeat one object over runs of rows
             last = value
             # the type keeps True apart from 1, the sign -0.0 apart from 0.0
@@ -348,48 +358,35 @@ def _format_column(column, n_rows: int):
             text = memo.get(key)
             if text is None:
                 text = memo[key] = _text(value)
-        cells.append(text)
-    return cells
-
-
-def _row_pieces(header: list, n: int, cells: dict) -> list:
-    """The rows of one block as pieces: a ``str`` is the same on every row
-    (constant cells fold into it with their commas), and a list or an
-    object array holds one text per row."""
-    pieces = []
-    literal = ""
-    for k, col in enumerate(header):
-        if k:
-            literal += ","
-        cell = cells.get(col)
-        if isinstance(cell, list) or _is_array(cell):
-            if literal:
-                pieces.append(literal)
-            pieces.append(_format_column(cell, n))
-            literal = ""
-        else:
-            literal += _text(cell)
-    pieces.append(literal + "\n")
-    return pieces
+        texts.append(text)
+    return texts
 
 
 def _write_outputs(cfg: RunConfig, header: list, table: Table, out_path: str) -> None:
+    memos = {}  # one per dtype of array cells and one for list cells, for the whole CSV
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
         for n, cells in table.blocks:
-            pieces = _row_pieces(header, n, cells)
+            # a str piece is the same on every row (constant cells fold into it with
+            # their commas); any other piece is a list or an array with one cell per row
+            pieces = []
+            literal = ""
+            for k, col in enumerate(header):
+                cell = cells.get(col)
+                if isinstance(cell, list) or _is_array(cell):
+                    pieces += [literal + ",", cell] if k else [cell]
+                    literal = ""
+                else:
+                    literal += ("," if k else "") + _text(cell)
+            pieces.append(literal + "\n")
             for lo in range(0, n, _SLICE_ROWS):
                 hi = min(lo + _SLICE_ROWS, n)
                 texts = [""] * ((hi - lo) * len(pieces))  # row-major: piece k of each row at k::len(pieces)
                 for k, piece in enumerate(pieces):
-                    if isinstance(piece, str):
-                        cells = [piece] * (hi - lo)
-                    elif isinstance(piece, list):
-                        cells = piece[lo:hi]
-                    else:  # an object array, copied out in C
-                        cells = piece[lo:hi].tolist()
-                    texts[k :: len(pieces)] = cells
+                    texts[k :: len(pieces)] = ([piece] * (hi - lo) if isinstance(piece, str)
+                                               else _texts(piece, lo, hi, memos))
                 fh.write("".join(texts))
+    del memos  # the mirror needs no texts
     if cfg.json_mirror:
         mirror = {"scenario": cfg.scenario, "seed": cfg.seed, "parameters": cfg.parameters,
                   "columns": header, "rows": _MirrorRows(header, table)}
@@ -410,8 +407,10 @@ class _MirrorRows(list):
 
     def __iter__(self):
         for n, cells in self.table.blocks:
-            for row in zip(*(_cells(cells.get(col), n) for col in self.header)):
-                yield dict(zip(self.header, row))
+            for lo in range(0, n, _SLICE_ROWS):
+                hi = min(lo + _SLICE_ROWS, n)
+                for row in zip(*(_cells(cells.get(col), lo, hi) for col in self.header)):
+                    yield dict(zip(self.header, row))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -24,7 +25,6 @@ from blockadechain.cli import (
     Table,
     _RUNNERS,
     _fmt,
-    _format_column,
     _write_outputs,
     load_config,
     main,
@@ -693,7 +693,15 @@ def test_josephson_small_array_decay_unchecked(tmp_path, n_boxes):
     assert not [r for r in rows if r["record"] == "decay_ratio"]
 
 
-@pytest.mark.parametrize("n_boxes, admitted", [(724, True), (725, False), (100_000, False), (10**9, False)])
+LARGEST_ARRAY = math.isqrt(LAYOUT_BYTES_CAP // cli.BOX_PAIR_BYTES)
+
+
+@pytest.mark.parametrize("n_boxes, admitted", [
+    pytest.param(LARGEST_ARRAY, True, id="largest-admitted"),
+    pytest.param(LARGEST_ARRAY + 1, False, id="one-box-more"),
+    (100_000, False),
+    (10**9, False),
+])
 def test_josephson_size_checked_at_load(tmp_path, n_boxes, admitted):
     # through load_config only: n_boxes^2 box pairs at BOX_PAIR_BYTES each, before any matrix is built
     assert (n_boxes**2 * cli.BOX_PAIR_BYTES <= LAYOUT_BYTES_CAP) == admitted
@@ -955,14 +963,22 @@ MIXED = [-0.0, 0.0, -0.0, True, 1, True, np.float64(-0.0), np.float64(0.0), np.f
          None, "pass", np.bool_(True), 0.1 + 0.2]
 
 
-def test_format_column_mixed_cells():
+def written_column(tmp_path, n, cells):
+    """The CSV texts of a one-column table of ``n`` rows."""
+    table = Table()
+    table.append(n, x=cells)
+    _write_outputs(load_config("blockade-check", None, 0), ["x"], table, str(tmp_path / "x.csv"))
+    return (tmp_path / "x.csv").read_text(encoding="utf-8").split("\n")[1:-1]
+
+
+def test_format_column_mixed_cells(tmp_path):
     expected = ["-0", "0", "-0", "true", "1", "true", "-0", "0", "2.5", "2.5",
                 "1", "-3", "false", "0", "nan", "inf", "-inf", "inf", "0", "",
                 "", "pass", "true", "0.3"]
-    assert list(_format_column(MIXED, len(MIXED))) == expected
-    assert list(_format_column(MIXED[::-1], len(MIXED))) == expected[::-1]
-    assert list(_format_column(-0.0, 3)) == ["-0"] * 3
-    assert list(_format_column(None, 2)) == ["", ""]
+    assert written_column(tmp_path, len(MIXED), MIXED) == expected
+    assert written_column(tmp_path, len(MIXED), MIXED[::-1]) == expected[::-1]
+    assert written_column(tmp_path, 3, -0.0) == ["-0"] * 3
+    assert written_column(tmp_path, 2, None) == ["", ""]
 
 
 def test_writer_mixed_column_matches_reference(tmp_path):
@@ -991,14 +1007,24 @@ def test_fmt_matches_the_numpy_formatting(value):
     assert _fmt(value) == numpy_fmt(value)
 
 
+# NaNs of either sign with any payload, signalling ones included
+NAN_BITS = st.tuples(st.booleans(), st.integers(1, 2**52 - 1)).map(lambda s: s[0] << 63 | 0x7FF << 52 | s[1])
+FLOAT_BITS = FLOATS.map(lambda x: int(np.float64(x).view(np.uint64))) | NAN_BITS
+
+
+def float_bits(bits):
+    return np.array(bits, dtype=np.uint64).view(np.float64)
+
+
 def block_cells(n):
-    """One block's cell of each kind: a numpy array, a list or a constant."""
+    """One block's cell of each kind: a numpy array (in either byte order), a list or a constant."""
     arrays = st.one_of(
-        st.lists(FLOATS, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float64)),
+        st.lists(FLOAT_BITS, min_size=n, max_size=n).map(float_bits),
         st.lists(FLOATS32, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.float32)),
         st.lists(INTS, min_size=n, max_size=n).map(lambda v: np.array(v, dtype=np.int64)),
         st.lists(st.booleans(), min_size=n, max_size=n).map(lambda v: np.array(v, dtype=bool)),
     )
+    arrays = arrays | arrays.map(lambda a: a.astype(a.dtype.newbyteorder()))
     lists = st.lists(st.sampled_from(MIXED) | TEXT | FLOATS | NUMPY_SCALARS, min_size=n, max_size=n)
     constants = st.none() | st.sampled_from(MIXED) | TEXT | FLOATS | INTS | NUMPY_SCALARS
     return arrays | lists | constants
@@ -1011,17 +1037,81 @@ def block_tables(draw):
     for _ in range(draw(st.integers(0, 4))):
         n = draw(st.integers(0, 6))
         names = draw(st.lists(st.sampled_from(header[:-1]), unique=True))
-        table.append(n, **{name: draw(block_cells(n)) for name in names})
+        # a column object may come back in a later block, as josephson-map's i and j do
+        earlier = [cell for m, cells in table.blocks if m == n for cell in cells.values()
+                   if isinstance(cell, (list, np.ndarray))]
+        cells = block_cells(n) | st.sampled_from(earlier) if earlier else block_cells(n)
+        table.append(n, **{name: draw(cells) for name in names})
     return header, table
+
+
+def example_table(*blocks):
+    table = Table()
+    for cells in blocks:
+        table.append(len(next(iter(cells.values()))), **cells)
+    return ["a", "b", "c", "d", "absent"], table
+
+
+SHARED = np.array([0.5, -0.0, 0.0, 0.5, 7.0, -0.0])
+NANS = [0x7FF8 << 48, 0xFFF8 << 48, 0x7FF0 << 48 | 1, 0xFFF0 << 48 | 12345, 0x7FFF << 48 | 2**48 - 1]
+NANS32 = [0x7FC00000, 0xFFC00000, 0x7F800001, 0xFF803039, 0x7FFFFFFF]
 
 
 @settings(max_examples=80, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(block_tables())
+# one column object in two blocks and twice in one block
+@example(example_table({"a": SHARED, "b": SHARED}, {"c": SHARED, "d": list(SHARED)}))
+# -0.0 and 0.0 in different slices of one array, in both orders and both byte orders
+@example(example_table({"a": np.array([-0.0, 1.0, 2.0, 3.0, 0.0, -0.0])},
+                       {"a": np.array([0.0, 1.0, 2.0, 3.0, -0.0, 0.0], dtype=">f8")},
+                       {"b": np.array([0.0, 1.0, 2.0, 3.0, -0.0], dtype=np.float32)}))
+# NaNs of different payload bits and signs, in float64 and float32
+@example(example_table({"a": float_bits(NANS), "b": np.array(NANS32, dtype=np.uint32).view(np.float32)}))
 def test_block_writer_matches_row_wise_reference(tmp_path, monkeypatch, header_table):
     monkeypatch.setattr(cli, "_SLICE_ROWS", 4)  # blocks of up to 6 rows span two slices
     header, table = header_table
     cfg = load_config("blockade-check", None, 0)
     assert_same_outputs(tmp_path, cfg, header, table, table_rows(table))
+
+
+def traced_peak(action) -> int:
+    """The traced peak of ``action``, on top of what was held before it."""
+    tracemalloc.start()
+    try:
+        action()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+#: What the writer may hold on top of the table: one slice of cells and texts and
+#: the texts of the distinct cells.
+WRITER_BYTES = 1_500_000
+
+
+def josephson_table(tmp_path, n_boxes):
+    cfg = load_config("josephson-map", write_config(tmp_path, {"scenario": "josephson-map",
+                                                               "parameters": {"n_boxes": n_boxes}}), 0)
+    return cfg, *cli.run_josephson_map(cfg)
+
+
+def test_josephson_writer_holds_one_slice(tmp_path):
+    # 180k rows at 300 boxes; a writer that formats whole blocks holds about 7 MB more
+    cfg, header, table = josephson_table(tmp_path, 300)
+    assert traced_peak(lambda: _write_outputs(cfg, header, table, str(tmp_path / "jj.csv"))) < WRITER_BYTES
+
+
+def test_josephson_mirror_rows_hold_one_slice(tmp_path):
+    # 80k rows at 200 boxes; rows made from whole-block lists hold about 1.9 MB more.
+    # The encoder is left out: its batch of 2^16 pieces holds about 2 MB at any size,
+    # and a traced encode takes about half a minute at 300 boxes
+    _, header, table = josephson_table(tmp_path, 200)
+
+    def walk():
+        for _ in cli._MirrorRows(header, table):
+            pass
+
+    assert traced_peak(walk) < WRITER_BYTES
 
 
 def test_array_cells_reach_the_mirror_as_python_scalars(tmp_path):
