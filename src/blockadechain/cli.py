@@ -12,7 +12,6 @@ configuration errors, and 2 when a numerical invariant fails.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import struct
@@ -38,7 +37,7 @@ PHASE_TOL = 1e-12
 ROW_BYTES = 512
 
 #: Peak bytes of josephson-map per pair of boxes: matrices, index columns and writer
-#: (40-64 traced at 300-1000 boxes, with or without a json_mirror, CPython 3.11);
+#: (32-36 traced at 300-965 boxes, with or without a json_mirror, CPython 3.11);
 #: checked at load, n_boxes^2 of them, against LAYOUT_BYTES_CAP: up to 965 boxes.
 BOX_PAIR_BYTES = 72
 
@@ -262,7 +261,7 @@ def _validate_parameters(cfg: RunConfig) -> None:
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
 
 
-#: Rows the CSV writer assembles and writes at a time, which bounds the text it holds.
+#: Rows the writer assembles and writes at a time, which bounds the text it holds.
 _SLICE_ROWS = 1024
 
 
@@ -313,19 +312,12 @@ def _is_array(column) -> bool:
     return getattr(column, "ndim", None) == 1
 
 
-def _cells(column, lo: int, hi: int):
-    """Rows lo:hi of a column as Python values: an integer must not reach json's default=float."""
-    if _is_array(column):
-        return column[lo:hi].tolist()
-    return column[lo:hi] if isinstance(column, list) else itertools.repeat(column, hi - lo)
-
-
 class _ArrayTexts(dict):
-    """CSV texts of the array cells of one dtype, each formatted when first
+    """Texts of the array cells of one dtype, each formatted by ``fmt`` when first
     looked up; a float is keyed by its bit pattern, which keeps -0.0 apart from 0.0."""
 
-    def __init__(self, dtype):
-        self.dtype = dtype
+    def __init__(self, dtype, fmt):
+        self.dtype, self.fmt = dtype, fmt
 
     def texts(self, cells) -> list:
         if self.dtype.kind == "f":
@@ -336,16 +328,16 @@ class _ArrayTexts(dict):
         value = key
         if self.dtype.kind == "f":
             value = struct.unpack(self.dtype.char, key.to_bytes(self.dtype.itemsize, sys.byteorder))[0]
-        text = self[key] = _fmt(value)
+        text = self[key] = self.fmt(value)
         return text
 
 
-def _texts(column, lo: int, hi: int, memos: dict) -> list:
-    """CSV texts of rows lo:hi of a list or array column; ``memos`` keeps
+def _texts(column, lo: int, hi: int, memos: dict, fmt) -> list:
+    """Texts of rows lo:hi of a list or array column; ``memos`` keeps
     each distinct cell's text for the whole write."""
     if _is_array(column):
         if column.dtype.str not in memos:
-            memos[column.dtype.str] = _ArrayTexts(column.dtype)
+            memos[column.dtype.str] = _ArrayTexts(column.dtype, fmt)
         return memos[column.dtype.str].texts(column[lo:hi])
     memo = memos.setdefault(list, {})
     texts = []
@@ -357,60 +349,58 @@ def _texts(column, lo: int, hi: int, memos: dict) -> list:
             key = (type(value), value, value == 0 and str(value).startswith("-"))
             text = memo.get(key)
             if text is None:
-                text = memo[key] = _text(value)
+                text = memo[key] = fmt(value)
         texts.append(text)
     return texts
 
 
+def _row_texts(table: Table, columns: list, glue: list, end: str, fmt):
+    """The text of each slice of the table's rows: per row, each column's glue
+    and its cell formatted by ``fmt``, then ``end``."""
+    memos = {}  # one per dtype of array cells and one for list cells, for the whole write
+    for n, cells in table.blocks:
+        # a str piece is the same on every row (constant cells fold into it with
+        # their glue); any other piece is a list or an array with one cell per row
+        pieces = []
+        literal = ""
+        for col, before in zip(columns, glue):
+            cell = cells.get(col)
+            literal += before
+            if isinstance(cell, list) or _is_array(cell):
+                pieces += [literal, cell] if literal else [cell]
+                literal = ""
+            else:
+                literal += fmt(cell)
+        pieces.append(literal + end)
+        for lo in range(0, n, _SLICE_ROWS):
+            hi = min(lo + _SLICE_ROWS, n)
+            texts = [""] * ((hi - lo) * len(pieces))  # row-major: piece k of each row at k::len(pieces)
+            for k, piece in enumerate(pieces):
+                texts[k :: len(pieces)] = ([piece] * (hi - lo) if isinstance(piece, str)
+                                           else _texts(piece, lo, hi, memos, fmt))
+            yield "".join(texts)
+
+
 def _write_outputs(cfg: RunConfig, header: list, table: Table, out_path: str) -> None:
-    memos = {}  # one per dtype of array cells and one for list cells, for the whole CSV
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        for n, cells in table.blocks:
-            # a str piece is the same on every row (constant cells fold into it with
-            # their commas); any other piece is a list or an array with one cell per row
-            pieces = []
-            literal = ""
-            for k, col in enumerate(header):
-                cell = cells.get(col)
-                if isinstance(cell, list) or _is_array(cell):
-                    pieces += [literal + ",", cell] if k else [cell]
-                    literal = ""
-                else:
-                    literal += ("," if k else "") + _text(cell)
-            pieces.append(literal + "\n")
-            for lo in range(0, n, _SLICE_ROWS):
-                hi = min(lo + _SLICE_ROWS, n)
-                texts = [""] * ((hi - lo) * len(pieces))  # row-major: piece k of each row at k::len(pieces)
-                for k, piece in enumerate(pieces):
-                    texts[k :: len(pieces)] = ([piece] * (hi - lo) if isinstance(piece, str)
-                                               else _texts(piece, lo, hi, memos))
-                fh.write("".join(texts))
-    del memos  # the mirror needs no texts
+        fh.writelines(_row_texts(table, header, [""] + [","] * (len(header) - 1), "\n", _text))
     if cfg.json_mirror:
+        # json.dumps's text of the mirror, its rows spliced in from the slice texts
         mirror = {"scenario": cfg.scenario, "seed": cfg.seed, "parameters": cfg.parameters,
-                  "columns": header, "rows": _MirrorRows(header, table)}
-        chunks = json.JSONEncoder(sort_keys=True, indent=1, default=float).iterencode(mirror)
+                  "columns": header, "rows": []}
+        head, _, tail = json.dumps(mirror, sort_keys=True, indent=1, default=float).rpartition('"rows": []')
+        columns = sorted(header)
+        glue = [("," if k else ",\n  {") + f"\n   {json.dumps(col)}: " for k, col in enumerate(columns)]
+        rows = _row_texts(table, columns, glue, "\n  }", json.JSONEncoder(default=float).encode)
         with open(cfg.json_mirror, "w", encoding="utf-8") as fh:
-            fh.writelines(iter(lambda: "".join(itertools.islice(chunks, 1 << 16)), ""))
-            fh.write("\n")
-
-
-class _MirrorRows(list):
-    """The mirror's rows: a list that ``iterencode`` walks lazily, to ``json.dumps``'s text."""
-
-    def __init__(self, header: list, table: Table):
-        self.header, self.table = header, table
-
-    def __len__(self) -> int:
-        return len(self.table)
-
-    def __iter__(self):
-        for n, cells in self.table.blocks:
-            for lo in range(0, n, _SLICE_ROWS):
-                hi = min(lo + _SLICE_ROWS, n)
-                for row in zip(*(_cells(cells.get(col), lo, hi) for col in self.header)):
-                    yield dict(zip(self.header, row))
+            fh.write(head + '"rows": [')
+            first = next(rows, "")
+            if first:
+                fh.write(first[1:])  # the first row opens without a comma
+                fh.writelines(rows)
+                fh.write("\n ")
+            fh.write("]" + tail + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +568,7 @@ def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
     n = spec.n_boxes
     header = ["n_boxes", "c_g", "c_j", "c_c", "epsilon", "record", "i", "j", "order", "value", "status"]
     base = dict(n_boxes=n, c_g=spec.c_g, c_j=spec.c_j, c_c=spec.c_c, epsilon=spec.epsilon)
-    index = np.arange(1, n + 1)
+    index = np.arange(1, n + 1, dtype=np.int32)
     ij = dict(i=np.repeat(index, n), j=np.tile(index, n))
     orders = sorted(report.couplings_by_order)
     couplings = [report.couplings_by_order[k] for k in orders]

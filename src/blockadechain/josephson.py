@@ -128,7 +128,9 @@ def invert_capacitance(c: np.ndarray) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ValueError("capacitance matrix is singular") from exc
     inv = (inv + inv.T) / 2.0
-    residual = np.max(np.abs(c @ inv - np.eye(c.shape[0])))
+    r = c @ inv
+    r.flat[:: c.shape[0] + 1] -= 1.0  # C C^{-1} - I in place, one n x n temporary
+    residual = np.max(np.abs(r, out=r))
     if residual > 1e-12:
         raise InvariantViolation(f"inversion residual {residual:.3e} exceeds 1e-12 (ill-conditioned input)")
     return inv

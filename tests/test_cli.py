@@ -991,7 +991,9 @@ def test_writer_mixed_column_matches_reference(tmp_path):
 
 
 SPECIAL_FLOATS = [-0.0, 0.0, float("nan"), float("inf"), -float("inf"), 5e-324, 2.2e-308, 1e308, -1e308, 0.1]
-TEXT = st.text(alphabet="ab%{},-0. ", max_size=6)
+# quotes, backslashes, control, non-ASCII, line-separator and astral characters, which
+# the mirror's cell texts must escape as json.dumps does
+TEXT = st.text(alphabet='ab%{},-0. "\\\n\té\u2028\U0001d11e', max_size=6)
 FLOATS = st.sampled_from(SPECIAL_FLOATS) | st.floats(allow_nan=True, allow_infinity=True)
 FLOATS32 = st.sampled_from([-0.0, 0.0, 0.1, float("nan")]) | st.floats(width=32)
 INTS = st.integers(-(2**63), 2**63 - 1)
@@ -1101,17 +1103,11 @@ def test_josephson_writer_holds_one_slice(tmp_path):
     assert traced_peak(lambda: _write_outputs(cfg, header, table, str(tmp_path / "jj.csv"))) < WRITER_BYTES
 
 
-def test_josephson_mirror_rows_hold_one_slice(tmp_path):
-    # 80k rows at 200 boxes; rows made from whole-block lists hold about 1.9 MB more.
-    # The encoder is left out: its batch of 2^16 pieces holds about 2 MB at any size,
-    # and a traced encode takes about half a minute at 300 boxes
-    _, header, table = josephson_table(tmp_path, 200)
-
-    def walk():
-        for _ in cli._MirrorRows(header, table):
-            pass
-
-    assert traced_peak(walk) < WRITER_BYTES
+def test_josephson_mirror_write_holds_one_slice(tmp_path):
+    # 180k rows at 300 boxes; an encoder writing batches of 2^16 pieces holds about 2.7 MB
+    cfg, header, table = josephson_table(tmp_path, 300)
+    cfg.json_mirror = str(tmp_path / "jj.json")
+    assert traced_peak(lambda: _write_outputs(cfg, header, table, str(tmp_path / "jj.csv"))) < WRITER_BYTES
 
 
 def test_array_cells_reach_the_mirror_as_python_scalars(tmp_path):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,6 +162,19 @@ def test_large_inverse_against_dct_closed_form(eps, c0):
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError, match="singular"):
         invert_capacitance(np.zeros((3, 3)))
+
+
+def test_inverse_holds_two_matrices_beside_its_input():
+    # C^{-1} and one residual temporary; C C^{-1} - I built out of place holds three
+    n = 300
+    c = build_capacitance_matrix(array_spec(n, 0.01))
+    tracemalloc.start()
+    try:
+        invert_capacitance(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * n * n * 8
 
 
 def test_inverse_residual_failure_is_an_invariant_violation():
