@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import struct
 import sys
 from collections import Counter
@@ -36,10 +37,12 @@ PHASE_TOL = 1e-12
 #: writer; checked with the sweep's row count against LAYOUT_BYTES_CAP at load.
 ROW_BYTES = 512
 
-#: Peak bytes of josephson-map per pair of boxes: matrices, index columns and writer
-#: (32-36 traced at 300-965 boxes, with or without a json_mirror, CPython 3.11);
-#: checked at load, n_boxes^2 of them, against LAYOUT_BYTES_CAP: up to 965 boxes.
-BOX_PAIR_BYTES = 72
+#: Peak bytes of josephson-map per pair of boxes: matrices, index columns and writer,
+#: the largest traced plus about 12% (CPython 3.11, with or without a json_mirror:
+#: 32.2 at 965-1295 boxes for any c_c, and at most 49.9, at 300 boxes with c_c = 0.99
+#: and a mirror, where the writer's cell texts weigh most); checked at load, n_boxes^2
+#: of them, against LAYOUT_BYTES_CAP: up to 1094 boxes.
+BOX_PAIR_BYTES = 56
 
 SCENARIOS = ("deviation-sweep", "gate-fidelity", "josephson-map", "blockade-check")
 
@@ -89,6 +92,8 @@ class RunConfig:
     seed: int = 0
     json_mirror: str | None = None
     invariant_failures: list = field(default_factory=list)
+    #: blockade-check: the layout of each check, built once at load
+    layouts: list = field(default_factory=list)
 
 
 def _check_keys(tree: dict, allowed: set, where: str) -> None:
@@ -230,7 +235,7 @@ def _validate_parameters(cfg: RunConfig) -> None:
         if p["units"] not in ("reduced", "si"):
             raise ConfigError("units must be 'reduced' or 'si'")
     elif cfg.scenario == "blockade-check":
-        from .blockade import check_residual_budget, layout_bytes, layout_sites
+        from .blockade import check_residual_budget, layout_bytes, layout_sites, pair_encoded_layout, single_spin_layout
 
         if not isinstance(p["checks"], list) or not p["checks"]:
             raise ConfigError("checks must be a nonempty list")
@@ -253,10 +258,12 @@ def _validate_parameters(cfg: RunConfig) -> None:
                     f"checks[{i}]: a layout of {n_sites} sites exceeds the budget of {LAYOUT_BYTES_CAP} bytes"
                 )
             chk["couplings"] = _finite_list(chk.get("couplings"), "couplings")
+            layout = single_spin_layout(chk["n_logical"]) if m is None else pair_encoded_layout(chk["n_logical"], m)
             try:
-                check_residual_budget(_layout(chk), chk["couplings"])
+                check_residual_budget(layout, chk["couplings"])
             except ValueError as exc:
                 raise ConfigError(f"checks[{i}]: {exc}") from None
+            cfg.layouts.append(layout)
     else:  # pragma: no cover
         raise ConfigError(f"unknown scenario {cfg.scenario!r}")
 
@@ -539,6 +546,14 @@ def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
 # josephson-map
 
 def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
+    if "numpy" not in sys.modules:
+        # OpenBLAS starts its worker threads when numpy loads, and an idle worker
+        # spins: on 2 cores a 300-box map took 0.44-0.51 s of CPU with the default
+        # two threads and 0.24-0.30 s with one, in about the same wall time.  One
+        # thread slows only the largest arrays (965 boxes: the inverse 0.10-0.13 ->
+        # 0.15-0.19 s, a run 1.04 -> 1.20 s).  A value the user set wins; a process
+        # that already loaded numpy is left alone.
+        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     import numpy as np
 
     from .josephson import JosephsonArraySpec, build_capacitance_matrix, extract_couplings, invert_capacitance
@@ -594,21 +609,11 @@ def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
 # ---------------------------------------------------------------------------
 # blockade-check
 
-def _layout(chk: dict):
-    """The layout one validated blockade check names."""
-    from .blockade import pair_encoded_layout, single_spin_layout
-
-    if chk["layout"] == "single-spin":
-        return single_spin_layout(chk["n_logical"])
-    return pair_encoded_layout(chk["n_logical"], chk.get("m", 2))
-
-
 def run_blockade_check(cfg: RunConfig) -> tuple[list, Table]:
     from .blockade import verify_blockade_cancellation
 
     rows = []
-    for i, chk in enumerate(cfg.parameters["checks"]):
-        layout = _layout(chk)
+    for i, (chk, layout) in enumerate(zip(cfg.parameters["checks"], cfg.layouts, strict=True)):
         try:
             residual = verify_blockade_cancellation(layout, chk["couplings"])
         except ValueError as exc:

@@ -719,6 +719,45 @@ def test_josephson_rejects_single_box(tmp_path):
     assert main(["josephson-map", "--config", cfg, "--out", str(tmp_path / "o.csv")]) == EXIT_CONFIG
 
 
+#: A child that runs josephson-map through cli.main, then prints its thread count
+#: and the OPENBLAS_NUM_THREADS it ended with.
+THREADS_CHILD = """
+import os, sys
+from blockadechain import cli
+code = cli.main(sys.argv[1:])
+print(code, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc/self/task to count threads")
+def test_josephson_runs_blas_on_one_thread_unless_set(tmp_path):
+    cfg = write_config(tmp_path, {"scenario": "josephson-map", "parameters": {"n_boxes": 300}})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    ends = {}
+    for threads in (None, "2"):
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        out = tmp_path / f"jj_{threads}.csv"
+        child = subprocess.run(
+            [sys.executable, "-c", THREADS_CHILD, "josephson-map", "--config", cfg, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert child.stderr == ""
+        ends[threads] = child.stdout.split()
+    # unset: no OpenBLAS worker was started; a value set beforehand is kept
+    assert ends[None] == [str(EXIT_OK), "1", "1"]
+    assert ends["2"][0] == str(EXIT_OK) and ends["2"][2] == "2"
+    assert (tmp_path / "jj_None.csv").read_bytes() == (tmp_path / "jj_2.csv").read_bytes()
+
+
+def test_josephson_in_process_leaves_the_environment(tmp_path, monkeypatch):
+    # numpy is loaded here already, so a thread setting would have no effect
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    assert main(["josephson-map", "--out", str(tmp_path / "jj.csv")]) == EXIT_OK
+    assert "OPENBLAS_NUM_THREADS" not in os.environ
+
+
 # ---------------------------------------------------------------------------
 # blockade check
 
@@ -730,6 +769,16 @@ def test_blockade_check_default_rows(tmp_path):
     assert float(rows[0]["residual"]) == 0.0  # single-spin, nearest order only
     assert float(rows[1]["residual"]) == 0.0  # pair encoding, both orders
     assert float(rows[2]["residual"]) > 0.0   # injected third order
+
+
+def test_blockade_check_builds_each_layout_once(tmp_path, monkeypatch):
+    # the layouts built for the budget check at load are the ones the run walks
+    built = []
+    for name in ("single_spin_layout", "pair_encoded_layout"):
+        builder = getattr(blockade, name)
+        monkeypatch.setattr(blockade, name, lambda *args, builder=builder: built.append(args) or builder(*args))
+    assert main(["blockade-check", "--out", str(tmp_path / "bc.csv")]) == EXIT_OK
+    assert built == [(4,), (2, 2), (2, 2)]
 
 
 @pytest.mark.parametrize(
