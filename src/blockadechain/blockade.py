@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 from . import LAYOUT_BYTES_CAP
 
-#: Peak bytes of the Python tuples that describe one site of a built layout.
+#: Peak bytes of the Python tuples that describe one site of a built layout;
+#: each builder charges them against ``LAYOUT_BYTES_CAP`` before it builds.
 SITE_BYTES = 160
 #: Bytes ``verify_blockade_cancellation`` charges per held state (key tuple,
 #: dict slot, pair of extreme sums; plus 8 per spin of the key and 8 per 30
@@ -59,6 +60,11 @@ class LogicalLayout:
         return len(self.blockade_sites) + sum(len(p) for p in self.qubit_sites)
 
 
+def _charge_sites(n_sites: int) -> None:
+    if n_sites * SITE_BYTES > LAYOUT_BYTES_CAP:
+        raise ValueError(f"a layout of {n_sites} sites exceeds the budget of {LAYOUT_BYTES_CAP} bytes")
+
+
 def single_spin_layout(n_logical: int) -> LogicalLayout:
     """Single-spin qubits on even sites, alternating frozen blockades.
 
@@ -68,6 +74,7 @@ def single_spin_layout(n_logical: int) -> LogicalLayout:
     """
     if n_logical < 1:
         raise ValueError("need at least one logical qubit")
+    _charge_sites(2 * n_logical + 1)
     qubits = tuple((2 * i,) for i in range(1, n_logical + 1))
     blockades = tuple((2 * k - 1, 0 if k % 2 == 1 else 1) for k in range(1, n_logical + 2))
     return LogicalLayout(n_logical, 1, qubits, blockades)
@@ -82,6 +89,7 @@ def pair_encoded_layout(n_logical: int, m: int = 2) -> LogicalLayout:
     """
     if n_logical < 1 or m < 1:
         raise ValueError("need n_logical >= 1 and m >= 1")
+    _charge_sites((n_logical + 1) * m + 2 * n_logical)
     qubits = []
     blockades = []
     site = 1
@@ -95,20 +103,6 @@ def pair_encoded_layout(n_logical: int, m: int = 2) -> LogicalLayout:
             blockades.append((site, 0))
             site += 1
     return LogicalLayout(n_logical, m, tuple(qubits), tuple(blockades))
-
-
-def layout_sites(n_logical: int, m: int | None = None) -> int:
-    """Sites of ``pair_encoded_layout(n_logical, m)``, or of
-    ``single_spin_layout(n_logical)`` when ``m`` is None, without building it."""
-    if m is None:
-        return 2 * n_logical + 1
-    return (n_logical + 1) * m + 2 * n_logical
-
-
-def layout_bytes(n_sites: int) -> int:
-    """Bytes of the Python tuples that describe a built layout of ``n_sites``;
-    checked against ``LAYOUT_BYTES_CAP`` before a layout is built."""
-    return n_sites * SITE_BYTES
 
 
 def layout_choices(layout: LogicalLayout) -> list:

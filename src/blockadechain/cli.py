@@ -17,6 +17,7 @@ import math
 import os
 import struct
 import sys
+import warnings
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -235,7 +236,7 @@ def _validate_parameters(cfg: RunConfig) -> None:
         if p["units"] not in ("reduced", "si"):
             raise ConfigError("units must be 'reduced' or 'si'")
     elif cfg.scenario == "blockade-check":
-        from .blockade import check_residual_budget, layout_bytes, layout_sites, pair_encoded_layout, single_spin_layout
+        from .blockade import check_residual_budget, pair_encoded_layout, single_spin_layout
 
         if not isinstance(p["checks"], list) or not p["checks"]:
             raise ConfigError("checks must be a nonempty list")
@@ -251,15 +252,12 @@ def _validate_parameters(cfg: RunConfig) -> None:
                 raise ConfigError("n_logical must be a positive integer")
             if not _is_int(chk.get("m", 2)) or chk.get("m", 2) < 1:
                 raise ConfigError("m must be a positive integer")
-            m = chk.get("m", 2) if chk["layout"] == "pair-encoded" else None
-            n_sites = layout_sites(chk["n_logical"], m)
-            if layout_bytes(n_sites) > LAYOUT_BYTES_CAP:
-                raise ConfigError(
-                    f"checks[{i}]: a layout of {n_sites} sites exceeds the budget of {LAYOUT_BYTES_CAP} bytes"
-                )
-            chk["couplings"] = _finite_list(chk.get("couplings"), "couplings")
-            layout = single_spin_layout(chk["n_logical"]) if m is None else pair_encoded_layout(chk["n_logical"], m)
-            try:
+            try:  # a layout past the byte budget is reported before its couplings are read
+                if chk["layout"] == "single-spin":
+                    layout = single_spin_layout(chk["n_logical"])
+                else:
+                    layout = pair_encoded_layout(chk["n_logical"], chk.get("m", 2))
+                chk["couplings"] = _finite_list(chk.get("couplings"), "couplings")
                 check_residual_budget(layout, chk["couplings"])
             except ValueError as exc:
                 raise ConfigError(f"checks[{i}]: {exc}") from None
@@ -423,8 +421,8 @@ def _linspace(start: float, stop: float, num: int) -> list:
 
 
 def _deviation_columns(name: str, n: int, j2: list, t_points: int, copies: int) -> dict:
-    """The rows of one (scenario, n) as columns of cells, from one batch over
-    every J2's t grid and slope stencil.
+    """The rows of one (scenario, n) as columns of cells, less those two
+    constants, from one batch over every J2's t grid and slope stencil.
 
     Rows go in the order of the key (j2, deviation before slope, t), ties
     in config order, and repeat ``copies`` times, once per listing of the
@@ -453,8 +451,6 @@ def _deviation_columns(name: str, n: int, j2: list, t_points: int, copies: int) 
     no_slope = [None] * len(j2)
     return {
         "record": ["slope" if i >= n_dev else "deviation" for i in order],
-        "scenario": [name] * len(order),
-        "n": [n] * len(order),
         "j2": column(j2_rows),
         "t": column(t + no_slope),
         "exact_raw": column([x if k else None for x, k in zip(batch.exact_raw, ok)] + no_slope),
@@ -474,15 +470,13 @@ def run_deviation_sweep(cfg: RunConfig) -> tuple[list, Table]:
         "record", "scenario", "n", "j2", "t",
         "exact_raw", "exact_phase_opt", "lower_bound", "bound_ok", "slope",
     ]
-    columns = {col: [] for col in header}
+    table = Table()
     copies = Counter(p["scenarios"])
     for name in sorted(copies, key=scenario_order.get):
         for n in range(max(p["n_min"], MIN_QUBITS[Scenario(name)]), p["n_max"] + 1):
-            for col, cells in _deviation_columns(name, n, p["j2"], p["t_points"], copies[name]).items():
-                columns[col] += cells
-    cfg.invariant_failures += [cell for cell in columns["bound_ok"] if cell not in (None, "pass")]
-    table = Table()
-    table.append(len(columns["record"]), **columns)
+            columns = _deviation_columns(name, n, p["j2"], p["t_points"], copies[name])
+            cfg.invariant_failures += [cell for cell in columns["bound_ok"] if cell not in (None, "pass")]
+            table.append(len(columns["record"]), scenario=name, n=n, **columns)
     return header, table
 
 
@@ -665,21 +659,25 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        cfg = load_config(args.scenario, args.config, args.seed)
-        if args.scenario == "gate-fidelity" and getattr(args, "naive", False):
-            cfg.parameters["naive"] = True
-        if args.jobs < 1:
-            raise ConfigError("--jobs must be at least 1")
-        out_path = args.out or cfg.output_path or f"{args.scenario}.csv"
-        header, table = _RUNNERS[args.scenario](cfg)
-        _write_outputs(cfg, header, table, out_path)
-    except InvariantViolation as exc:
-        print(f"numerical invariant violation: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except (ConfigError, ValueError, OSError) as exc:  # OSError: unreadable config or unwritable output
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    # each warning that the caller's filters let through is one line that names no
+    # source file; catch_warnings restores the caller's showwarning afterwards
+    with warnings.catch_warnings():
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            cfg = load_config(args.scenario, args.config, args.seed)
+            if args.scenario == "gate-fidelity" and getattr(args, "naive", False):
+                cfg.parameters["naive"] = True
+            if args.jobs < 1:
+                raise ConfigError("--jobs must be at least 1")
+            out_path = args.out or cfg.output_path or f"{args.scenario}.csv"
+            header, table = _RUNNERS[args.scenario](cfg)
+            _write_outputs(cfg, header, table, out_path)
+        except InvariantViolation as exc:
+            print(f"numerical invariant violation: {exc}", file=sys.stderr)
+            return EXIT_INVARIANT
+        except (ConfigError, ValueError, OSError) as exc:  # OSError: unreadable config or unwritable output
+            print(f"config error: {exc}", file=sys.stderr)
+            return EXIT_CONFIG
     if cfg.invariant_failures:
         for message in cfg.invariant_failures:
             print(f"numerical invariant violation: {message}", file=sys.stderr)

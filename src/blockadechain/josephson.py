@@ -84,7 +84,6 @@ class CouplingReport:
     of order >= 3, the part no width-2 blockade cancels.
     """
 
-    c_inverse: np.ndarray
     couplings_by_order: dict
     decay_ratios: tuple
     decay_in_band: bool
@@ -185,7 +184,8 @@ def extract_couplings(
 
     zz = e2 * np.triu(c_inv, 1) / 4.0
     d = 0.5 - spec.gate_charge_vector()
-    linear = e2 / 2.0 * (c_inv @ d)
+    # numpy's own row sums, not a BLAS product, whose sums depend on its thread count
+    linear = e2 / 2.0 * np.add.reduce(c_inv * d, axis=1)
     constant = float(e2 / 8.0 * np.trace(c_inv) + e2 / 2.0 * d @ c_inv @ d)
 
     by_order = {}
@@ -201,7 +201,6 @@ def extract_couplings(
     j1 = by_order.get(1, 0.0)
     chain = ChainSpec(n_spins=n, j1=j1, j2=by_order.get(2, 0.0), x1_max=abs(j1))
     return CouplingReport(
-        c_inverse=c_inv,
         couplings_by_order=by_order,
         decay_ratios=ratios,
         decay_in_band=in_band,

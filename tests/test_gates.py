@@ -12,8 +12,7 @@ from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment
 from blockadechain import blockade, gates
 from blockadechain.blockade import (
     LAYOUT_BYTES_CAP,
-    layout_bytes,
-    layout_sites,
+    SITE_BYTES,
     pair_encoded_layout,
     single_spin_layout,
     state_counts,
@@ -90,18 +89,45 @@ def test_cancellation_rejects_non_finite_couplings(bad):
         verify_blockade_cancellation(LAYOUT, [1.0, bad])
 
 
-def test_layout_sites_arithmetic():
-    for n in range(1, 7):
-        assert layout_sites(n) == single_spin_layout(n).n_sites
-        for m in range(1, 7):
-            assert layout_sites(n, m) == pair_encoded_layout(n, m).n_sites
+def build_layout(n_logical, m):
+    return single_spin_layout(n_logical) if m is None else pair_encoded_layout(n_logical, m)
+
+
+@pytest.mark.parametrize("m", [None, 1, 2, 3, 4, 5, 6])
+def test_layout_builders_charge_their_sites_at_the_boundary(monkeypatch, m):
+    # a layout of exactly cap // SITE_BYTES sites is built; one byte less of cap
+    # puts the same layout one site past the budget, and its builder raises
+    n_sites = 2 * 5 + 1 if m is None else (5 + 1) * m + 2 * 5  # five logical qubits
+    monkeypatch.setattr(blockade, "LAYOUT_BYTES_CAP", n_sites * SITE_BYTES)
+    assert build_layout(5, m).n_sites == n_sites
+    monkeypatch.setattr(blockade, "LAYOUT_BYTES_CAP", n_sites * SITE_BYTES - 1)
+    message = f"^a layout of {n_sites} sites exceeds the budget of {n_sites * SITE_BYTES - 1} bytes$"
+    with pytest.raises(ValueError, match=message):
+        build_layout(5, m)
 
 
 def test_layout_byte_budget_admits_large_layouts():
     # the budget bounds the sites alone; n_logical enters only through them
-    assert layout_bytes(layout_sites(400, 2)) <= LAYOUT_BYTES_CAP
+    assert pair_encoded_layout(400, 2).n_sites * SITE_BYTES <= LAYOUT_BYTES_CAP
     for m in (None, 1, 2, 3):
-        assert layout_bytes(layout_sites(10_000, m)) <= LAYOUT_BYTES_CAP
+        assert build_layout(10_000, m).n_sites * SITE_BYTES <= LAYOUT_BYTES_CAP
+    # a layout far past the budget raises before it builds a site
+    for m in (None, 10**12):
+        with pytest.raises(ValueError, match=f"budget of {LAYOUT_BYTES_CAP} bytes"):
+            build_layout(10**12, m)
+
+
+@pytest.mark.parametrize("n_logical, m", [(10_000, None), (10_000, 2), (2_000, 6)])
+def test_site_bytes_is_close_to_the_traced_peak(n_logical, m):
+    # safety: a build's traced peak stays within its charge; honesty: the charge is
+    # at most twice the peak (139-144 bytes a site here against 160, CPython 3.11)
+    tracemalloc.start()
+    try:
+        layout = build_layout(n_logical, m)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= SITE_BYTES * layout.n_sites <= 2 * peak
 
 
 def budget_error_peak(monkeypatch, n_logical, n_couplings):
