@@ -8,8 +8,9 @@ the model.
 The public names resolve on first access (PEP 562), so importing the
 package, or one CLI subcommand, loads only the modules it uses.  The
 dense reference implementations live in ``blockadechain.oracles``.
-``InvariantViolation`` and the byte budget ``LAYOUT_BYTES_CAP`` are
-defined here, so the CLI can use both without loading numpy.
+``InvariantViolation``, the byte budget ``LAYOUT_BYTES_CAP`` and the
+value types' base ``_Frozen`` are defined here, so the CLI can use them
+without loading numpy or ``dataclasses``.
 """
 
 import importlib
@@ -68,6 +69,43 @@ LAYOUT_BYTES_CAP = 2**26
 
 class InvariantViolation(RuntimeError):
     """A numerical invariant (unitarity, hermiticity, bound dominance) failed."""
+
+
+class _Frozen:
+    """Base of the validated value types: immutable slots that compare, hash and
+    print by value like a frozen dataclass.  A subclass lists its fields in
+    ``__slots__``, and its ``__init__`` validates them and then calls ``_set``;
+    copy and pickle call that ``__init__`` again."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            object.__setattr__(self, name, value)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
 
 
 def __getattr__(name: str):

@@ -11,9 +11,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
-from . import LAYOUT_BYTES_CAP
+from . import LAYOUT_BYTES_CAP, _Frozen
 
 #: Peak bytes of the Python tuples that describe one site of a built layout;
 #: each builder charges them against ``LAYOUT_BYTES_CAP`` before it builds.
@@ -30,8 +29,7 @@ STATE_BYTES = 384
 STEPS_CAP = 2**24
 
 
-@dataclass(frozen=True)
-class LogicalLayout:
+class LogicalLayout(_Frozen):
     """Assignment of chain sites to logical qubits and frozen blockades.
 
     ``qubit_sites`` holds one tuple per logical qubit (two sites for the
@@ -39,21 +37,19 @@ class LogicalLayout:
     holds (site, frozen_bit) entries.  Together they partition 1..N.
     """
 
-    n_logical: int
-    m: int
-    qubit_sites: tuple
-    blockade_sites: tuple
+    __slots__ = ("n_logical", "m", "qubit_sites", "blockade_sites")
 
-    def __post_init__(self) -> None:
-        sites = [s for pair in self.qubit_sites for s in pair]
-        sites += [s for s, _ in self.blockade_sites]
-        n = max(sites)
-        if sorted(sites) != list(range(1, n + 1)):
+    def __init__(self, n_logical: int, m: int, qubit_sites: tuple, blockade_sites: tuple) -> None:
+        sites = [s for pair in qubit_sites for s in pair]
+        sites.extend(s for s, _ in blockade_sites)
+        sites.sort()  # in place: a copy would pass the builders' SITE_BYTES
+        if not sites or any(map(operator.ne, sites, range(1, len(sites) + 1))):
             raise ValueError("qubit and blockade sites must partition 1..N")
-        if len(self.qubit_sites) != self.n_logical:
+        if len(qubit_sites) != n_logical:
             raise ValueError("qubit_sites length must equal n_logical")
-        if any(bit not in (0, 1) for _, bit in self.blockade_sites):
+        if any(bit not in (0, 1) for _, bit in blockade_sites):
             raise ValueError("frozen states must be 0 or 1")
+        self._set(n_logical, m, qubit_sites, blockade_sites)
 
     @property
     def n_sites(self) -> int:

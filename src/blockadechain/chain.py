@@ -10,35 +10,30 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+
+from . import _Frozen
 
 
-@dataclass(frozen=True)
-class ChainSpec:
+class ChainSpec(_Frozen):
     """Static chain parameters.
 
     ``x1_max`` is the largest reachable XY matrix element between
     adjacent spins, i.e. twice the largest tunable bond strength.
     """
 
-    n_spins: int
-    j1: float
-    j2: float
-    x1_max: float = 0.0
+    __slots__ = ("n_spins", "j1", "j2", "x1_max")
 
-    def __post_init__(self) -> None:
-        if self.n_spins < 2:
+    def __init__(self, n_spins: int, j1: float, j2: float, x1_max: float = 0.0) -> None:
+        if n_spins < 2:
             raise ValueError("a chain needs at least two spins")
-        for name in ("j1", "j2", "x1_max"):
-            if not math.isfinite(getattr(self, name)):
+        for name, value in (("j1", j1), ("j2", j2), ("x1_max", x1_max)):
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-        if self.x1_max < 0:
+        if x1_max < 0:
             raise ValueError("x1_max must be nonnegative")
-        if self.j2 != 0.0 and abs(self.j2) >= abs(self.j1):
-            warnings.warn(
-                "next-nearest coupling |j2| >= |j1|; outside the weak long-range regime",
-                stacklevel=3,  # the caller of the generated __init__
-            )
+        if j2 != 0.0 and abs(j2) >= abs(j1):
+            warnings.warn("next-nearest coupling |j2| >= |j1|; outside the weak long-range regime", stacklevel=2)
+        self._set(n_spins, j1, j2, x1_max)
 
 
 def _as_floats(values, length: int, name: str) -> tuple:
@@ -50,18 +45,14 @@ def _as_floats(values, length: int, name: str) -> tuple:
     return out
 
 
-@dataclass(frozen=True)
-class ControlSegment:
+class ControlSegment(_Frozen):
     """One piecewise-constant slice of the controls.
 
     ``bx``/``bz`` are per-site fields (length N); ``jxy`` holds the bond
     XY strengths J_{i,i+1} (length N-1).
     """
 
-    duration: float
-    bx: tuple
-    bz: tuple
-    jxy: tuple
+    __slots__ = ("duration", "bx", "bz", "jxy")
 
     def __init__(self, duration: float, bx, bz, jxy) -> None:
         duration = float(duration)
@@ -69,12 +60,11 @@ class ControlSegment:
             raise ValueError("segment duration must be positive and finite")
         bx = tuple(float(v) for v in bx)
         n = len(bx)
-        object.__setattr__(self, "duration", duration)
-        object.__setattr__(self, "bx", bx)
-        object.__setattr__(self, "bz", _as_floats(bz, n, "bz"))
-        object.__setattr__(self, "jxy", _as_floats(jxy, n - 1, "jxy"))
+        bz = _as_floats(bz, n, "bz")
+        jxy = _as_floats(jxy, n - 1, "jxy")
         if not all(map(math.isfinite, bx)):
             raise ValueError("bx has non-finite entries")
+        self._set(duration, bx, bz, jxy)
 
     @property
     def n_spins(self) -> int:
@@ -95,11 +85,10 @@ class ControlSegment:
         return cls(duration, (0.0,) * n_spins, (0.0,) * n_spins, jxy)
 
 
-@dataclass(frozen=True)
-class ControlSchedule:
+class ControlSchedule(_Frozen):
     """Ordered control segments; the first segment is applied first."""
 
-    segments: tuple
+    __slots__ = ("segments",)
 
     def __init__(self, segments) -> None:
         segments = tuple(segments)
@@ -108,7 +97,7 @@ class ControlSchedule:
         n = segments[0].n_spins
         if any(s.n_spins != n for s in segments):
             raise ValueError("segments act on different register sizes")
-        object.__setattr__(self, "segments", segments)
+        self._set(segments)
 
     @property
     def n_spins(self) -> int:

@@ -19,7 +19,6 @@ import struct
 import sys
 import warnings
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
 
 # Each subcommand imports the workflow modules it runs, and numpy, inside its
@@ -85,16 +84,17 @@ class ConfigError(Exception):
     """Invalid or unparseable run configuration."""
 
 
-@dataclass
 class RunConfig:
-    scenario: str
-    parameters: dict
-    output_path: str | None = None
-    seed: int = 0
-    json_mirror: str | None = None
-    invariant_failures: list = field(default_factory=list)
-    #: blockade-check: the layout of each check, built once at load
-    layouts: list = field(default_factory=list)
+    def __init__(self, scenario: str, parameters: dict, output_path: str | None = None,
+                 seed: int = 0, json_mirror: str | None = None) -> None:
+        self.scenario = scenario
+        self.parameters = parameters
+        self.output_path = output_path
+        self.seed = seed
+        self.json_mirror = json_mirror
+        self.invariant_failures: list = []
+        #: blockade-check: the layout of each check, built once at load
+        self.layouts: list = []
 
 
 def _check_keys(tree: dict, allowed: set, where: str) -> None:
@@ -286,7 +286,6 @@ def _text(value) -> str:
     return "" if value is None else _fmt(value)
 
 
-@dataclass
 class Table:
     """Output rows held as blocks, one per ``append``; ``len()`` is the row count.
 
@@ -296,7 +295,8 @@ class Table:
     and a name absent from a block is missing on every row of it.
     """
 
-    blocks: list = field(default_factory=list)
+    def __init__(self) -> None:
+        self.blocks: list = []
 
     def __len__(self) -> int:
         return sum(n for n, _ in self.blocks)
@@ -675,7 +675,9 @@ def main(argv=None) -> int:
         except InvariantViolation as exc:
             print(f"numerical invariant violation: {exc}", file=sys.stderr)
             return EXIT_INVARIANT
-        except (ConfigError, ValueError, OSError) as exc:  # OSError: unreadable config or unwritable output
+        # OSError: unreadable config or unwritable output; Warning: a warning that
+        # the caller's filters (python -W error) turned into an exception
+        except (ConfigError, ValueError, OSError, Warning) as exc:
             print(f"config error: {exc}", file=sys.stderr)
             return EXIT_CONFIG
     if cfg.invariant_failures:

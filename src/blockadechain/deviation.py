@@ -14,11 +14,10 @@ form; the dense full-chain oracle ``full_chain_deviation`` is in ``oracles``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from enum import Enum
-from typing import NamedTuple
 
-from . import InvariantViolation
+from . import InvariantViolation, _Frozen
 
 #: Finite-difference stencil for the small-t deviation speed, in 1/|J1|;
 #: divided by (k+1)|J2| where that exceeds 1, so both points stay inside
@@ -93,8 +92,7 @@ def _violations(scenario: Scenario, n: int, j2, t, raw, opt, bound) -> list:
     return messages
 
 
-@dataclass(frozen=True)
-class ScenarioResult:
+class ScenarioResult(_Frozen):
     """Deviation of one scenario at one (n, j2, t) point.
 
     ``exact_raw`` is ||U - V||; ``exact_phase_opt`` additionally
@@ -103,24 +101,17 @@ class ScenarioResult:
     checked to hold while (k+1)|J2|t <= pi.
     """
 
-    scenario: Scenario
-    n_logical: int
-    j2: float
-    t: float
-    exact_raw: float
-    exact_phase_opt: float
-    lower_bound: float
+    __slots__ = ("scenario", "n_logical", "j2", "t", "exact_raw", "exact_phase_opt", "lower_bound")
 
-    def __post_init__(self) -> None:
-        (message,) = _violations(
-            self.scenario, self.n_logical, [self.j2], [self.t],
-            [self.exact_raw], [self.exact_phase_opt], [self.lower_bound],
-        )
+    def __init__(self, scenario: Scenario, n_logical: int, j2: float, t: float,
+                 exact_raw: float, exact_phase_opt: float, lower_bound: float) -> None:
+        (message,) = _violations(scenario, n_logical, [j2], [t], [exact_raw], [exact_phase_opt], [lower_bound])
         if message:
             raise InvariantViolation(message)
+        self._set(scenario, n_logical, j2, t, exact_raw, exact_phase_opt, lower_bound)
 
 
-class DeviationBatch(NamedTuple):
+class DeviationBatch(namedtuple("DeviationBatch", "exact_raw exact_phase_opt lower_bound violations")):
     """Deviations of one scenario and chain length at points (j2[i], t[i]).
 
     The lists hold ScenarioResult's three numbers, one entry per point;
@@ -128,10 +119,7 @@ class DeviationBatch(NamedTuple):
     breaks, or None.
     """
 
-    exact_raw: list
-    exact_phase_opt: list
-    lower_bound: list
-    violations: list
+    __slots__ = ()
 
 
 def _reachable_sums(scenario: Scenario, n: int) -> range:

@@ -20,7 +20,7 @@ dense Pauli algebra these closed forms replace are in ``oracles``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import LAYOUT_BYTES_CAP, InvariantViolation
 from .blockade import LogicalLayout, pair_encoded_layout, verify_blockade_cancellation
@@ -53,8 +53,7 @@ def _logical_code(layout: LogicalLayout, value: int) -> int:
     return sum(bit << (layout.n_sites - site) for site, bit in bits)
 
 
-@dataclass(frozen=True)
-class PulseParameters:
+class PulseParameters(namedtuple("PulseParameters", "x1 theta x2 t_r1 t_r2")):
     """Three-pulse composite achieving a full pi X-rotation despite a tilt.
 
     For a two-level block [[0, x], [x, -2 delta]] the single pulse of
@@ -64,11 +63,7 @@ class PulseParameters:
     rotation about X.
     """
 
-    x1: float
-    theta: float
-    x2: float
-    t_r1: float
-    t_r2: float
+    __slots__ = ()
 
     @property
     def total_duration(self) -> float:
@@ -175,15 +170,11 @@ def compile_cphase(
     return ControlSchedule(segments)
 
 
-@dataclass(frozen=True)
-class GateReport:
+class GateReport(namedtuple("GateReport", "logical_matrix leakage fidelity phase_phi")):
     """Logical action of a simulated schedule on the two-qubit register;
     ``logical_matrix`` is the 4x4 block as a tuple of rows of complex."""
 
-    logical_matrix: tuple
-    leakage: float
-    fidelity: float
-    phase_phi: float
+    __slots__ = ()
 
 
 def _bond_bit(seg: ControlSegment, n: int) -> int:

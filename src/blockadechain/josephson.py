@@ -13,11 +13,11 @@ survive.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 
 import numpy as np
 
-from . import InvariantViolation
+from . import InvariantViolation, _Frozen
 from .chain import ChainSpec
 
 #: Cooper-pair charge squared, (2e)^2 in coulombs^2, for SI-mode energies.
@@ -27,37 +27,33 @@ COOPER_PAIR_CHARGE_SQ = (2.0 * 1.602176634e-19) ** 2
 DECAY_REGIME_EPS = 0.1
 
 
-@dataclass(frozen=True)
-class JosephsonArraySpec:
+class JosephsonArraySpec(_Frozen):
     """Identical-box array parameters; capacitances in arbitrary units
     (set c_g + c_j = 1 for reduced units, farads for SI mode)."""
 
-    n_boxes: int
-    c_g: float
-    c_j: float
-    c_c: float
-    gate_charges: tuple | None = None
+    __slots__ = ("n_boxes", "c_g", "c_j", "c_c", "gate_charges")
 
-    def __post_init__(self) -> None:
-        if self.n_boxes < 2:
+    def __init__(self, n_boxes: int, c_g: float, c_j: float, c_c: float, gate_charges: tuple | None = None) -> None:
+        if n_boxes < 2:
             raise ValueError("need at least two boxes")
-        if self.c_g <= 0 or self.c_j <= 0:
+        if c_g <= 0 or c_j <= 0:
             raise ValueError("on-site capacitances must be positive")
-        if self.c_c < 0:
+        if c_c < 0:
             raise ValueError("coupling capacitance must be nonnegative")
-        if self.gate_charges is not None:
-            ng = tuple(float(v) for v in self.gate_charges)
-            if len(ng) != self.n_boxes:
+        if gate_charges is not None:
+            gate_charges = tuple(float(v) for v in gate_charges)
+            if len(gate_charges) != n_boxes:
                 raise ValueError("gate_charges length must equal n_boxes")
-            object.__setattr__(self, "gate_charges", ng)
-        if self.epsilon >= 1.0:
+        epsilon = c_c / (c_g + c_j)  # as the epsilon property computes it
+        if epsilon >= 1.0:
             raise ValueError("coupling capacitance must stay below the on-site capacitance")
-        if self.epsilon > DECAY_REGIME_EPS:
+        if epsilon > DECAY_REGIME_EPS:
             warnings.warn(
-                f"epsilon = {self.epsilon:.3g} exceeds {DECAY_REGIME_EPS}; "
+                f"epsilon = {epsilon:.3g} exceeds {DECAY_REGIME_EPS}; "
                 "the exponential-decay analysis assumes epsilon << 1",
-                stacklevel=3,  # the caller of the generated __init__
+                stacklevel=2,
             )
+        self._set(n_boxes, c_g, c_j, c_c, gate_charges)
 
     @property
     def c0(self) -> float:
@@ -73,8 +69,11 @@ class JosephsonArraySpec:
         return np.asarray(self.gate_charges, dtype=float)
 
 
-@dataclass(frozen=True)
-class CouplingReport:
+class CouplingReport(namedtuple(
+    "CouplingReport",
+    "couplings_by_order decay_ratios decay_in_band decay_in_regime effective_chain "
+    "residual_bound zz_matrix linear_coeffs constant",
+)):
     """Inverse-capacitance couplings of an array, by order and by pair.
 
     Energies are in units of (2e)^2 / C_0 (reduced mode, the default)
@@ -84,15 +83,7 @@ class CouplingReport:
     of order >= 3, the part no width-2 blockade cancels.
     """
 
-    couplings_by_order: dict
-    decay_ratios: tuple
-    decay_in_band: bool
-    decay_in_regime: bool
-    effective_chain: ChainSpec
-    residual_bound: float
-    zz_matrix: np.ndarray
-    linear_coeffs: np.ndarray
-    constant: float
+    __slots__ = ()
 
 
 def build_capacitance_matrix(spec: JosephsonArraySpec) -> np.ndarray:

@@ -43,7 +43,7 @@ def test_chain_spec_validation():
 
 
 def test_regime_warning_names_the_caller():
-    # the dataclass-generated __init__ sits between __post_init__ and the caller
+    # stacklevel points past ChainSpec.__init__ to the line that built the spec
     with pytest.warns(UserWarning, match="regime") as record:
         ChainSpec(4, 0.1, 0.2)
     assert record[0].filename == __file__

@@ -689,6 +689,28 @@ def test_warning_lines_follow_the_callers_filters(tmp_path, capsys):
     assert warnings.showwarning is shown
 
 
+@pytest.mark.parametrize(
+    "scenario, params, message",
+    [
+        ("josephson-map", {"c_c": 0.5},
+         "epsilon = 0.5 exceeds 0.1; the exponential-decay analysis assumes epsilon << 1"),
+        ("gate-fidelity", {"j2": [1.5]},
+         "next-nearest coupling |j2| >= |j1|; outside the weak long-range regime"),
+    ],
+    ids=["epsilon", "j2"],
+)
+def test_warning_turned_error_is_a_config_error(tmp_path, scenario, params, message):
+    # under python -W error the library's warning raises: one line and exit 1, no traceback
+    cfg = write_config(tmp_path, {"scenario": scenario, "parameters": params})
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (str(SRC), os.environ.get("PYTHONPATH")))))
+    out = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "blockadechain.cli", scenario, "--config", cfg, "--out", "o.csv"],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (out.returncode, out.stderr) == (EXIT_CONFIG, f"config error: {message}\n")
+    assert not (tmp_path / "o.csv").exists()
+
+
 @pytest.mark.parametrize("n_boxes", [2, 4])
 def test_josephson_small_array_decay_unchecked(tmp_path, n_boxes):
     # below five boxes there is no central-row ratio to hold to the band

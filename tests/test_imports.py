@@ -115,6 +115,35 @@ def test_deviation_sweep_runs_without_numpy(tmp_path, config):
     assert outputs["blocked"] == outputs["normal"]
 
 
+#: Standard-library modules each subcommand must run without.  No package
+#: module imports them; numpy itself imports ``inspect`` and ``typing``.
+BLOCKED = {
+    "josephson-map": ("dataclasses",),
+    "gate-fidelity": ("dataclasses", "typing", "inspect"),
+    "blockade-check": ("dataclasses", "typing", "inspect"),
+    "deviation-sweep": ("dataclasses", "typing", "inspect"),
+}
+
+
+@pytest.mark.parametrize("subcommand", sorted(BLOCKED))
+def test_subcommand_runs_without_dataclasses_typing_or_inspect(tmp_path, subcommand):
+    outputs = {}
+    for side, blocked in (("blocked", BLOCKED[subcommand]), ("normal", ())):
+        tree = {"scenario": subcommand, "json_mirror": f"{side}_mirror.json"}
+        (tmp_path / f"{side}.json").write_text(json.dumps(tree), encoding="utf-8")
+        code = (
+            f"import sys; sys.modules.update(dict.fromkeys({blocked!r})); "
+            "from blockadechain.cli import main; "
+            f"sys.exit(main([{subcommand!r}, '--config', '{side}.json', '--out', '{side}.csv']))"
+        )
+        out = run_python(["-c", code], tmp_path)
+        outputs[side] = [out.returncode, out.stderr] + [
+            (tmp_path / f"{side}{suffix}").read_bytes() for suffix in (".csv", "_mirror.json")
+        ]
+    assert outputs["blocked"] == outputs["normal"]
+    assert outputs["normal"][:2] == [0, ""]
+
+
 def test_cli_import_and_load_config_load_no_numpy(tmp_path):
     code = (
         "import sys; from blockadechain.cli import load_config; "

@@ -100,7 +100,7 @@ def test_spec_validation():
 
 
 def test_decay_regime_warning_names_the_caller():
-    # the dataclass-generated __init__ sits between __post_init__ and the caller
+    # stacklevel points past JosephsonArraySpec.__init__ to the line that built the spec
     with pytest.warns(UserWarning, match="epsilon") as record:
         JosephsonArraySpec(4, 0.5, 0.5, 0.5)
     assert record[0].filename == __file__
