@@ -111,10 +111,12 @@ def _is_int(value) -> bool:
 def _finite(value, name: str) -> float:
     if isinstance(value, bool):
         raise ConfigError(f"{name} must be a number, not a boolean")
+    if not isinstance(value, (int, float)):  # a numeric string is not a number
+        raise ConfigError(f"{name} must be a number")
     try:
         out = float(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name} must be a number") from exc
+    except OverflowError:  # an integer past the float range
+        out = math.inf
     if not math.isfinite(out):
         raise ConfigError(f"{name} must be finite")
     return out
@@ -129,7 +131,7 @@ def _finite_list(values, name: str) -> list:
 def load_config(scenario: str, path: str | None, seed: int) -> RunConfig:
     """Read and strictly validate a JSON config tree for one subcommand."""
     if path is None:
-        tree = {"scenario": scenario, "parameters": json.loads(json.dumps(DEFAULT_PARAMETERS[scenario]))}
+        tree = {}
     else:
         try:
             tree = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -200,9 +202,9 @@ def _validate_parameters(cfg: RunConfig) -> None:
             if n_lo > p["n_max"]:
                 continue
             rows += copies[name] * (p["n_max"] - n_lo + 1) * len(p["j2"]) * (p["t_points"] + 1)
-            t1, t2 = speed_stencil(name, p["n_max"], j2)
-            for x, s1, s2 in zip(j2, t1, t2):
-                if not math.isfinite(math.pi / (2.0 * abs(x) * n_lo)) or s1 == s2:
+            for x in j2:
+                t1, t2 = speed_stencil(name, p["n_max"], x)
+                if not math.isfinite(math.pi / (2.0 * abs(x) * n_lo)) or t1 == t2:
                     raise ConfigError(
                         f"j2 value {x!r} is out of range: the {name} t grid or slope "
                         f"stencil overflows for n in {n_lo}..{p['n_max']}"
@@ -216,7 +218,7 @@ def _validate_parameters(cfg: RunConfig) -> None:
             raise ConfigError("j1 must be nonzero")
         if p["x1"] <= 0:
             raise ConfigError("x1 must be positive")
-        p["j2"] = _finite_list(p["j2"] if isinstance(p["j2"], list) else [p["j2"]], "j2")
+        p["j2"] = _finite_list(p["j2"], "j2")
         p["tau"] = _finite_list(p["tau"], "tau")
         if any(tau < 0 for tau in p["tau"]):
             raise ConfigError("tau values must be nonnegative")
@@ -422,23 +424,23 @@ def _linspace(start: float, stop: float, num: int) -> list:
 
 def _deviation_columns(name: str, n: int, j2: list, t_points: int, copies: int) -> dict:
     """The rows of one (scenario, n) as columns of cells, less those two
-    constants, from one batch over every J2's t grid and slope stencil.
+    constants: every J2's t grid in one batch, its slope by ``deviation_speed``.
 
     Rows go in the order of the key (j2, deviation before slope, t), ties
     in config order, and repeat ``copies`` times, once per listing of the
-    scenario.  A point that breaks an invariant gives a ``fail:`` row; a
-    slope point that does raises, as ``deviation_speed`` does.
+    scenario.  A grid point that breaks an invariant gives a ``fail:`` row;
+    a slope point that does raises.
     """
-    from .deviation import scenario_deviations, speed_stencil, stencil_slopes
+    from .deviation import deviation_speed, scenario_deviations
 
     t = [s for x in j2 for s in _linspace(0.0, math.pi / (2.0 * abs(x) * n) if x != 0 else 1.0, t_points)]
-    t1, t2 = speed_stencil(name, n, j2)
-    n_dev = len(t)
     # the config's own objects, which the writer formats once per run of equal cells
-    j2_rows = [x for x in j2 for _ in range(t_points)] + j2
-    batch = scenario_deviations(name, n, j2_rows + j2, t + t1 + t2)
-    slope = stencil_slopes(batch, t1, t2)
+    j2_grid = [x for x in j2 for _ in range(t_points)]
+    batch = scenario_deviations(name, n, j2_grid, t)
+    slope = [deviation_speed(name, n, x) for x in j2]
 
+    n_dev = len(t)
+    j2_rows = j2_grid + j2
     size = len(j2_rows)
     keys = [(x, i >= n_dev, t[i] if i < n_dev else 0.0) for i, x in enumerate(j2_rows)]
     # each listing of the scenario adds the rows again, after the earlier ones on ties
@@ -447,7 +449,7 @@ def _deviation_columns(name: str, n: int, j2: list, t_points: int, copies: int) 
     def column(cells: list) -> list:
         return [cells[i] for i in order]
 
-    ok = [v is None for v in batch.violations[:n_dev]]
+    ok = [v is None for v in batch.violations]
     no_slope = [None] * len(j2)
     return {
         "record": ["slope" if i >= n_dev else "deviation" for i in order],
@@ -456,7 +458,7 @@ def _deviation_columns(name: str, n: int, j2: list, t_points: int, copies: int) 
         "exact_raw": column([x if k else None for x, k in zip(batch.exact_raw, ok)] + no_slope),
         "exact_phase_opt": column([x if k else None for x, k in zip(batch.exact_phase_opt, ok)] + no_slope),
         "lower_bound": column([x if k else None for x, k in zip(batch.lower_bound, ok)] + no_slope),
-        "bound_ok": column(["pass" if v is None else f"fail: {v}" for v in batch.violations[:n_dev]] + no_slope),
+        "bound_ok": column(["pass" if v is None else f"fail: {v}" for v in batch.violations] + no_slope),
         "slope": column([None] * n_dev + slope),
     }
 

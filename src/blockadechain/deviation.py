@@ -187,42 +187,28 @@ def scenario_deviation(scenario: Scenario, n: int, j2: float, t: float) -> Scena
     )
 
 
-def speed_stencil(scenario: Scenario, n: int, j2) -> tuple:
-    """The two times ``deviation_speed`` samples at each J2 (SPEED_STEPS, scaled), as two lists."""
+def speed_stencil(scenario: Scenario, n: int, j2: float) -> tuple:
+    """The two times ``deviation_speed`` samples at J2: SPEED_STEPS, scaled."""
     k = n + 1 - MIN_QUBITS[Scenario(scenario)]
-    scale = [max(1.0, (k + 1) * abs(x)) for x in j2]
-    return [SPEED_STEPS[0] / s for s in scale], [SPEED_STEPS[1] / s for s in scale]
-
-
-def stencil_slopes(batch: DeviationBatch, t1, t2) -> list:
-    """Finite-difference slopes of the phase-optimized deviation over the
-    last 2 len(t1) points of ``batch``: every J2 at its ``t1``, then at its ``t2``.
-
-    Raises the first invariant violation among them, a J2's t1 point
-    before its t2 point.
-    """
-    k = len(t1)
-    d = batch.exact_phase_opt[-2 * k:]
-    violations = batch.violations[-2 * k:]
-    slopes = []
-    for i, (s1, s2) in enumerate(zip(t1, t2)):
-        message = violations[i] or violations[k + i]
-        if message:
-            raise InvariantViolation(message)
-        slopes.append((d[k + i] - d[i]) / (s2 - s1))
-    return slopes
+    scale = max(1.0, (k + 1) * abs(j2))
+    return SPEED_STEPS[0] / scale, SPEED_STEPS[1] / scale
 
 
 def deviation_speed(scenario: Scenario, n: int, j2: float) -> float:
     """Small-t growth rate of the scenario's phase-optimized deviation.
 
-    Finite difference over the ``speed_stencil`` times; for the idle
-    chain the measured law is (n - 1) * |J2| exactly, the slope of its
-    lower bound.
+    Finite difference over the ``speed_stencil`` times; raises the first
+    invariant violation, the t1 point's before the t2 point's.  For the
+    idle chain the measured law is (n - 1) * |J2| exactly, the slope of
+    its lower bound.
     """
-    t1, t2 = speed_stencil(scenario, n, [j2])
-    (speed,) = stencil_slopes(scenario_deviations(scenario, n, [j2, j2], t1 + t2), t1, t2)
-    return speed
+    t1, t2 = speed_stencil(scenario, n, j2)
+    batch = scenario_deviations(scenario, n, [j2, j2], [t1, t2])
+    message = batch.violations[0] or batch.violations[1]
+    if message:
+        raise InvariantViolation(message)
+    d1, d2 = batch.exact_phase_opt
+    return (d2 - d1) / (t2 - t1)
 
 
 def __getattr__(name: str):

@@ -144,6 +144,50 @@ def test_non_string_output_path_rejected(tmp_path, capsys, key):
     assert not out.exists()
 
 
+BLOCKADE_CHECK = {"layout": "single-spin", "n_logical": 4, "couplings": [1.0]}
+
+
+@pytest.mark.parametrize(
+    "scenario, tree, args, message",
+    [
+        # an integer past the float range, one key per subcommand
+        ("gate-fidelity", {"parameters": {"j1": 10**400}}, [], "j1 must be finite"),
+        ("deviation-sweep", {"parameters": {"j2": [0.01, -10**400]}}, [], "j2 must be finite"),
+        ("josephson-map", {"parameters": {"c_c": 10**400}}, [], "c_c must be finite"),
+        ("blockade-check", {"parameters": {"checks": [dict(BLOCKADE_CHECK, couplings=[1.0, 10**400])]}}, [],
+         "couplings must be finite"),
+        # a numeric string is not a number
+        ("gate-fidelity", {"parameters": {"j1": "1_0"}}, [], "j1 must be a number"),
+        ("deviation-sweep", {"parameters": {"j2": ["0.01"]}}, [], "j2 must be a number"),
+        ("josephson-map", {"parameters": {"c_g": "0.5"}}, [], "c_g must be a number"),
+        ("blockade-check", {"parameters": {"checks": [dict(BLOCKADE_CHECK, couplings=["1e0"])]}}, [],
+         "couplings must be a number"),
+        # gate-fidelity's j2 is a list, as tau is
+        ("gate-fidelity", {"parameters": {"j2": 0.05}}, [], "j2 must be a nonempty list of numbers"),
+        ("gate-fidelity", {"parameters": {"j1": 0}}, [], "j1 must be nonzero"),
+        ("gate-fidelity", {"parameters": {"x1": 0.0}}, [], "x1 must be positive"),
+        ("gate-fidelity", {"parameters": {"tau": [0.1, -0.1]}}, [], "tau values must be nonnegative"),
+        ("gate-fidelity", {"parameters": {"naive": 1}}, [], "naive must be a boolean"),
+        ("gate-fidelity", {"parameters": {"schedule_out": 5}}, [], "schedule_out must be a path string"),
+        ("josephson-map", {"parameters": {"units": "SI"}}, [], "units must be 'reduced' or 'si'"),
+        ("blockade-check", {"parameters": {"checks": []}}, [], "checks must be a nonempty list"),
+        ("blockade-check", {"parameters": {"checks": [BLOCKADE_CHECK, [4]]}}, [], "each check must be an object"),
+        ("blockade-check", {"parameters": {"checks": [dict(BLOCKADE_CHECK, layout="pair")]}}, [],
+         "layout must be 'single-spin' or 'pair-encoded'"),
+        ("deviation-sweep", {"parameters": {"n_min": 5, "n_max": 4}}, [], "need 2 <= n_min <= n_max"),
+        ("deviation-sweep", {"parameters": {"n_min": 1}}, [], "need 2 <= n_min <= n_max"),
+        ("deviation-sweep", [], [], "config root must be an object"),
+        ("deviation-sweep", {"parameters": []}, [], "parameters must be an object"),
+        ("blockade-check", {}, ["--jobs", "0"], "--jobs must be at least 1"),
+    ],
+)
+def test_config_error_is_one_line(tmp_path, capsys, scenario, tree, args, message):
+    out = tmp_path / "o.csv"
+    code = main([scenario, "--config", write_config(tmp_path, tree), "--out", str(out), *args])
+    assert (code, capsys.readouterr().err) == (EXIT_CONFIG, f"config error: {message}\n")
+    assert not out.exists()
+
+
 def test_missing_config_file(tmp_path):
     assert (
         main(["deviation-sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")])
@@ -676,6 +720,19 @@ def test_josephson_out_of_regime_reported(tmp_path, capsys):
     )
     (check,) = [r for r in read_rows(out) if r["record"] == "decay_check"]
     assert check["status"] == "out-of-regime"
+
+
+def test_josephson_decay_out_of_band_is_invariant_failure(tmp_path, capsys, monkeypatch):
+    from blockadechain import josephson
+
+    monkeypatch.setattr(josephson, "decay_check", lambda c_inv, eps: ((10.0 * eps,), False))
+    out = str(tmp_path / "jj.csv")
+    assert main(["josephson-map", "--out", out]) == EXIT_INVARIANT
+    assert capsys.readouterr().err == (
+        "numerical invariant violation: decay ratios left the epsilon band in regime\n"
+    )
+    (check,) = [r for r in read_rows(out) if r["record"] == "decay_check"]
+    assert check["status"] == "fail"
 
 
 def test_warning_lines_follow_the_callers_filters(tmp_path, capsys):

@@ -32,8 +32,9 @@ SRC = Path(blockadechain.__file__).resolve().parents[1]
 ADDRESS_SPACE_BYTES = 3 << 30
 
 #: Values a mutation puts in place of a config entry: wrong types, null,
-#: extreme and non-finite numbers, and a nested list.
-VALUES = ["x", True, None, [[1.0]], 1e308, -1e308, 5e307, 4.4e307, 1e-320, 10**9, float("nan"), float("inf")]
+#: extreme and non-finite numbers, an integer past the float range, and a
+#: nested list.
+VALUES = ["x", True, None, [[1.0]], 1e308, -1e308, 5e307, 4.4e307, 1e-320, 10**9, 10**400, float("nan"), float("inf")]
 
 
 def containers(node) -> list:

@@ -17,7 +17,7 @@ from blockadechain.deviation import (
     scenario_deviation,
     scenario_deviations,
 )
-from blockadechain import InvariantViolation
+from blockadechain import InvariantViolation, deviation
 from blockadechain.oracles import (
     FROZEN,
     _scenario_rows,
@@ -238,6 +238,13 @@ def test_speed_stays_in_the_bound_window_at_large_coupling(scenario):
         for n in (MIN_QUBITS[scenario], MIN_QUBITS[scenario] + 3):
             k = n + 1 - MIN_QUBITS[scenario]
             assert deviation_speed(scenario, n, j2) == pytest.approx(k * abs(j2), rel=1e-7)
+
+
+@pytest.mark.parametrize("messages, raised", [(["at t1", "at t2"], "at t1"), ([None, "at t2"], "at t2")])
+def test_speed_raises_the_t1_violation_first(monkeypatch, messages, raised):
+    monkeypatch.setattr(deviation, "_violations", lambda *args: messages)
+    with pytest.raises(InvariantViolation, match=f"^{raised}$"):
+        deviation_speed(Scenario.IDLE, 4, 0.01)
 
 
 # ---------------------------------------------------------------------------
