@@ -17,8 +17,11 @@ from . import _Frozen
 class ChainSpec(_Frozen):
     """Static chain parameters.
 
-    ``x1_max`` is the largest reachable XY matrix element between
-    adjacent spins, i.e. twice the largest tunable bond strength.
+    ``x1_max`` is an XY matrix element between adjacent spins, twice a
+    bond strength: that of the x-rotation pulse and of the outer pulses of
+    each composite transfer the CPHASE compiler emits.  It is not a cap:
+    the composite's middle pulse has x2 = (x1^2 - delta^2) / (2 x1), which
+    exceeds x1_max in magnitude once the tilt delta passes sqrt(3) x1_max.
     """
 
     __slots__ = ("n_spins", "j1", "j2", "x1_max")

@@ -18,7 +18,6 @@ import os
 import struct
 import sys
 import warnings
-from collections import Counter
 from pathlib import Path
 
 # Each subcommand imports the workflow modules it runs, and numpy, inside its
@@ -181,6 +180,8 @@ def _validate_parameters(cfg: RunConfig) -> None:
         if p["n_max"] > 2**40:
             raise ConfigError("need n_max <= 2**40, where every t grid stays inside the O(1) window")
         p["j2"] = _finite_list(p["j2"], "j2")
+        if len(set(p["j2"])) < len(p["j2"]):
+            raise ConfigError("j2 values must be distinct (0.0 and -0.0 are equal)")
         if not _is_int(p["t_points"]) or p["t_points"] < 1:
             raise ConfigError("t_points must be a positive integer (empty t-grids are invalid)")
         names = {s.value for s in Scenario}
@@ -189,19 +190,20 @@ def _validate_parameters(cfg: RunConfig) -> None:
             not isinstance(scenarios, list)
             or not scenarios
             or any(not isinstance(s, str) or s not in names for s in scenarios)
+            or len(set(scenarios)) < len(scenarios)
         ):
             raise ConfigError(f"scenarios must be a nonempty subset of {sorted(names)}")
         # Every nonzero J2 needs a finite t grid end pi / (2|J2|n), largest at the fewest
         # qubits, and two distinct slope-stencil times, which collapse to 0 where the scale
         # (k+1)|J2| overflows, at the most qubits.  The rows, one per t and one slope per J2
-        # for each n and listing, are all held until the sweep is written; each costs O(1).
+        # for each scenario and n, are all held until the sweep is written; each costs O(1).
         j2 = [x for x in p["j2"] if x != 0.0]
-        rows, copies = 0, Counter(scenarios)
-        for name in copies:
+        rows = 0
+        for name in scenarios:
             n_lo = max(p["n_min"], MIN_QUBITS[Scenario(name)])
             if n_lo > p["n_max"]:
                 continue
-            rows += copies[name] * (p["n_max"] - n_lo + 1) * len(p["j2"]) * (p["t_points"] + 1)
+            rows += (p["n_max"] - n_lo + 1) * len(p["j2"]) * (p["t_points"] + 1)
             for x in j2:
                 t1, t2 = speed_stencil(name, p["n_max"], x)
                 if not math.isfinite(math.pi / (2.0 * abs(x) * n_lo)) or t1 == t2:
@@ -306,12 +308,6 @@ class Table:
     def append(self, n: int, /, **cells) -> None:
         """Add ``n`` rows as one block."""
         self.blocks.append((n, cells))
-
-    @classmethod
-    def from_rows(cls, header: list, rows: list) -> Table:
-        table = cls()
-        table.append(len(rows), **{col: [row.get(col) for row in rows] for col in header})
-        return table
 
 
 def _is_array(column) -> bool:
@@ -422,63 +418,49 @@ def _linspace(start: float, stop: float, num: int) -> list:
     return [i * step + start for i in range(num - 1)] + [stop]
 
 
-def _deviation_columns(name: str, n: int, j2: list, t_points: int, copies: int) -> dict:
+def _deviation_columns(name: str, n: int, j2: list, t_points: int) -> dict:
     """The rows of one (scenario, n) as columns of cells, less those two
-    constants: every J2's t grid in one batch, its slope by ``deviation_speed``.
-
-    Rows go in the order of the key (j2, deviation before slope, t), ties
-    in config order, and repeat ``copies`` times, once per listing of the
-    scenario.  A grid point that breaks an invariant gives a ``fail:`` row;
-    a slope point that does raises.
+    constants, in the order they are written: for each J2 in ascending
+    order, its t grid from one ``scenario_deviations`` call, then its slope
+    by ``deviation_speed``.  A grid point that breaks an invariant gives a
+    ``fail:`` row; a slope point that does raises, the first in config order.
     """
     from .deviation import deviation_speed, scenario_deviations
 
-    t = [s for x in j2 for s in _linspace(0.0, math.pi / (2.0 * abs(x) * n) if x != 0 else 1.0, t_points)]
-    # the config's own objects, which the writer formats once per run of equal cells
-    j2_grid = [x for x in j2 for _ in range(t_points)]
-    batch = scenario_deviations(name, n, j2_grid, t)
-    slope = [deviation_speed(name, n, x) for x in j2]
-
-    n_dev = len(t)
-    j2_rows = j2_grid + j2
-    size = len(j2_rows)
-    keys = [(x, i >= n_dev, t[i] if i < n_dev else 0.0) for i, x in enumerate(j2_rows)]
-    # each listing of the scenario adds the rows again, after the earlier ones on ties
-    order = [i % size for i in sorted(range(size * copies), key=lambda i: keys[i % size])]
-
-    def column(cells: list) -> list:
-        return [cells[i] for i in order]
-
-    ok = [v is None for v in batch.violations]
-    no_slope = [None] * len(j2)
-    return {
-        "record": ["slope" if i >= n_dev else "deviation" for i in order],
-        "j2": column(j2_rows),
-        "t": column(t + no_slope),
-        "exact_raw": column([x if k else None for x, k in zip(batch.exact_raw, ok)] + no_slope),
-        "exact_phase_opt": column([x if k else None for x, k in zip(batch.exact_phase_opt, ok)] + no_slope),
-        "lower_bound": column([x if k else None for x, k in zip(batch.lower_bound, ok)] + no_slope),
-        "bound_ok": column(["pass" if v is None else f"fail: {v}" for v in batch.violations] + no_slope),
-        "slope": column([None] * n_dev + slope),
-    }
+    slope = {x: deviation_speed(name, n, x) for x in j2}
+    columns = {col: [] for col in ("record", "j2", "t", "exact_raw", "exact_phase_opt",
+                                   "lower_bound", "bound_ok", "slope")}
+    for x in sorted(j2):
+        t = _linspace(0.0, math.pi / (2.0 * abs(x) * n) if x != 0 else 1.0, t_points)
+        batch = scenario_deviations(name, n, [x] * t_points, t)
+        ok = [v is None for v in batch.violations]
+        columns["record"] += ["deviation"] * t_points + ["slope"]
+        # the config's own object, which the writer formats once per run of equal cells
+        columns["j2"] += [x] * (t_points + 1)
+        columns["t"] += t + [None]
+        for col in ("exact_raw", "exact_phase_opt", "lower_bound"):
+            columns[col] += [v if k else None for v, k in zip(getattr(batch, col), ok)] + [None]
+        columns["bound_ok"] += ["pass" if v is None else f"fail: {v}" for v in batch.violations] + [None]
+        columns["slope"] += [None] * t_points + [slope[x]]
+    return columns
 
 
 def run_deviation_sweep(cfg: RunConfig) -> tuple[list, Table]:
     from .deviation import MIN_QUBITS, Scenario
 
     p = cfg.parameters
-    scenario_order = {s.value: i for i, s in enumerate(Scenario)}
     header = [
         "record", "scenario", "n", "j2", "t",
         "exact_raw", "exact_phase_opt", "lower_bound", "bound_ok", "slope",
     ]
     table = Table()
-    copies = Counter(p["scenarios"])
-    for name in sorted(copies, key=scenario_order.get):
-        for n in range(max(p["n_min"], MIN_QUBITS[Scenario(name)]), p["n_max"] + 1):
-            columns = _deviation_columns(name, n, p["j2"], p["t_points"], copies[name])
+    for scenario in Scenario:
+        if scenario.value not in p["scenarios"]:
+            continue
+        for n in range(max(p["n_min"], MIN_QUBITS[scenario]), p["n_max"] + 1):
+            columns = _deviation_columns(scenario.value, n, p["j2"], p["t_points"])
             cfg.invariant_failures += [cell for cell in columns["bound_ok"] if cell not in (None, "pass")]
-            table.append(len(columns["record"]), scenario=name, n=n, **columns)
+            table.append(len(columns["record"]), scenario=scenario.value, n=n, **columns)
     return header, table
 
 
@@ -492,7 +474,7 @@ def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
 
     p = cfg.parameters
     layout = pair_encoded_layout(2, 2)
-    rows = []
+    table = Table()
     compiled = []
     for j2 in p["j2"]:
         spec = ChainSpec(layout.n_sites, j1=p["j1"], j2=j2, x1_max=p["x1"])
@@ -517,7 +499,7 @@ def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
                 "phi_target": phi_target,
                 "phi_residual": resid,
             }
-            rows.append(row)
+            table.append(1, **row)
             # a non-finite row fails in either mode, as abs(nan) > PHASE_TOL is False;
             # the compensated gate phase is exact; the naive residual is the point
             bad = [col for col in ("fidelity", "leakage", "phi", "phi_residual") if not math.isfinite(row[col])]
@@ -535,7 +517,7 @@ def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
         "mode", "j1", "j2", "x1", "tau",
         "fidelity", "deficit", "leakage", "phi", "phi_target", "phi_residual",
     ]
-    return header, Table.from_rows(header, rows)
+    return header, table
 
 
 # ---------------------------------------------------------------------------
@@ -608,24 +590,23 @@ def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
 def run_blockade_check(cfg: RunConfig) -> tuple[list, Table]:
     from .blockade import verify_blockade_cancellation
 
-    rows = []
+    table = Table()
     for i, (chk, layout) in enumerate(zip(cfg.parameters["checks"], cfg.layouts, strict=True)):
         try:
             residual = verify_blockade_cancellation(layout, chk["couplings"])
         except ValueError as exc:
             raise ValueError(f"checks[{i}]: {exc}") from None
-        rows.append(
-            {
-                "layout": chk["layout"],
-                "m": layout.m,
-                "n_logical": layout.n_logical,
-                "n_sites": layout.n_sites,
-                "couplings": "[" + ";".join(_fmt(j) for j in chk["couplings"]) + "]",
-                "residual": residual,
-            }
+        table.append(
+            1,
+            layout=chk["layout"],
+            m=layout.m,
+            n_logical=layout.n_logical,
+            n_sites=layout.n_sites,
+            couplings="[" + ";".join(_fmt(j) for j in chk["couplings"]) + "]",
+            residual=residual,
         )
     header = ["layout", "m", "n_logical", "n_sites", "couplings", "residual"]
-    return header, Table.from_rows(header, rows)
+    return header, table
 
 
 _RUNNERS = {

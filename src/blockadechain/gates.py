@@ -107,12 +107,16 @@ def _cphase_bonds(layout: LogicalLayout) -> tuple[int, int]:
 
 def _phase_period(spec: ChainSpec) -> float:
     """Period 2 pi / (4|J1|) of the CPHASE phase 4 J1 tau; ``ValueError`` for
-    a J1 that is zero or whose 4|J1| overflows, so that the period is 0."""
+    a J1 that is zero, whose 4|J1| overflows, so that the period is 0, or so
+    small (below about 8.7e-309) that the period overflows."""
     if spec.j1 == 0:
         raise ValueError("CPHASE needs a nonzero static coupling J1")
     if not math.isfinite(4.0 * spec.j1):
         raise ValueError(f"J1 = {spec.j1!r} is out of range: 4 J1 overflows")
-    return 2.0 * math.pi / (4.0 * abs(spec.j1))
+    period = 2.0 * math.pi / (4.0 * abs(spec.j1))
+    if not math.isfinite(period):
+        raise ValueError(f"J1 = {spec.j1!r} is out of range: the phase period 2 pi / (4|J1|) overflows")
+    return period
 
 
 def compile_cphase(

@@ -63,6 +63,30 @@ def test_schedule_must_be_nonempty():
         ControlSchedule([])
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: ChainSpec(4, 1.0, 0.05, x1_max=-0.1), "x1_max must be nonnegative"),
+        (lambda: ControlSegment(1.0, [0, 0], [0, np.inf], [0]), "bz has non-finite entries"),
+        (lambda: ControlSegment(1.0, [0, 0], [0, 0], [np.nan]), "jxy has non-finite entries"),
+        (lambda: ControlSegment(1.0, [0, np.nan], [0, 0], [0]), "bx has non-finite entries"),
+        (lambda: ControlSegment.bond_pulse(3, 0, 1.0, 1.0), "bond 0 out of range for 3 spins"),
+        (lambda: ControlSegment.bond_pulse(3, 3, 1.0, 1.0), "bond 3 out of range for 3 spins"),
+        (lambda: ControlSchedule([ControlSegment.idle(2, 1.0), ControlSegment.idle(3, 1.0)]),
+         "segments act on different register sizes"),
+    ],
+)
+def test_chain_guards(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
+def test_total_duration_sums_the_segments():
+    schedule = ControlSchedule([ControlSegment.idle(3, 0.25), ControlSegment.bond_pulse(3, 2, 0.5, 1.5)])
+    assert schedule.total_duration == 1.75
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian builders
 

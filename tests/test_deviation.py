@@ -211,6 +211,24 @@ def test_interqubit_against_enumeration_oracle():
 
 
 # ---------------------------------------------------------------------------
+# guards
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: phase_set_distance([]), ValueError, "empty phase set"),
+        (lambda: ScenarioResult(Scenario.IDLE, 2, 0.01, 0.1, exact_raw=0.1, exact_phase_opt=0.2, lower_bound=0.0),
+         InvariantViolation, "phase-optimized deviation exceeds raw deviation"),
+        (lambda: scenario_deviations(Scenario.IDLE, 2, [0.01], [-1.0]), ValueError, "time must be nonnegative"),
+    ],
+)
+def test_deviation_guards(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+# ---------------------------------------------------------------------------
 # deviation speed
 
 def test_speed_zero_coupling():

@@ -1,3 +1,5 @@
+import math
+import re
 import sys
 import tracemalloc
 import warnings
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment
-from blockadechain import blockade, gates
+from blockadechain import InvariantViolation, blockade, gates
 from blockadechain.blockade import (
     LAYOUT_BYTES_CAP,
     SITE_BYTES,
@@ -272,6 +274,21 @@ def test_composite_rotation_identity_random():
         product = pulse_rotation(p.x1, j2) @ pulse_rotation(p.x2, j2) @ pulse_rotation(p.x1, j2)
         target = -1j * np.array([[0, 1], [1, 0]])
         assert np.max(np.abs(product - target)) < 1e-12
+
+
+@pytest.mark.parametrize("x1, delta", [(0.5, 0.1), (0.5, 0.5 * math.sqrt(3)), (0.5, 1.9), (2.0, -0.3), (1.0, 5.0)])
+def test_composite_middle_amplitude_closed_form(x1, delta):
+    assert composite_pulse_parameters(x1, delta).x2 == pytest.approx((x1 * x1 - delta * delta) / (2.0 * x1), rel=1e-12)
+
+
+def test_default_cphase_middle_pulses_exceed_x1_max():
+    # x1_max sets only the outer pulses: past delta = sqrt(3) x1 the middle one is larger,
+    # as on the default chain's second transfer, delta = 2 (J1 - J2) = 1.9
+    p = composite_pulse_parameters(SPEC.x1_max, 2.0 * (SPEC.j1 - SPEC.j2))
+    assert p.x2 == pytest.approx(-3.36, rel=1e-12)
+    assert abs(p.x2) > 6.7 * SPEC.x1_max
+    strengths = [abs(j) for seg in compile_cphase(SPEC, 0.2, layout=LAYOUT).segments for j in seg.jxy]
+    assert max(strengths) == pytest.approx(abs(p.x2) / 2.0, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -674,13 +691,69 @@ def test_sigma_z_rejects_zero_j1():
         logical_sigma_z(spec, LAYOUT, 1, 0.3)
 
 
-@pytest.mark.parametrize("j1", [1e308, -1e308])
-def test_cphase_rejects_j1_whose_4_j1_overflows(j1):
-    # the phase period 2 pi / (4|J1|) would be 0, and the hold is taken modulo it
-    spec = ChainSpec(10, j1=j1, j2=0.05, x1_max=0.5)
-    with pytest.raises(ValueError, match="4 J1 overflows"):
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: blockade.LogicalLayout(2, 1, ((2,),), ((1, 0), (3, 1))), ValueError,
+         "qubit_sites length must equal n_logical"),
+        (lambda: blockade.LogicalLayout(1, 1, ((2,),), ((1, 0), (3, 2))), ValueError, "frozen states must be 0 or 1"),
+        (lambda: single_spin_layout(0), ValueError, "need at least one logical qubit"),
+        (lambda: pair_encoded_layout(0, 2), ValueError, "need n_logical >= 1 and m >= 1"),
+        (lambda: pair_encoded_layout(2, 0), ValueError, "need n_logical >= 1 and m >= 1"),
+        (lambda: blockade.check_residual_budget(single_spin_layout(2), []), ValueError,
+         "need at least one coupling order"),
+    ],
+)
+def test_blockade_guards(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "build, error, message",
+    [
+        (lambda: composite_pulse_parameters(0.0, 0.1), ValueError, "pulse amplitude x1 must be positive"),
+        (lambda: logical_background_energy(ChainSpec(5, j1=1.0, j2=0.05), single_spin_layout(2)), InvariantViolation,
+         "logical basis states are not degenerate for this layout"),
+        (lambda: compile_cphase(ChainSpec(13, j1=1.0, j2=0.05, x1_max=0.5), 0.2, layout=pair_encoded_layout(2, 3)),
+         ValueError, "CPHASE compilation supports the two-qubit pair layout with m = 2"),
+        (lambda: simulate_gate(ChainSpec(6, j1=1.0, j2=0.05), pair_encoded_layout(1, 2),
+                               ControlSchedule([ControlSegment.idle(6, 1.0)])),
+         ValueError, "gate simulation reports the two-logical-qubit register"),
+        (lambda: simulate_gate(SPEC, LAYOUT, ControlSchedule([ControlSegment.idle(9, 1.0)])), ValueError,
+         "chain, layout, and schedule sizes must agree"),
+        (lambda: simulate_gate(SPEC, LAYOUT, logical_sigma_x(SPEC, LAYOUT, 1, math.pi)), InvariantViolation,
+         "|00> amplitude vanished; cannot fix the global phase"),
+        (lambda: logical_sigma_x(SPEC, single_spin_layout(2), 1, 0.3), ValueError, "x-rotations need the pair encoding"),
+        (lambda: logical_sigma_x(SPEC, LAYOUT, 1, math.inf), ValueError, "angle must be finite"),
+        (lambda: logical_sigma_x(ChainSpec(10, j1=1.0, j2=0.05), LAYOUT, 1, 0.3), ValueError,
+         "chain has no tunable XY range (x1_max == 0)"),
+        (lambda: logical_sigma_z(SPEC, pair_encoded_layout(1, 2), 1, 0.3), ValueError,
+         "the z-rotation composite needs two logical qubits"),
+        (lambda: logical_sigma_z(SPEC, LAYOUT, 3, 0.3), ValueError, "qubit index out of range"),
+    ],
+)
+def test_gates_guards(build, error, message):
+    with pytest.raises(error) as info:
+        build()
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "j1, reason",
+    [pytest.param(j1, reason, id=str(j1)) for j1, reason in [
+        *[(j1, "4 J1 overflows") for j1 in (1e308, -1e308)],
+        *[(j1, "the phase period 2 pi / (4|J1|) overflows") for j1 in (5e-309, 1e-310, 1e-320)],
+    ]],
+)
+def test_cphase_rejects_j1_whose_4_j1_overflows(j1, reason):
+    # the phase period 2 pi / (4|J1|) would be 0 or inf, and the hold is taken modulo it
+    spec = ChainSpec(10, j1=j1, j2=0.0, x1_max=0.5)
+    message = re.escape(f"J1 = {j1!r} is out of range: {reason}")
+    with pytest.raises(ValueError, match=message):
         compile_cphase(spec, 0.2, layout=LAYOUT)
-    with pytest.raises(ValueError, match="4 J1 overflows"):
+    with pytest.raises(ValueError, match=message):
         logical_sigma_z(spec, LAYOUT, 1, 0.3)
 
 

@@ -106,6 +106,23 @@ def test_decay_regime_warning_names_the_caller():
     assert record[0].filename == __file__
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: JosephsonArraySpec(4, 0.5, 0.5, -0.01), "coupling capacitance must be nonnegative"),
+        (lambda: JosephsonArraySpec(4, 0.5, 0.5, 0.01, gate_charges=(0.5,)), "gate_charges length must equal n_boxes"),
+        (lambda: invert_capacitance(np.ones((2, 3))), "capacitance matrix must be square"),
+        (lambda: invert_capacitance(np.array([[1.0, 0.1], [0.2, 1.0]])), "capacitance matrix must be symmetric"),
+        (lambda: extract_couplings(JosephsonArraySpec(4, 0.5, 0.5, 0.01), np.eye(3)),
+         "inverse matrix size does not match the array"),
+    ],
+)
+def test_josephson_guards(build, message):
+    with pytest.raises(ValueError) as info:
+        build()
+    assert str(info.value) == message
+
+
 # ---------------------------------------------------------------------------
 # inversion
 
