@@ -14,15 +14,13 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import struct
 import sys
 import warnings
 from pathlib import Path
 
-# Each subcommand imports the workflow modules it runs, and numpy, inside its
-# own code paths, so a run loads only those; blockade-check and gate-fidelity
-# load no numpy.
+# Each subcommand imports the workflow modules it runs inside its own code
+# paths, so a run loads only those; no subcommand loads numpy.
 from . import LAYOUT_BYTES_CAP, InvariantViolation
 
 EXIT_OK = 0
@@ -36,12 +34,17 @@ PHASE_TOL = 1e-12
 #: writer; checked with the sweep's row count against LAYOUT_BYTES_CAP at load.
 ROW_BYTES = 512
 
-#: Peak bytes of josephson-map per pair of boxes: matrices, index columns and writer,
-#: the largest traced plus about 12% (CPython 3.11, with or without a json_mirror:
-#: 32.2 at 965-1295 boxes for any c_c, and at most 49.9, at 300 boxes with c_c = 0.99
-#: and a mirror, where the writer's cell texts weigh most); checked at load, n_boxes^2
-#: of them, against LAYOUT_BYTES_CAP: up to 1094 boxes.
-BOX_PAIR_BYTES = 56
+#: Peak bytes of josephson-map per pair of boxes, and its fixed allowance: a run of
+#: n_boxes is charged n_boxes^2 * BOX_PAIR_BYTES + MAP_FIXED_BYTES against
+#: LAYOUT_BYTES_CAP at load.  The run holds C and C^{-1} row-major, 16 bytes a pair,
+#: and about 1.4 kB a box of row blocks; the writer adds the texts of the distinct
+#: cells, which grow with the array only until its entries underflow, at most about
+#: 5.5 MB (c_c = 0.99) and under 1.5 MB for c_c <= 0.02.  Traced run plus write with a
+#: mirror at c_c = 0.99 (CPython 3.11): 3.45 / 13.4 / 21.6 / 25.7 MB at 300 / 700 / 965 /
+#: 1094 boxes, against charges of 6.1 / 14.5 / 23.7 / 29.3 MB.  Admits up to 1730 boxes
+#: (2.3-2.5 s wall and 64 MiB RSS at the defaults on 2 cores).
+BOX_PAIR_BYTES = 21
+MAP_FIXED_BYTES = 2**22
 
 SCENARIOS = ("deviation-sweep", "gate-fidelity", "josephson-map", "blockade-check")
 
@@ -231,7 +234,7 @@ def _validate_parameters(cfg: RunConfig) -> None:
     elif cfg.scenario == "josephson-map":
         if not _is_int(p["n_boxes"]) or p["n_boxes"] < 2:
             raise ConfigError("n_boxes must be an integer >= 2")
-        if p["n_boxes"] ** 2 * BOX_PAIR_BYTES > LAYOUT_BYTES_CAP:
+        if p["n_boxes"] ** 2 * BOX_PAIR_BYTES + MAP_FIXED_BYTES > LAYOUT_BYTES_CAP:
             raise ConfigError(f"an array of {p['n_boxes']} boxes exceeds the budget of {LAYOUT_BYTES_CAP} bytes")
         for key in ("c_g", "c_j", "c_c"):
             p[key] = _finite(p[key], key)
@@ -293,8 +296,8 @@ def _text(value) -> str:
 class Table:
     """Output rows held as blocks, one per ``append``; ``len()`` is the row count.
 
-    A block is ``(n, cells)``.  ``cells`` maps a header name to a list or
-    a 1-D numeric or boolean numpy array with one cell per row, or to one
+    A block is ``(n, cells)``.  ``cells`` maps a header name to a list, an
+    ``array.array`` or a memoryview of one with one cell per row, or to one
     value that is the same on every row.  ``None`` marks a missing cell,
     and a name absent from a block is missing on every row of it.
     """
@@ -311,26 +314,30 @@ class Table:
 
 
 def _is_array(column) -> bool:
-    """A 1-D numpy array, told apart without importing numpy."""
-    return getattr(column, "ndim", None) == 1
+    """An ``array.array`` or a memoryview of one, told apart without importing ``array``."""
+    return isinstance(column, memoryview) or hasattr(column, "typecode")
+
+
+#: The unsigned format of each float format's size: a float cell is read as its bit pattern.
+_BITS = {"d": "Q", "f": "I"}
 
 
 class _ArrayTexts(dict):
-    """Texts of the array cells of one dtype, each formatted by ``fmt`` when first
+    """Texts of the array cells of one format, each formatted by ``fmt`` when first
     looked up; a float is keyed by its bit pattern, which keeps -0.0 apart from 0.0."""
 
-    def __init__(self, dtype, fmt):
-        self.dtype, self.fmt = dtype, fmt
+    def __init__(self, code, fmt):
+        self.code, self.fmt = code, fmt
 
-    def texts(self, cells) -> list:
-        if self.dtype.kind == "f":
-            cells = cells.view(self.dtype.str.replace("f", "u"))  # same size and byte order
+    def texts(self, cells: memoryview) -> list:
+        if self.code in _BITS:
+            cells = cells.cast("B").cast(_BITS[self.code])
         return list(map(self.__getitem__, cells.tolist()))
 
     def __missing__(self, key):
         value = key
-        if self.dtype.kind == "f":
-            value = struct.unpack(self.dtype.char, key.to_bytes(self.dtype.itemsize, sys.byteorder))[0]
+        if self.code in _BITS:
+            value = struct.unpack(self.code, struct.pack(_BITS[self.code], key))[0]
         text = self[key] = self.fmt(value)
         return text
 
@@ -339,9 +346,10 @@ def _texts(column, lo: int, hi: int, memos: dict, fmt) -> list:
     """Texts of rows lo:hi of a list or array column; ``memos`` keeps
     each distinct cell's text for the whole write."""
     if _is_array(column):
-        if column.dtype.str not in memos:
-            memos[column.dtype.str] = _ArrayTexts(column.dtype, fmt)
-        return memos[column.dtype.str].texts(column[lo:hi])
+        cells = memoryview(column)[lo:hi]
+        if cells.format not in memos:
+            memos[cells.format] = _ArrayTexts(cells.format, fmt)
+        return memos[cells.format].texts(cells)
     memo = memos.setdefault(list, {})
     texts = []
     last = text = object()
@@ -524,15 +532,7 @@ def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
 # josephson-map
 
 def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
-    if "numpy" not in sys.modules:
-        # OpenBLAS starts its worker threads when numpy loads, and an idle worker
-        # spins: on 2 cores a 300-box map took 0.44-0.51 s of CPU with the default
-        # two threads and 0.24-0.30 s with one, in about the same wall time.  One
-        # thread slows only the largest arrays (965 boxes: the inverse 0.10-0.13 ->
-        # 0.15-0.19 s, a run 1.04 -> 1.20 s).  A value the user set wins; a process
-        # that already loaded numpy is left alone.
-        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-    import numpy as np
+    from array import array
 
     from .josephson import JosephsonArraySpec, build_capacitance_matrix, extract_couplings, invert_capacitance
 
@@ -561,16 +561,22 @@ def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
     n = spec.n_boxes
     header = ["n_boxes", "c_g", "c_j", "c_c", "epsilon", "record", "i", "j", "order", "value", "status"]
     base = dict(n_boxes=n, c_g=spec.c_g, c_j=spec.c_j, c_c=spec.c_c, epsilon=spec.epsilon)
-    index = np.arange(1, n + 1, dtype=np.int32)
-    ij = dict(i=np.repeat(index, n), j=np.tile(index, n))
+    diag, off = cmat
+    dense = array("d", [0.0]) * (n * n)  # C row-major, as it is written
+    dense[:: n + 1] = diag
+    dense[1 :: n + 1] = off
+    dense[n :: n + 1] = off
+    index = array("i", range(1, n + 1))
     orders = sorted(report.couplings_by_order)
     couplings = [report.couplings_by_order[k] for k in orders]
     ratios = list(report.decay_ratios)
     chain = report.effective_chain
     table = Table()
+    # one block per matrix row: i is constant on it, and every row shares one j column
+    for record, matrix in (("capacitance", memoryview(dense)), ("inverse", memoryview(cinv))):
+        for i in range(n):
+            table.append(n, **base, record=record, i=i + 1, j=index, value=matrix[i * n : (i + 1) * n])
     for rows, cells in (
-        (n * n, dict(ij, record="capacitance", value=cmat.ravel())),
-        (n * n, dict(ij, record="inverse", value=cinv.ravel())),
         (len(orders), dict(record="coupling", order=orders, value=couplings)),
         (len(ratios), dict(record="decay_ratio", order=list(range(len(ratios))), value=ratios)),
         (1, dict(record="decay_check", status=status)),

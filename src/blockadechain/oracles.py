@@ -8,7 +8,8 @@ Hamiltonian builders and time-ordered evolution, a grid search for the
 optimal global phase, the CPHASE transfer blocks, the deviation kernel in
 numpy (``phase_set_distance`` row by row, ``deviation_batch``), and the
 frozen deviation layouts with the full-chain deviation
-``full_chain_deviation`` built on them.  No CLI subcommand imports this
+``full_chain_deviation`` built on them, and LAPACK's inverse of a
+capacitance matrix.  No CLI subcommand imports this
 module: the library's closed forms run on the basis codes they reach,
 and these dense paths check them in tests.
 """
@@ -618,3 +619,20 @@ def full_chain_deviation(scenario: Scenario, n: int, j2: float, t: float) -> tup
         raise InvariantViolation("restricted propagators are not diagonal")
     _, opt = phase_set_distance(np.angle(dv) - np.angle(du))
     return raw, opt
+
+
+# ---------------------------------------------------------------------------
+# Capacitance matrices: dense forms and the LAPACK inverse
+
+def dense_tridiagonal(c) -> np.ndarray:
+    """The n x n matrix of a symmetric tridiagonal (diagonal, off-diagonal) pair,
+    as ``josephson.build_capacitance_matrix`` returns it."""
+    diag, off = (np.asarray(v, dtype=float) for v in c)
+    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+
+
+def lapack_inverse(c) -> np.ndarray:
+    """LAPACK's inverse of a (diagonal, off-diagonal) pair, symmetrized: the
+    reference for ``josephson.invert_capacitance``."""
+    inv = np.linalg.inv(dense_tridiagonal(c))
+    return (inv + inv.T) / 2.0

@@ -115,10 +115,31 @@ def test_deviation_sweep_runs_without_numpy(tmp_path, config):
     assert outputs["blocked"] == outputs["normal"]
 
 
+# the defaults, and a 40-box array away from the degeneracy point, which has linear fields
+@pytest.mark.parametrize(
+    "parameters", [{}, {"n_boxes": 40, "gate_charges": [0.5 + 0.01 * (k % 5 - 2) for k in range(40)]}],
+    ids=["defaults", "charged"],
+)
+def test_josephson_map_runs_without_numpy(tmp_path, parameters):
+    tree = {"scenario": "josephson-map", "parameters": parameters}
+    outputs = {}
+    for side, prefix in (("blocked", "import sys; sys.modules['numpy'] = None; "), ("normal", "")):
+        tree["json_mirror"] = f"{side}_mirror.json"
+        (tmp_path / f"{side}.json").write_text(json.dumps(tree), encoding="utf-8")
+        code = (
+            f"{prefix}from blockadechain.cli import main; import sys; "
+            f"sys.exit(main(['josephson-map', '--config', '{side}.json', '--out', '{side}.csv']))"
+        )
+        out = run_python(["-c", code], tmp_path)
+        assert out.returncode == 0, out.stderr
+        outputs[side] = [(tmp_path / f"{side}{suffix}").read_bytes() for suffix in (".csv", "_mirror.json")]
+    assert outputs["blocked"] == outputs["normal"]
+
+
 #: Standard-library modules each subcommand must run without.  No package
-#: module imports them; numpy itself imports ``inspect`` and ``typing``.
+#: module imports them.
 BLOCKED = {
-    "josephson-map": ("dataclasses",),
+    "josephson-map": ("dataclasses", "typing", "inspect"),
     "gate-fidelity": ("dataclasses", "typing", "inspect"),
     "blockade-check": ("dataclasses", "typing", "inspect"),
     "deviation-sweep": ("dataclasses", "typing", "inspect"),

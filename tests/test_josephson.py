@@ -1,4 +1,8 @@
+import math
+import sys
 import tracemalloc
+from array import array
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,7 +18,7 @@ from blockadechain.josephson import (
     invert_capacitance,
 )
 from blockadechain import InvariantViolation
-from blockadechain.oracles import OperatorSum, PauliTerm, realize
+from blockadechain.oracles import OperatorSum, PauliTerm, dense_tridiagonal, lapack_inverse, realize
 
 
 def array_spec(n, eps, c0=1.0, gate_charges=None):
@@ -24,27 +28,31 @@ def array_spec(n, eps, c0=1.0, gate_charges=None):
     )
 
 
-def tridiagonal_inverse(a):
+def as_matrix(inv):
+    """The n x n numpy view of a row-major C^{-1}."""
+    n = math.isqrt(len(inv))
+    return np.frombuffer(inv, dtype=float).reshape(n, n)
+
+
+def continuant_inverse(diag, off):
     """Closed-form inverse of a symmetric tridiagonal matrix via the
-    alpha/beta continuant recursions; independent of LAPACK."""
-    n = a.shape[0]
-    d = np.diag(a).copy()
-    e = np.diag(a, 1).copy()
-    alpha = np.zeros(n + 1)
-    alpha[0], alpha[1] = 1.0, d[0]
+    alpha/beta continuant recursions, in the arithmetic of its entries
+    (floats, or Fractions for the exact inverse); independent of LAPACK."""
+    n = len(diag)
+    alpha = [1, diag[0]]
     for i in range(2, n + 1):
-        alpha[i] = d[i - 1] * alpha[i - 1] - e[i - 2] ** 2 * alpha[i - 2]
-    beta = np.zeros(n + 2)
-    beta[n + 1], beta[n] = 1.0, d[n - 1]
+        alpha.append(diag[i - 1] * alpha[i - 1] - off[i - 2] ** 2 * alpha[i - 2])
+    beta = [0] * (n + 2)
+    beta[n + 1], beta[n] = 1, diag[n - 1]
     for i in range(n - 1, 0, -1):
-        beta[i] = d[i - 1] * beta[i + 1] - e[i - 1] ** 2 * beta[i + 2]
-    det = alpha[n]
-    inv = np.zeros((n, n))
+        beta[i] = diag[i - 1] * beta[i + 1] - off[i - 1] ** 2 * beta[i + 2]
+    inv = [[0] * n for _ in range(n)]
     for i in range(1, n + 1):
+        sign_prod = 1  # (-1)^(i+j) times the off-diagonal entries i..j-1
         for j in range(i, n + 1):
-            off = np.prod(e[i - 1 : j - 1]) if j > i else 1.0
-            inv[i - 1, j - 1] = (-1) ** (i + j) * off * alpha[i - 1] * beta[j + 1] / det
-            inv[j - 1, i - 1] = inv[i - 1, j - 1]
+            if j > i:
+                sign_prod *= -off[j - 2]
+            inv[i - 1][j - 1] = inv[j - 1][i - 1] = sign_prod * alpha[i - 1] * beta[j + 1] / alpha[n]
     return inv
 
 
@@ -65,17 +73,18 @@ def dct_inverse(n, eps, c0):
 def test_two_box_matrix_with_edge_correction():
     spec = array_spec(2, 0.1)
     c = build_capacitance_matrix(spec)
-    assert np.allclose(c, [[1.1, -0.1], [-0.1, 1.1]])
+    assert [type(v).__name__ for v in c] == ["array", "array"]
+    assert np.allclose(dense_tridiagonal(c), [[1.1, -0.1], [-0.1, 1.1]])
 
 
 def test_decoupled_boxes_give_scaled_identity():
     spec = array_spec(4, 0.0, c0=2.0)
-    assert np.allclose(build_capacitance_matrix(spec), 2.0 * np.eye(4))
+    assert np.allclose(dense_tridiagonal(build_capacitance_matrix(spec)), 2.0 * np.eye(4))
 
 
 def test_six_box_matrix_against_elementwise_oracle():
     spec = array_spec(6, 0.03, c0=1.5)
-    c = build_capacitance_matrix(spec)
+    c = dense_tridiagonal(build_capacitance_matrix(spec))
     c0, eps = 1.5, 0.03
     expected = np.zeros((6, 6))
     for i in range(6):
@@ -111,9 +120,9 @@ def test_decay_regime_warning_names_the_caller():
     [
         (lambda: JosephsonArraySpec(4, 0.5, 0.5, -0.01), "coupling capacitance must be nonnegative"),
         (lambda: JosephsonArraySpec(4, 0.5, 0.5, 0.01, gate_charges=(0.5,)), "gate_charges length must equal n_boxes"),
-        (lambda: invert_capacitance(np.ones((2, 3))), "capacitance matrix must be square"),
-        (lambda: invert_capacitance(np.array([[1.0, 0.1], [0.2, 1.0]])), "capacitance matrix must be symmetric"),
-        (lambda: extract_couplings(JosephsonArraySpec(4, 0.5, 0.5, 0.01), np.eye(3)),
+        # two diagonal entries and two off-diagonal ones: not the halves of a square matrix
+        (lambda: invert_capacitance(([1.0, 1.0], [0.1, 0.1])), "capacitance matrix must be square"),
+        (lambda: extract_couplings(JosephsonArraySpec(4, 0.5, 0.5, 0.01), array("d", [0.0]) * 9),
          "inverse matrix size does not match the array"),
     ],
 )
@@ -127,32 +136,32 @@ def test_josephson_guards(build, message):
 # inversion
 
 def test_diagonal_inverse_is_reciprocal():
-    c = np.diag([2.0, 4.0, 5.0])
-    assert np.allclose(invert_capacitance(c), np.diag([0.5, 0.25, 0.2]))
+    inv = invert_capacitance(([2.0, 4.0, 5.0], [0.0, 0.0]))
+    assert np.allclose(as_matrix(inv), np.diag([0.5, 0.25, 0.2]))
 
 
 def test_two_box_adjugate_inverse():
     spec = array_spec(2, 0.1)
     inv = invert_capacitance(build_capacitance_matrix(spec))
     det = 1.1**2 - 0.1**2
-    assert np.allclose(inv, np.array([[1.1, 0.1], [0.1, 1.1]]) / det, atol=1e-15)
+    assert np.allclose(as_matrix(inv), np.array([[1.1, 0.1], [0.1, 1.1]]) / det, atol=1e-15)
 
 
 def test_inverse_against_continuant_oracle():
     spec = array_spec(8, 0.01)
     c = build_capacitance_matrix(spec)
-    inv = invert_capacitance(c)
-    assert np.max(np.abs(inv - tridiagonal_inverse(c))) < 1e-12
-    assert np.max(np.abs(c @ inv - np.eye(8))) < 1e-12
+    inv = as_matrix(invert_capacitance(c))
+    assert np.max(np.abs(inv - np.array(continuant_inverse(*c)))) < 1e-12
+    assert np.max(np.abs(dense_tridiagonal(c) @ inv - np.eye(8))) < 1e-12
     assert np.max(np.abs(inv - inv.T)) == 0.0
 
 
 def test_inverse_against_column_solve_oracle():
     spec = array_spec(8, 0.01)
     c = build_capacitance_matrix(spec)
-    inv = invert_capacitance(c)
+    inv = as_matrix(invert_capacitance(c))
     columns = np.column_stack(
-        [np.linalg.solve(c, np.eye(8)[:, k]) for k in range(8)]
+        [np.linalg.solve(dense_tridiagonal(c), np.eye(8)[:, k]) for k in range(8)]
     )
     assert np.max(np.abs(inv - columns)) < 1e-12
 
@@ -165,40 +174,81 @@ def test_inverse_against_column_solve_oracle():
 )
 def test_inverse_against_dct_closed_form(n, eps, c0):
     spec = array_spec(n, eps, c0)
-    inv = invert_capacitance(build_capacitance_matrix(spec))
+    inv = as_matrix(invert_capacitance(build_capacitance_matrix(spec)))
     assert np.max(np.abs(inv - dct_inverse(n, spec.epsilon, spec.c0))) <= 1e-13 / spec.c0
 
 
 @pytest.mark.parametrize("eps, c0", [(1e-4, 1.0), (0.02, 1.0), (0.099, 3.0)])
 def test_large_inverse_against_dct_closed_form(eps, c0):
     spec = array_spec(300, eps, c0)
-    inv = invert_capacitance(build_capacitance_matrix(spec))
+    inv = as_matrix(invert_capacitance(build_capacitance_matrix(spec)))
     assert np.max(np.abs(inv - dct_inverse(300, spec.epsilon, spec.c0))) <= 1e-13 / spec.c0
+
+
+#: Error allowed on an entry whose exact value lies below the smallest normal float:
+#: four steps of the subnormal grid, 5e-324 each, against 2.2e-308.
+SUBNORMAL_ALLOWANCE = 4 * 5e-324
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.floats(0.0, 0.1, exclude_max=True), st.floats(1e-15, 10.0))
+def test_inverse_against_the_exact_inverse(n, eps, c0):
+    # every entry of C^{-1} against the exact inverse of the float matrix C, by
+    # continuants in Fractions: within 1e-13 relative where that inverse is a
+    # normal float, and SUBNORMAL_ALLOWANCE absolute below it
+    c = build_capacitance_matrix(array_spec(n, eps, c0))
+    inv = as_matrix(invert_capacitance(c))
+    exact = continuant_inverse(*([Fraction(v) for v in part] for part in c))
+    for i in range(n):
+        for j in range(n):
+            error = abs(Fraction(inv[i, j]) - exact[i][j])
+            if abs(exact[i][j]) >= sys.float_info.min:
+                assert error <= Fraction(1e-13) * abs(exact[i][j]), (i, j)
+            else:
+                assert error <= SUBNORMAL_ALLOWANCE, (i, j)
+
+
+@pytest.mark.parametrize("n, eps, c0", [(8, 0.01, 1.0), (300, 0.02, 1.0), (120, 0.099, 1e-15)])
+def test_inverse_against_lapack(n, eps, c0):
+    c = build_capacitance_matrix(array_spec(n, eps, c0))
+    inv = as_matrix(invert_capacitance(c))
+    assert np.max(np.abs(inv - lapack_inverse(c))) <= 1e-13 / c0
+
+
+def test_inverse_of_a_chain_cut_by_a_zero_coupling():
+    # a zero off-diagonal entry splits C into blocks: every product across it is 0
+    c = ([1.0, 1.1, 1.2, 1.3, 1.4], [0.2, 0.0, -0.3, 0.1])
+    inv = as_matrix(invert_capacitance(c))
+    assert np.all(inv[:2, 2:] == 0.0) and np.all(inv[2:, :2] == 0.0)
+    assert np.max(np.abs(inv - lapack_inverse(c))) <= 1e-15
 
 
 def test_inverse_rejects_singular():
     with pytest.raises(ValueError, match="singular"):
-        invert_capacitance(np.zeros((3, 3)))
+        invert_capacitance(([0.0] * 3, [0.0] * 2))
 
 
 def test_inverse_holds_two_matrices_beside_its_input():
-    # C^{-1} and one residual temporary; C C^{-1} - I built out of place holds three
+    # the n^2 result and O(n) beside it, about 300 bytes a box (the split factors,
+    # one row of C^{-1} and one of C C^{-1}); C C^{-1} - I built whole would hold n^2 more
     n = 300
     c = build_capacitance_matrix(array_spec(n, 0.01))
+    invert_capacitance(c)  # the decimal module's first use allocates once
     tracemalloc.start()
     try:
         invert_capacitance(c)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * n * n * 8
+    assert n * n * 8 <= peak <= n * n * 8 + 512 * n
 
 
 def test_inverse_residual_failure_is_an_invariant_violation():
-    k = np.arange(8)
-    hilbert = 1.0 / (k[:, None] + k[None, :] + 1.0)  # residual about 3e-7
+    # the path-graph Laplacian plus 1e-8: C^{-1} entries near 1.25e7 leave
+    # C C^{-1} - I at about 6e-9
+    diag = [1.0 + 1e-8] + [2.0 + 1e-8] * 6 + [1.0 + 1e-8]
     with pytest.raises(InvariantViolation, match="residual"):
-        invert_capacitance(hilbert)
+        invert_capacitance((diag, [-1.0] * 7))
 
 
 # ---------------------------------------------------------------------------
@@ -249,22 +299,7 @@ def test_decoupled_array_has_zero_couplings():
     spec = array_spec(4, 0.0)
     report = extract_couplings(spec, invert_capacitance(build_capacitance_matrix(spec)))
     assert all(v == 0.0 for v in report.couplings_by_order.values())
-    assert np.all(report.zz_matrix == 0.0)
-
-
-@pytest.mark.parametrize("n", [2, 5, 40])
-@pytest.mark.parametrize("units", ["reduced", "si"])
-def test_zz_matrix_matches_pairwise_loop(n, units):
-    # the upper-triangle fill by pairs, kept as the reference: same bytes
-    spec = array_spec(n, 0.03) if units == "reduced" else JosephsonArraySpec(n, 0.5e-15, 0.5e-15, 0.03e-15)
-    cinv = invert_capacitance(build_capacitance_matrix(spec))
-    report = extract_couplings(spec, cinv, units=units)
-    e2 = spec.c0 if units == "reduced" else (2 * 1.602176634e-19) ** 2
-    expected = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            expected[i, j] = e2 * cinv[i, j] / 4.0
-    assert report.zz_matrix.tobytes() == expected.tobytes()
+    assert all(v == 0.0 for v in report.linear_coeffs)
 
 
 def test_two_box_coupling_closed_form():
@@ -298,6 +333,7 @@ def test_quadratic_form_expansion_against_spin_matrix():
     spec = array_spec(n, 0.05, gate_charges=ng)
     cinv = invert_capacitance(build_capacitance_matrix(spec))
     report = extract_couplings(spec, cinv)
+    c_inv = as_matrix(cinv)
 
     dim = 2**n
     number_ops = []
@@ -310,22 +346,37 @@ def test_quadratic_form_expansion_against_spin_matrix():
         for j in range(n):
             a = number_ops[i] - ng[i] * np.eye(dim)
             b = number_ops[j] - ng[j] * np.eye(dim)
-            direct += e2 / 2 * cinv[i, j] * (a @ b)
+            direct += e2 / 2 * c_inv[i, j] * (a @ b)
 
+    # the ZZ terms and the constant of the expansion, from C^{-1} here
+    d = 0.5 - np.asarray(ng)
     terms = []
     for i in range(n):
         for j in range(i + 1, n):
-            terms.append(PauliTerm(report.zz_matrix[i, j], {i + 1: "Z", j + 1: "Z"}))
+            terms.append(PauliTerm(e2 * c_inv[i, j] / 4.0, {i + 1: "Z", j + 1: "Z"}))
     for i in range(n):
         terms.append(PauliTerm(report.linear_coeffs[i], {i + 1: "Z"}))
-    reconstructed = realize(OperatorSum(terms, n)) + report.constant * np.eye(dim)
+    constant = e2 / 8.0 * np.trace(c_inv) + e2 / 2.0 * d @ c_inv @ d
+    reconstructed = realize(OperatorSum(terms, n)) + constant * np.eye(dim)
     assert np.max(np.abs(direct - reconstructed)) < 1e-12
+
+
+@pytest.mark.parametrize("n, c0, units", [(8, 1.0, "reduced"), (300, 1.0, "reduced"), (40, 1e-15, "si")])
+def test_linear_fields_against_the_inverse(n, c0, units):
+    # the O(n) solve on the pivots against (2e)^2 / 2 C^{-1} (1/2 - n_g) from the n^2 inverse
+    rng = np.random.default_rng(n)
+    spec = array_spec(n, 0.02, c0, gate_charges=tuple(rng.uniform(0.3, 0.7, n)))
+    cinv = invert_capacitance(build_capacitance_matrix(spec))
+    report = extract_couplings(spec, cinv, units=units)
+    e2 = spec.c0 if units == "reduced" else (2 * 1.602176634e-19) ** 2
+    expected = e2 / 2.0 * as_matrix(cinv) @ (0.5 - np.array(spec.gate_charges))
+    assert np.max(np.abs(np.array(report.linear_coeffs) - expected)) <= 1e-13 * e2 / spec.c0
 
 
 def test_linear_fields_vanish_at_degeneracy_point():
     spec = array_spec(6, 0.02)  # default gate charges 1/2
     report = extract_couplings(spec, invert_capacitance(build_capacitance_matrix(spec)))
-    assert np.max(np.abs(report.linear_coeffs)) < 1e-15
+    assert max(map(abs, report.linear_coeffs)) < 1e-15
 
 
 def test_si_units_mode():
