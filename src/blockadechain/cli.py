@@ -36,15 +36,13 @@ ROW_BYTES = 512
 
 #: Peak bytes of josephson-map per pair of boxes, and its fixed allowance: a run of
 #: n_boxes is charged n_boxes^2 * BOX_PAIR_BYTES + MAP_FIXED_BYTES against
-#: LAYOUT_BYTES_CAP at load.  The run holds C and C^{-1} row-major, 16 bytes a pair,
-#: and about 1.4 kB a box of row blocks; the writer adds the texts of the distinct
-#: cells, which grow with the array only until its entries underflow, at most about
-#: 5.5 MB (c_c = 0.99) and under 1.5 MB for c_c <= 0.02.  Traced run plus write with a
-#: mirror at c_c = 0.99 (CPython 3.11): 3.45 / 13.4 / 21.6 / 25.7 MB at 300 / 700 / 965 /
-#: 1094 boxes, against charges of 6.1 / 14.5 / 23.7 / 29.3 MB.  Admits up to 1730 boxes
-#: (2.3-2.5 s wall and 64 MiB RSS at the defaults on 2 cores).
-BOX_PAIR_BYTES = 21
-MAP_FIXED_BYTES = 2**22
+#: LAYOUT_BYTES_CAP at load.  The run holds C^{-1} row-major, 8 bytes a pair, and O(n)
+#: beside it; the writer adds the texts of the distinct cells, which stop growing once
+#: the entries underflow.  Traced run plus write with a mirror at c_c = 0.99 (CPython
+#: 3.11): 2.83 / 8.90 / 14.0 / 48.2 MB at 300 / 700 / 965 / 2200 boxes, against charges
+#: of 4.5 / 10.5 / 17.1 / 75.8 MB.  Admits up to 2064 boxes (2.7-2.9 s, 52 MiB RSS on 2 cores).
+BOX_PAIR_BYTES = 15
+MAP_FIXED_BYTES = 3 * 2**20
 
 SCENARIOS = ("deviation-sweep", "gate-fidelity", "josephson-map", "blockade-check")
 
@@ -238,6 +236,9 @@ def _validate_parameters(cfg: RunConfig) -> None:
             raise ConfigError(f"an array of {p['n_boxes']} boxes exceeds the budget of {LAYOUT_BYTES_CAP} bytes")
         for key in ("c_g", "c_j", "c_c"):
             p[key] = _finite(p[key], key)
+        c0 = p["c_g"] + p["c_j"]
+        if c0 > 0 and 1.0 / c0 == math.inf:  # 1 / C_0 bounds every |C^-1_ij|
+            raise ConfigError(f"c_g + c_j = {c0!r} is too small: its reciprocal overflows")
         if p["gate_charges"] is not None:
             p["gate_charges"] = _finite_list(p["gate_charges"], "gate_charges")
         if p["units"] not in ("reduced", "si"):
@@ -313,82 +314,76 @@ class Table:
         self.blocks.append((n, cells))
 
 
-def _is_array(column) -> bool:
-    """An ``array.array`` or a memoryview of one, told apart without importing ``array``."""
-    return isinstance(column, memoryview) or hasattr(column, "typecode")
+def _kind(cell):
+    """``list``, the format of an ``array.array`` or a memoryview of one (told apart
+    without importing ``array``), or None for a cell that is the same on every row."""
+    if isinstance(cell, memoryview) or hasattr(cell, "typecode"):
+        return memoryview(cell).format
+    return list if isinstance(cell, list) else None
 
 
 #: The unsigned format of each float format's size: a float cell is read as its bit pattern.
 _BITS = {"d": "Q", "f": "I"}
 
 
-class _ArrayTexts(dict):
-    """Texts of the array cells of one format, each formatted by ``fmt`` when first
-    looked up; a float is keyed by its bit pattern, which keeps -0.0 apart from 0.0."""
+class _Texts(dict):
+    """Each distinct cell's text, formatted by ``fmt`` and followed by ``suffix`` when first
+    looked up; a list cell is keyed by type, value and sign, an array cell by value, a
+    float by its bit pattern, so -0.0 stays apart from 0.0."""
 
-    def __init__(self, code, fmt):
-        self.code, self.fmt = code, fmt
-
-    def texts(self, cells: memoryview) -> list:
-        if self.code in _BITS:
-            cells = cells.cast("B").cast(_BITS[self.code])
-        return list(map(self.__getitem__, cells.tolist()))
+    def __init__(self, kind, suffix: str, fmt):
+        self.kind, self.suffix, self.fmt = kind, suffix, fmt
 
     def __missing__(self, key):
-        value = key
-        if self.code in _BITS:
-            value = struct.unpack(self.code, struct.pack(_BITS[self.code], key))[0]
-        text = self[key] = self.fmt(value)
+        value = key[1] if self.kind is list else key
+        if self.kind in _BITS:
+            value = struct.unpack(self.kind, struct.pack(_BITS[self.kind], key))[0]
+        text = self[key] = self.fmt(value) + self.suffix
         return text
 
+    def cell(self, value) -> str:
+        return self[type(value), value, value == 0 and str(value).startswith("-")]
 
-def _texts(column, lo: int, hi: int, memos: dict, fmt) -> list:
-    """Texts of rows lo:hi of a list or array column; ``memos`` keeps
-    each distinct cell's text for the whole write."""
-    if _is_array(column):
-        cells = memoryview(column)[lo:hi]
-        if cells.format not in memos:
-            memos[cells.format] = _ArrayTexts(cells.format, fmt)
-        return memos[cells.format].texts(cells)
-    memo = memos.setdefault(list, {})
-    texts = []
-    last = text = object()
-    for value in column[lo:hi]:
-        if value is not last:  # the runners repeat one object over runs of rows
-            last = value
-            # the type keeps True apart from 1, the sign -0.0 apart from 0.0
-            key = (type(value), value, value == 0 and str(value).startswith("-"))
-            text = memo.get(key)
-            if text is None:
-                text = memo[key] = fmt(value)
-        texts.append(text)
-    return texts
+    def texts(self, column, lo: int, hi: int) -> list:
+        if self.kind is not list:
+            cells = memoryview(column)[lo:hi]
+            cells = cells.cast("B").cast(_BITS[self.kind]) if self.kind in _BITS else cells
+            return list(map(self.__getitem__, cells.tolist()))
+        texts, value, text = [], object(), ""
+        for cell in column[lo:hi]:
+            if cell is not value:  # the runners repeat one object over runs of rows
+                value, text = cell, self.cell(cell)
+            texts.append(text)
+        return texts
 
 
 def _row_texts(table: Table, columns: list, glue: list, end: str, fmt):
-    """The text of each slice of the table's rows: per row, each column's glue
-    and its cell formatted by ``fmt``, then ``end``."""
-    memos = {}  # one per dtype of array cells and one for list cells, for the whole write
+    """The text of each slice of the table's rows: per row, each column's glue and its
+    cell formatted by ``fmt``, then ``end``.  A block's row is one text shared by every
+    row, then one text per list or array column that carries what follows it."""
+    constants = _Texts(list, "", fmt)
+    memos, last = {}, {}  # per kind and suffix, for the whole write; the previous block's texts
     for n, cells in table.blocks:
-        # a str piece is the same on every row (constant cells fold into it with
-        # their glue); any other piece is a list or an array with one cell per row
-        pieces = []
-        literal = ""
+        literals, varying = [""], []
         for col, before in zip(columns, glue):
-            cell = cells.get(col)
-            literal += before
-            if isinstance(cell, list) or _is_array(cell):
-                pieces += [literal, cell] if literal else [cell]
-                literal = ""
+            literals[-1] += before
+            if kind := _kind(cell := cells.get(col)):
+                varying.append((kind, cell))
+                literals.append("")
             else:
-                literal += fmt(cell)
-        pieces.append(literal + end)
+                literals[-1] += constants.cell(cell)
+        literals[-1] += end
+        pieces = [(memos.setdefault((kind, suffix), _Texts(kind, suffix, fmt)), cell)
+                  for (kind, cell), suffix in zip(varying, literals[1:])]
+        held, last, width = last, {}, len(pieces) + 1
         for lo in range(0, n, _SLICE_ROWS):
             hi = min(lo + _SLICE_ROWS, n)
-            texts = [""] * ((hi - lo) * len(pieces))  # row-major: piece k of each row at k::len(pieces)
-            for k, piece in enumerate(pieces):
-                texts[k :: len(pieces)] = ([piece] * (hi - lo) if isinstance(piece, str)
-                                           else _texts(piece, lo, hi, memos, fmt))
+            texts = [literals[0]] * ((hi - lo) * width)  # row-major: piece k of each row at k::width
+            for k, (memo, cell) in enumerate(pieces, 1):
+                # a column the previous block held (josephson-map's j) reuses its texts; ids are
+                # unique, as the table and the memos keep every cell and memo alive
+                key = (id(cell), id(memo), lo)
+                texts[k::width] = last[key] = held.get(key) or memo.texts(cell, lo, hi)
             yield "".join(texts)
 
 
@@ -561,11 +556,13 @@ def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
     n = spec.n_boxes
     header = ["n_boxes", "c_g", "c_j", "c_c", "epsilon", "record", "i", "j", "order", "value", "status"]
     base = dict(n_boxes=n, c_g=spec.c_g, c_j=spec.c_j, c_c=spec.c_c, epsilon=spec.epsilon)
+    # C's rows are windows: interior row i is band[n-i : 2n-i], an edge row half of edges
     diag, off = cmat
-    dense = array("d", [0.0]) * (n * n)  # C row-major, as it is written
-    dense[:: n + 1] = diag
-    dense[1 :: n + 1] = off
-    dense[n :: n + 1] = off
+    if diag[1:-1].tobytes() != diag[1:2].tobytes() * (n - 2) or off.tobytes() != off[:1].tobytes() * (n - 1):
+        raise InvariantViolation("capacitance matrix is not one band: interior diagonal or off-diagonal varies")
+    zeros = array("d", [0.0]) * (n - 2)
+    band = memoryview(zeros + array("d", [0.0, off[0], diag[1], off[0], 0.0]) + zeros)
+    edges = memoryview(zeros + array("d", [off[0], diag[-1], diag[0], off[0]]) + zeros)
     index = array("i", range(1, n + 1))
     orders = sorted(report.couplings_by_order)
     couplings = [report.couplings_by_order[k] for k in orders]
@@ -573,9 +570,12 @@ def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
     chain = report.effective_chain
     table = Table()
     # one block per matrix row: i is constant on it, and every row shares one j column
-    for record, matrix in (("capacitance", memoryview(dense)), ("inverse", memoryview(cinv))):
-        for i in range(n):
-            table.append(n, **base, record=record, i=i + 1, j=index, value=matrix[i * n : (i + 1) * n])
+    inverse = memoryview(cinv)
+    matrices = {"capacitance": [edges[n:], *(band[n - i : 2 * n - i] for i in range(1, n - 1)), edges[:n]],
+                "inverse": (inverse[i * n : (i + 1) * n] for i in range(n))}
+    for record, rows in matrices.items():
+        for i, row in enumerate(rows, 1):
+            table.append(n, **base, record=record, i=i, j=index, value=row)
     for rows, cells in (
         (len(orders), dict(record="coupling", order=orders, value=couplings)),
         (len(ratios), dict(record="decay_ratio", order=list(range(len(ratios))), value=ratios)),

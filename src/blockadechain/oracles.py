@@ -626,9 +626,13 @@ def full_chain_deviation(scenario: Scenario, n: int, j2: float, t: float) -> tup
 
 def dense_tridiagonal(c) -> np.ndarray:
     """The n x n matrix of a symmetric tridiagonal (diagonal, off-diagonal) pair,
-    as ``josephson.build_capacitance_matrix`` returns it."""
+    as ``josephson.build_capacitance_matrix`` returns it.  Entries are placed, not
+    summed, so a -0.0 off-diagonal (c_c = 0) stays -0.0."""
     diag, off = (np.asarray(v, dtype=float) for v in c)
-    return np.diag(diag) + np.diag(off, 1) + np.diag(off, -1)
+    dense = np.diag(diag)
+    k = np.arange(len(off))
+    dense[k, k + 1] = dense[k + 1, k] = off
+    return dense
 
 
 def lapack_inverse(c) -> np.ndarray:

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from blockadechain import LAYOUT_BYTES_CAP, InvariantViolation, blockade, cli, deviation
+from blockadechain import LAYOUT_BYTES_CAP, InvariantViolation, blockade, cli, deviation, josephson
 from blockadechain.chain import ChainSpec
 from blockadechain.cli import (
     EXIT_CONFIG,
@@ -39,7 +39,7 @@ from blockadechain.josephson import (
     extract_couplings,
     invert_capacitance,
 )
-from blockadechain.oracles import PauliTerm
+from blockadechain.oracles import PauliTerm, dense_tridiagonal
 
 REPO_CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -185,6 +185,12 @@ BLOCKADE_CHECK = {"layout": "single-spin", "n_logical": 4, "couplings": [1.0]}
         ("deviation-sweep", {"parameters": {"j2": [0.0, -0.0]}}, [], "j2 values must be distinct (0.0 and -0.0 are equal)"),
         ("deviation-sweep", {"parameters": {"scenarios": ["idle", "idle"]}}, [],
          "scenarios must be a nonempty subset of ['idle', 'inter_qubit', 'sigma_x', 'sigma_z']"),
+        # a C_0 = c_g + c_j whose reciprocal overflows: 1 / C_0 bounds every |C^-1_ij|, as
+        # C = C_0 (I + eps L) with L the path Laplacian, L >= 0
+        ("josephson-map", {"parameters": {"c_g": 1e-310, "c_j": 1e-310, "c_c": 1e-312}}, [],
+         "c_g + c_j = 2e-310 is too small: its reciprocal overflows"),
+        ("josephson-map", {"parameters": {"c_g": 1e-310, "c_j": 1e-310, "c_c": 1e-310}}, [],
+         "c_g + c_j = 2e-310 is too small: its reciprocal overflows"),
     ],
 )
 def test_config_error_is_one_line(tmp_path, capsys, scenario, tree, args, message):
@@ -444,6 +450,25 @@ def test_sweep_rows_checked_at_load(tmp_path, parameters, rows):
     assert rows * cli.ROW_BYTES > LAYOUT_BYTES_CAP
     with pytest.raises(ConfigError, match=rf"the sweep's {rows} rows exceed the budget of {LAYOUT_BYTES_CAP} bytes"):
         load_config("deviation-sweep", cfg, 0)
+
+
+@pytest.mark.parametrize("n_max", [30, 100])
+def test_row_bytes_is_close_to_the_traced_peak(tmp_path, n_max):
+    # safety: a sweep's traced peak, run plus write with a mirror, stays within its rows'
+    # charge; honesty: the charge is at most twice the peak (337 and 332 bytes a row
+    # against 512, CPython 3.11)
+    tree = {"scenario": "deviation-sweep", "parameters": {"n_max": n_max}, "json_mirror": str(tmp_path / "m.json")}
+    cfg = load_config("deviation-sweep", write_config(tmp_path, tree), 0)
+    cli.run_deviation_sweep(load_config("deviation-sweep", None, 0))  # first use of the modules
+    rows = []
+
+    def run_and_write():
+        header, table = cli.run_deviation_sweep(cfg)
+        _write_outputs(cfg, header, table, str(tmp_path / "o.csv"))
+        rows.append(len(table))
+
+    peak = traced_peak(run_and_write)
+    assert peak <= rows[0] * cli.ROW_BYTES <= 2 * peak
 
 
 @settings(max_examples=200, deadline=None)
@@ -836,14 +861,14 @@ def josephson_peak(tmp_path, n_boxes):
 @pytest.mark.parametrize("n_boxes", [300, 400])
 def test_box_pair_bytes_is_close_to_the_traced_peak(tmp_path, n_boxes):
     # safety: the traced peak stays within the charge; honesty: the charge is at most
-    # twice the peak (3.45 MB against 6.1 MB at 300 boxes, CPython 3.11)
+    # twice the peak (2.83 MB against 4.5 MB at 300 boxes, CPython 3.11)
     charge = n_boxes**2 * cli.BOX_PAIR_BYTES + cli.MAP_FIXED_BYTES
     peak = josephson_peak(tmp_path, n_boxes)
     assert peak <= charge <= 2 * peak
 
 
 def test_largest_array_under_a_small_cap_fits_it(tmp_path, monkeypatch):
-    # with a 6 MiB cap the largest admitted array has 316 boxes: it runs within the cap,
+    # with a 6 MiB cap the largest admitted array has 457 boxes: it runs within the cap,
     # and one box more is refused at load
     cap = 6 * 2**20
     monkeypatch.setattr(cli, "LAYOUT_BYTES_CAP", cap)
@@ -852,6 +877,46 @@ def test_largest_array_under_a_small_cap_fits_it(tmp_path, monkeypatch):
     cfg = write_config(tmp_path, {"scenario": "josephson-map", "parameters": {"n_boxes": largest + 1}})
     with pytest.raises(ConfigError, match=f"^an array of {largest + 1} boxes exceeds the budget of {cap} bytes$"):
         load_config("josephson-map", cfg, 0)
+
+
+def test_josephson_runs_at_a_c0_whose_reciprocal_is_finite(tmp_path, capsys):
+    # C_0 = 1e-308: 1 / C_0 = 1e308 bounds every entry of C^-1
+    tree = {"scenario": "josephson-map", "parameters": {"c_g": 5e-309, "c_j": 5e-309, "c_c": 1e-310}}
+    assert main(["josephson-map", "--config", write_config(tmp_path, tree), "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(2, 40), st.just(0.0) | st.floats(0.0, 0.99, exclude_max=True), st.floats(0.3, 0.7))
+def test_capacitance_rows_are_the_rows_of_c(n_boxes, c_c, c_g):
+    # the runner writes C's rows as windows of a band and of an edge array; c_c = 0 gives
+    # -0.0 off-diagonals, which must stay -0.0
+    params = dict(DEFAULT_PARAMETERS["josephson-map"], n_boxes=n_boxes, c_g=c_g, c_j=1.0 - c_g, c_c=c_c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # epsilon above 0.1 is out of the decay regime
+        _, table = cli.run_josephson_map(cli.RunConfig("josephson-map", params))
+        dense = dense_tridiagonal(build_capacitance_matrix(JosephsonArraySpec(n_boxes, c_g, 1.0 - c_g, c_c)))
+    rows = [(cells["i"], bytes(cells["value"])) for _, cells in table.blocks if cells.get("record") == "capacitance"]
+    assert rows == [(i + 1, dense[i].tobytes()) for i in range(n_boxes)]
+
+
+@pytest.mark.parametrize("c_c, vector, k, value", [
+    (0.01, 0, 3, 1.5),  # an interior diagonal entry
+    (0.01, 1, 2, -0.02),  # an off-diagonal entry
+    (0.0, 1, 4, 0.0),  # an off-diagonal 0.0 among -0.0s
+])
+def test_josephson_refuses_a_capacitance_matrix_that_is_not_one_band(monkeypatch, c_c, vector, k, value):
+    build = josephson.build_capacitance_matrix
+
+    def uneven(spec):
+        cmat = build(spec)
+        cmat[vector][k] = value
+        return cmat
+
+    monkeypatch.setattr(josephson, "build_capacitance_matrix", uneven)
+    params = dict(DEFAULT_PARAMETERS["josephson-map"], c_c=c_c)
+    with pytest.raises(InvariantViolation, match="^capacitance matrix is not one band"):
+        cli.run_josephson_map(cli.RunConfig("josephson-map", params))
 
 
 def test_josephson_rejects_single_box(tmp_path):
@@ -1268,6 +1333,21 @@ def test_josephson_mirror_write_holds_one_slice(tmp_path):
     cfg, header, table = josephson_table(tmp_path, 300)
     cfg.json_mirror = str(tmp_path / "jj.json")
     assert traced_peak(lambda: _write_outputs(cfg, header, table, str(tmp_path / "jj.csv"))) < WRITER_BYTES
+
+
+def test_shared_column_texts_are_taken_once_while_blocks_hold_it(tmp_path, monkeypatch):
+    # the 2n matrix rows share one j column, which the linear fields reuse as i: its texts
+    # are taken once for the rows and once for the fields in the CSV, and in the mirror,
+    # where they carry the record, once for each matrix and once for the fields
+    cfg = load_config("josephson-map", None, 0)
+    cfg.json_mirror = str(tmp_path / "m.json")
+    header, table = cli.run_josephson_map(cfg)
+    index = table.blocks[0][1]["j"]
+    taken, texts = [], cli._Texts.texts
+    monkeypatch.setattr(cli._Texts, "texts", lambda memo, column, lo, hi: (
+        taken.append(column is index), texts(memo, column, lo, hi))[1])
+    _write_outputs(cfg, header, table, str(tmp_path / "o.csv"))
+    assert taken.count(True) == 2 + 3
 
 
 def test_array_cells_reach_the_mirror_as_python_scalars(tmp_path):
