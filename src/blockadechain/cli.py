@@ -30,8 +30,11 @@ EXIT_INVARIANT = 2
 #: Largest |phi - 4 J1 tau mod 2 pi| a compensated CPHASE row may report.
 PHASE_TOL = 1e-12
 
-#: Peak bytes of one deviation-sweep row, held from the run through the
-#: writer; checked with the sweep's row count against LAYOUT_BYTES_CAP at load.
+#: Peak bytes of one deviation-sweep row; checked with the sweep's row count against
+#: LAYOUT_BYTES_CAP at load.  Without a mirror the writer takes each (scenario, n) block
+#: as the runner makes it; with one, every row is held from the run through both writes,
+#: and that case sets the charge.  Traced run plus write at n_max 30 and 100 (CPython
+#: 3.11): 338 and 331 bytes a row with a mirror, 140 and 137 without one.
 ROW_BYTES = 512
 
 #: Peak bytes of josephson-map per pair of boxes, and its fixed allowance: a run of
@@ -197,7 +200,7 @@ def _validate_parameters(cfg: RunConfig) -> None:
         # Every nonzero J2 needs a finite t grid end pi / (2|J2|n), largest at the fewest
         # qubits, and two distinct slope-stencil times, which collapse to 0 where the scale
         # (k+1)|J2| overflows, at the most qubits.  The rows, one per t and one slope per J2
-        # for each scenario and n, are all held until the sweep is written; each costs O(1).
+        # for each scenario and n, each cost O(1); a mirror holds them all until it is written.
         j2 = [x for x in p["j2"] if x != 0.0]
         rows = 0
         for name in scenarios:
@@ -215,14 +218,14 @@ def _validate_parameters(cfg: RunConfig) -> None:
         if rows * ROW_BYTES > LAYOUT_BYTES_CAP:
             raise ConfigError(f"the sweep's {rows} rows exceed the budget of {LAYOUT_BYTES_CAP} bytes")
     elif cfg.scenario == "gate-fidelity":
-        p["j1"] = _finite(p["j1"], "j1")
-        p["x1"] = _finite(p["x1"], "x1")
+        for key in ("j1", "x1"):
+            p[key] = _finite(p[key], key)
         if p["j1"] == 0:
             raise ConfigError("j1 must be nonzero")
         if p["x1"] <= 0:
             raise ConfigError("x1 must be positive")
-        p["j2"] = _finite_list(p["j2"], "j2")
-        p["tau"] = _finite_list(p["tau"], "tau")
+        for key in ("j2", "tau"):
+            p[key] = _finite_list(p[key], key)
         if any(tau < 0 for tau in p["tau"]):
             raise ConfigError("tau values must be nonnegative")
         if not isinstance(p["naive"], bool):
@@ -295,23 +298,27 @@ def _text(value) -> str:
 
 
 class Table:
-    """Output rows held as blocks, one per ``append``; ``len()`` is the row count.
+    """Output rows as blocks ``(n, cells)``; ``len()`` is the row count, ``rows``.
 
-    A block is ``(n, cells)``.  ``cells`` maps a header name to a list, an
-    ``array.array`` or a memoryview of one with one cell per row, or to one
-    value that is the same on every row.  ``None`` marks a missing cell,
-    and a name absent from a block is missing on every row of it.
+    ``cells`` maps a header name to a list, an ``array.array`` or a memoryview
+    of one with one cell per row, or to one value that is the same on every
+    row.  ``None`` marks a missing cell, and a name absent from a block is
+    missing on every row of it.  ``blocks`` is the list that ``append`` fills,
+    or an iterable that makes each block when the writer reaches it.  An
+    iterator passes once, so a mirror lists its blocks, each with its own
+    cells; any other iterable is passed once per output.
     """
 
-    def __init__(self) -> None:
-        self.blocks: list = []
+    def __init__(self, blocks=None, rows: int = 0) -> None:
+        self.blocks, self.rows = [] if blocks is None else blocks, rows
 
     def __len__(self) -> int:
-        return sum(n for n, _ in self.blocks)
+        return self.rows
 
     def append(self, n: int, /, **cells) -> None:
         """Add ``n`` rows as one block."""
         self.blocks.append((n, cells))
+        self.rows += n
 
 
 def _kind(cell):
@@ -357,13 +364,13 @@ class _Texts(dict):
         return texts
 
 
-def _row_texts(table: Table, columns: list, glue: list, end: str, fmt):
-    """The text of each slice of the table's rows: per row, each column's glue and its
+def _row_texts(blocks, columns: list, glue: list, end: str, fmt):
+    """The text of each slice of the blocks' rows: per row, each column's glue and its
     cell formatted by ``fmt``, then ``end``.  A block's row is one text shared by every
     row, then one text per list or array column that carries what follows it."""
     constants = _Texts(list, "", fmt)
-    memos, last = {}, {}  # per kind and suffix, for the whole write; the previous block's texts
-    for n, cells in table.blocks:
+    memos, last, pieces = {}, {}, []  # per kind and suffix, for the whole write; the previous block's texts and cells
+    for n, cells in blocks:
         literals, varying = [""], []
         for col, before in zip(columns, glue):
             literals[-1] += before
@@ -373,24 +380,29 @@ def _row_texts(table: Table, columns: list, glue: list, end: str, fmt):
             else:
                 literals[-1] += constants.cell(cell)
         literals[-1] += end
+        held, last, kept = last, {}, pieces  # held keys kept's cells by id, so kept keeps them alive
         pieces = [(memos.setdefault((kind, suffix), _Texts(kind, suffix, fmt)), cell)
                   for (kind, cell), suffix in zip(varying, literals[1:])]
-        held, last, width = last, {}, len(pieces) + 1
+        width = len(pieces) + 1
         for lo in range(0, n, _SLICE_ROWS):
             hi = min(lo + _SLICE_ROWS, n)
             texts = [literals[0]] * ((hi - lo) * width)  # row-major: piece k of each row at k::width
             for k, (memo, cell) in enumerate(pieces, 1):
-                # a column the previous block held (josephson-map's j) reuses its texts; ids are
-                # unique, as the table and the memos keep every cell and memo alive
+                # a column the previous block held (josephson-map's j) reuses its texts; no other
+                # cell can take the id of a cell that kept holds, and the memos last the whole
+                # write
                 key = (id(cell), id(memo), lo)
                 texts[k::width] = last[key] = held.get(key) or memo.texts(cell, lo, hi)
             yield "".join(texts)
 
 
 def _write_outputs(cfg: RunConfig, header: list, table: Table, out_path: str) -> None:
+    blocks = table.blocks
+    if cfg.json_mirror and iter(blocks) is blocks:  # an iterator passes once, and the mirror passes again
+        blocks = list(blocks)
     with open(out_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(header) + "\n")
-        fh.writelines(_row_texts(table, header, [""] + [","] * (len(header) - 1), "\n", _text))
+        fh.writelines(_row_texts(blocks, header, [""] + [","] * (len(header) - 1), "\n", _text))
     if cfg.json_mirror:
         # json.dumps's text of the mirror, its rows spliced in from the slice texts
         mirror = {"scenario": cfg.scenario, "seed": cfg.seed, "parameters": cfg.parameters,
@@ -398,7 +410,7 @@ def _write_outputs(cfg: RunConfig, header: list, table: Table, out_path: str) ->
         head, _, tail = json.dumps(mirror, sort_keys=True, indent=1, default=float).rpartition('"rows": []')
         columns = sorted(header)
         glue = [("," if k else ",\n  {") + f"\n   {json.dumps(col)}: " for k, col in enumerate(columns)]
-        rows = _row_texts(table, columns, glue, "\n  }", json.JSONEncoder(default=float).encode)
+        rows = _row_texts(blocks, columns, glue, "\n  }", json.JSONEncoder(default=float).encode)
         with open(cfg.json_mirror, "w", encoding="utf-8") as fh:
             fh.write(head + '"rows": [')
             first = next(rows, "")
@@ -421,50 +433,52 @@ def _linspace(start: float, stop: float, num: int) -> list:
     return [i * step + start for i in range(num - 1)] + [stop]
 
 
-def _deviation_columns(name: str, n: int, j2: list, t_points: int) -> dict:
-    """The rows of one (scenario, n) as columns of cells, less those two
-    constants, in the order they are written: for each J2 in ascending
-    order, its t grid from one ``scenario_deviations`` call, then its slope
-    by ``deviation_speed``.  A grid point that breaks an invariant gives a
-    ``fail:`` row; a slope point that does raises, the first in config order.
+def _deviation_blocks(cfg: RunConfig, points: list):
+    """The rows of each (scenario, n, slopes by J2) point as one block, made when the
+    writer reaches it, in the order they are written: for each J2 in ascending order,
+    its t grid from one ``scenario_deviations`` call, then its slope.  A grid point that
+    breaks an invariant gives a ``fail:`` row, recorded in ``cfg.invariant_failures``.
     """
-    from .deviation import deviation_speed, scenario_deviations
+    from .deviation import scenario_deviations
 
-    slope = {x: deviation_speed(name, n, x) for x in j2}
-    columns = {col: [] for col in ("record", "j2", "t", "exact_raw", "exact_phase_opt",
-                                   "lower_bound", "bound_ok", "slope")}
-    for x in sorted(j2):
-        t = _linspace(0.0, math.pi / (2.0 * abs(x) * n) if x != 0 else 1.0, t_points)
-        batch = scenario_deviations(name, n, [x] * t_points, t)
-        ok = [v is None for v in batch.violations]
-        columns["record"] += ["deviation"] * t_points + ["slope"]
-        # the config's own object, which the writer formats once per run of equal cells
-        columns["j2"] += [x] * (t_points + 1)
-        columns["t"] += t + [None]
-        for col in ("exact_raw", "exact_phase_opt", "lower_bound"):
-            columns[col] += [v if k else None for v, k in zip(getattr(batch, col), ok)] + [None]
-        columns["bound_ok"] += ["pass" if v is None else f"fail: {v}" for v in batch.violations] + [None]
-        columns["slope"] += [None] * t_points + [slope[x]]
-    return columns
+    t_points = cfg.parameters["t_points"]
+    for name, n, slope in points:
+        columns = {col: [] for col in ("record", "j2", "t", "exact_raw", "exact_phase_opt",
+                                       "lower_bound", "bound_ok", "slope")}
+        for x in sorted(slope):
+            t = _linspace(0.0, math.pi / (2.0 * abs(x) * n) if x != 0 else 1.0, t_points)
+            batch = scenario_deviations(name, n, [x] * t_points, t)
+            ok = [v is None for v in batch.violations]
+            columns["record"] += ["deviation"] * t_points + ["slope"]
+            # the config's own object, which the writer formats once per run of equal cells
+            columns["j2"] += [x] * (t_points + 1)
+            columns["t"] += t + [None]
+            for col in ("exact_raw", "exact_phase_opt", "lower_bound"):
+                columns[col] += [v if k else None for v, k in zip(getattr(batch, col), ok)] + [None]
+            columns["bound_ok"] += ["pass" if v is None else f"fail: {v}" for v in batch.violations] + [None]
+            columns["slope"] += [None] * t_points + [slope[x]]
+        cfg.invariant_failures += [cell for cell in columns["bound_ok"] if cell not in (None, "pass")]
+        yield len(columns["record"]), dict(scenario=name, n=n, **columns)
 
 
 def run_deviation_sweep(cfg: RunConfig) -> tuple[list, Table]:
-    from .deviation import MIN_QUBITS, Scenario
+    from .deviation import MIN_QUBITS, Scenario, deviation_speed
 
     p = cfg.parameters
     header = [
         "record", "scenario", "n", "j2", "t",
         "exact_raw", "exact_phase_opt", "lower_bound", "bound_ok", "slope",
     ]
-    table = Table()
+    # every slope before any row, so a slope point that raises (the first in scenario,
+    # n and config order) leaves no output
+    points = []
     for scenario in Scenario:
         if scenario.value not in p["scenarios"]:
             continue
         for n in range(max(p["n_min"], MIN_QUBITS[scenario]), p["n_max"] + 1):
-            columns = _deviation_columns(scenario.value, n, p["j2"], p["t_points"])
-            cfg.invariant_failures += [cell for cell in columns["bound_ok"] if cell not in (None, "pass")]
-            table.append(len(columns["record"]), scenario=scenario.value, n=n, **columns)
-    return header, table
+            points.append((scenario.value, n, {x: deviation_speed(scenario.value, n, x) for x in p["j2"]}))
+    rows = len(points) * len(p["j2"]) * (p["t_points"] + 1)
+    return header, Table(_deviation_blocks(cfg, points), rows)
 
 
 # ---------------------------------------------------------------------------
@@ -532,13 +546,7 @@ def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
     from .josephson import JosephsonArraySpec, build_capacitance_matrix, extract_couplings, invert_capacitance
 
     p = cfg.parameters
-    spec = JosephsonArraySpec(
-        n_boxes=p["n_boxes"],
-        c_g=p["c_g"],
-        c_j=p["c_j"],
-        c_c=p["c_c"],
-        gate_charges=tuple(p["gate_charges"]) if p["gate_charges"] else None,
-    )
+    spec = JosephsonArraySpec(p["n_boxes"], p["c_g"], p["c_j"], p["c_c"], p["gate_charges"])
     cmat = build_capacitance_matrix(spec)
     cinv = invert_capacitance(cmat)
     report = extract_couplings(spec, cinv, units=p["units"])
@@ -568,26 +576,28 @@ def run_josephson_map(cfg: RunConfig) -> tuple[list, Table]:
     couplings = [report.couplings_by_order[k] for k in orders]
     ratios = list(report.decay_ratios)
     chain = report.effective_chain
-    table = Table()
-    # one block per matrix row: i is constant on it, and every row shares one j column
     inverse = memoryview(cinv)
-    matrices = {"capacitance": [edges[n:], *(band[n - i : 2 * n - i] for i in range(1, n - 1)), edges[:n]],
-                "inverse": (inverse[i * n : (i + 1) * n] for i in range(n))}
-    for record, rows in matrices.items():
-        for i, row in enumerate(rows, 1):
-            table.append(n, **base, record=record, i=i, j=index, value=row)
-    for rows, cells in (
-        (len(orders), dict(record="coupling", order=orders, value=couplings)),
-        (len(ratios), dict(record="decay_ratio", order=list(range(len(ratios))), value=ratios)),
-        (1, dict(record="decay_check", status=status)),
-        (1, dict(record="residual_bound", value=report.residual_bound)),
-        (n, dict(record="linear_field", i=index, value=report.linear_coeffs)),
-        (1, dict(record="chain_j1", value=chain.j1)),
-        (1, dict(record="chain_j2", value=chain.j2)),
-        (1, dict(record="chain_x1_max", value=chain.x1_max)),
-    ):
-        table.append(rows, **base, **cells)
-    return header, table
+    tail = [
+        (len(orders), dict(base, record="coupling", order=orders, value=couplings)),
+        (len(ratios), dict(base, record="decay_ratio", order=list(range(len(ratios))), value=ratios)),
+        (1, dict(base, record="decay_check", status=status)),
+        (1, dict(base, record="residual_bound", value=report.residual_bound)),
+        (n, dict(base, record="linear_field", i=index, value=report.linear_coeffs)),
+        (1, dict(base, record="chain_j1", value=chain.j1)),
+        (1, dict(base, record="chain_j2", value=chain.j2)),
+        (1, dict(base, record="chain_x1_max", value=chain.x1_max)),
+    ]
+
+    def blocks():
+        # one block per matrix row: i is constant on it, and every row shares one j column
+        for i in range(n):
+            yield n, dict(base, record="capacitance", i=i + 1, j=index,
+                          value=edges[n:] if i == 0 else edges[:n] if i == n - 1 else band[n - i : 2 * n - i])
+        for i in range(n):
+            yield n, dict(base, record="inverse", i=i + 1, j=index, value=inverse[i * n : (i + 1) * n])
+        yield from tail
+
+    return header, Table(blocks(), rows=2 * n * n + len(orders) + len(ratios) + n + 5)
 
 
 # ---------------------------------------------------------------------------
@@ -624,17 +634,14 @@ _RUNNERS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="blockadechain",
-        description=__doc__,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
+    raw = argparse.RawDescriptionHelpFormatter
+    parser = argparse.ArgumentParser(prog="blockadechain", description=__doc__, formatter_class=raw)
     sub = parser.add_subparsers(dest="scenario", required=True)
     for name in SCENARIOS:
         sp = sub.add_parser(
             name,
             help=f"run the {name} scenario",
-            formatter_class=argparse.RawDescriptionHelpFormatter,
+            formatter_class=raw,
             epilog="parameter defaults:\n" + json.dumps(DEFAULT_PARAMETERS[name], indent=2),
         )
         sp.add_argument("--config", type=str, default=None, help="JSON config file (defaults used when omitted)")
@@ -654,7 +661,7 @@ def main(argv=None) -> int:
         warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
         try:
             cfg = load_config(args.scenario, args.config, args.seed)
-            if args.scenario == "gate-fidelity" and getattr(args, "naive", False):
+            if getattr(args, "naive", False):  # only gate-fidelity has --naive
                 cfg.parameters["naive"] = True
             if args.jobs < 1:
                 raise ConfigError("--jobs must be at least 1")

@@ -53,6 +53,8 @@ class JosephsonArraySpec(_Frozen):
         epsilon = c_c / (c_g + c_j)  # as the epsilon property computes it
         if epsilon >= 1.0:
             raise ValueError("coupling capacitance must stay below the on-site capacitance")
+        if not math.isfinite((c_g + c_j) * (1.0 + 2.0 * epsilon)):  # C's largest entry, its interior diagonal
+            raise ValueError(f"c_g + c_j = {c_g + c_j!r} is too large: C's diagonal C_0 (1 + 2 epsilon) overflows")
         if epsilon > DECAY_REGIME_EPS:
             warnings.warn(
                 f"epsilon = {epsilon:.3g} exceeds {DECAY_REGIME_EPS}; "

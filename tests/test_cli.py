@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import os
@@ -191,6 +192,11 @@ BLOCKADE_CHECK = {"layout": "single-spin", "n_logical": 4, "couplings": [1.0]}
          "c_g + c_j = 2e-310 is too small: its reciprocal overflows"),
         ("josephson-map", {"parameters": {"c_g": 1e-310, "c_j": 1e-310, "c_c": 1e-310}}, [],
          "c_g + c_j = 2e-310 is too small: its reciprocal overflows"),
+        # a C_0 that overflows, and a finite C_0 whose diagonal C_0 (1 + 2 epsilon) does
+        ("josephson-map", {"parameters": {"c_g": 1e308, "c_j": 1e308}}, [],
+         "c_g + c_j = inf is too large: C's diagonal C_0 (1 + 2 epsilon) overflows"),
+        ("josephson-map", {"parameters": {"c_g": 8e307, "c_j": 8e307, "c_c": 1.6e307}}, [],
+         "c_g + c_j = 1.6e+308 is too large: C's diagonal C_0 (1 + 2 epsilon) overflows"),
     ],
 )
 def test_config_error_is_one_line(tmp_path, capsys, scenario, tree, args, message):
@@ -469,6 +475,25 @@ def test_row_bytes_is_close_to_the_traced_peak(tmp_path, n_max):
 
     peak = traced_peak(run_and_write)
     assert peak <= rows[0] * cli.ROW_BYTES <= 2 * peak
+
+
+def test_streamed_sweep_holds_no_rows(tmp_path):
+    # without a mirror the writer takes each (scenario, n) block as the runner makes it:
+    # run plus write traces 137 bytes a row at n_max 100 (CPython 3.11), against 286 when
+    # every row was held until the write
+    tree = {"scenario": "deviation-sweep", "parameters": {"n_max": 100}}
+    cfg = load_config("deviation-sweep", write_config(tmp_path, tree), 0)
+    list(cli.run_deviation_sweep(load_config("deviation-sweep", None, 0))[1].blocks)  # first use of the modules
+    rows = []
+
+    def run_and_write():
+        header, table = cli.run_deviation_sweep(cfg)
+        _write_outputs(cfg, header, table, str(tmp_path / "o.csv"))
+        rows.append(len(table))
+
+    peak = traced_peak(run_and_write)
+    assert rows[0] == len(read_rows(tmp_path / "o.csv"))
+    assert peak <= 200 * rows[0]
 
 
 @settings(max_examples=200, deadline=None)
@@ -879,6 +904,13 @@ def test_largest_array_under_a_small_cap_fits_it(tmp_path, monkeypatch):
         load_config("josephson-map", cfg, 0)
 
 
+def test_josephson_runs_at_a_c0_whose_diagonal_is_finite(tmp_path, capsys):
+    # C_0 = 1.6e308 and epsilon = 0.05: the diagonal C_0 (1 + 2 epsilon) = 1.76e308 is finite
+    tree = {"scenario": "josephson-map", "parameters": {"c_g": 8e307, "c_j": 8e307, "c_c": 8e306}}
+    assert main(["josephson-map", "--config", write_config(tmp_path, tree), "--out", str(tmp_path / "o.csv")]) == EXIT_OK
+    assert capsys.readouterr().err == ""
+
+
 def test_josephson_runs_at_a_c0_whose_reciprocal_is_finite(tmp_path, capsys):
     # C_0 = 1e-308: 1 / C_0 = 1e308 bounds every entry of C^-1
     tree = {"scenario": "josephson-map", "parameters": {"c_g": 5e-309, "c_j": 5e-309, "c_c": 1e-310}}
@@ -1156,9 +1188,36 @@ def assert_same_outputs(tmp_path, cfg, header, table, rows):
 
 @pytest.mark.parametrize("scenario", SCENARIOS)
 def test_writer_matches_row_wise_reference(tmp_path, scenario):
+    # the reference rows come from a second run: deviation-sweep's blocks pass once
     cfg = load_config(scenario, None, 0)
     header, table = _RUNNERS[scenario](cfg)
-    assert_same_outputs(tmp_path, cfg, header, table, table_rows(table))
+    assert_same_outputs(tmp_path, cfg, header, table, table_rows(_RUNNERS[scenario](cfg)[1]))
+
+
+def test_recycled_cells_of_a_streamed_source_match_a_list(tmp_path, monkeypatch):
+    # a source that yields one cells dict, a fresh array of the same length in it for each
+    # block: a freed column's id can come back, and must not bring back its texts
+    monkeypatch.setattr(cli, "_SLICE_ROWS", 2)  # blocks of 5 rows span three slices
+    values = [[float(10 * b + r) for r in range(5)] for b in range(8)]
+
+    class Recycled:  # makes its blocks anew on each pass, so the mirror does not list them
+        def __iter__(self):
+            cells = {"b": "x"}
+            for v in values:
+                del cells["a" if "a" in cells else "b"]  # free the previous block's column first
+                cells["a"] = array("d", v)
+                yield len(v), cells
+
+    streamed = Table(Recycled(), rows=40)
+    listed = Table([(len(v), {"a": array("d", v)}) for v in values])
+    cfg = load_config("blockade-check", None, 0)
+    outputs = []
+    for table in (streamed, listed):
+        cfg.json_mirror = str(tmp_path / f"m{len(outputs)}.json")
+        _write_outputs(cfg, ["a"], table, str(tmp_path / f"o{len(outputs)}.csv"))
+        outputs.append(((tmp_path / f"o{len(outputs)}.csv").read_bytes(), Path(cfg.json_mirror).read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0].decode().split("\n")[1:-1] == [_fmt(x) for v in values for x in v]
 
 
 def test_josephson_columns_match_row_wise_runner(tmp_path):
@@ -1342,7 +1401,8 @@ def test_shared_column_texts_are_taken_once_while_blocks_hold_it(tmp_path, monke
     cfg = load_config("josephson-map", None, 0)
     cfg.json_mirror = str(tmp_path / "m.json")
     header, table = cli.run_josephson_map(cfg)
-    index = table.blocks[0][1]["j"]
+    first = next(table.blocks)  # the blocks pass once: put the first one back
+    index, table.blocks = first[1]["j"], itertools.chain([first], table.blocks)
     taken, texts = [], cli._Texts.texts
     monkeypatch.setattr(cli._Texts, "texts", lambda memo, column, lo, hi: (
         taken.append(column is index), texts(memo, column, lo, hi))[1])
@@ -1373,7 +1433,8 @@ def test_runner_length_is_row_count(tmp_path, scenario):
     _write_outputs(cfg, *result, str(tmp_path / "o.csv"))
     n_rows = len(read_rows(tmp_path / "o.csv"))
     assert len(result[1]) == n_rows == len(json.loads((tmp_path / "m.json").read_text(encoding="utf-8"))["rows"])
-    assert all(len(cell) == n for n, cells in result[1].blocks
+    # a fresh run's blocks, as deviation-sweep's pass once
+    assert all(len(cell) == n for n, cells in _RUNNERS[scenario](cfg)[1].blocks
                for cell in cells.values() if isinstance(cell, (list, array, memoryview)))
 
 

@@ -106,6 +106,12 @@ def test_spec_validation():
         JosephsonArraySpec(4, 0.5, 0.5, 2.0)  # epsilon >= 1
     with pytest.warns(UserWarning, match="epsilon"):
         JosephsonArraySpec(4, 0.5, 0.5, 0.5)
+    # C's interior diagonal C_0 (1 + 2 epsilon) must be a finite float, and so must C_0
+    for c_g, c_c in ((1e308, 0.0), (8e307, 1.6e307)):
+        with pytest.raises(ValueError, match=r"^c_g \+ c_j = .* is too large: C's diagonal"):
+            JosephsonArraySpec(4, c_g, c_g, c_c)
+    diag, _ = build_capacitance_matrix(JosephsonArraySpec(4, 8e307, 8e307, 8e306))
+    assert all(map(math.isfinite, diag))
 
 
 def test_decay_regime_warning_names_the_caller():
