@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import struct
 import sys
 import warnings
@@ -47,8 +48,6 @@ ROW_BYTES = 512
 BOX_PAIR_BYTES = 15
 MAP_FIXED_BYTES = 3 * 2**20
 
-SCENARIOS = ("deviation-sweep", "gate-fidelity", "josephson-map", "blockade-check")
-
 DEFAULT_PARAMETERS = {
     "deviation-sweep": {
         "n_min": 2,
@@ -81,6 +80,9 @@ DEFAULT_PARAMETERS = {
         ]
     },
 }
+
+
+SCENARIOS = tuple(DEFAULT_PARAMETERS)
 
 
 class ConfigError(Exception):
@@ -424,29 +426,20 @@ def _write_outputs(cfg: RunConfig, header: list, table: Table, out_path: str) ->
 # ---------------------------------------------------------------------------
 # deviation-sweep
 
-def _linspace(start: float, stop: float, num: int) -> list:
-    """``np.linspace(start, stop, num)`` by numpy's arithmetic: i * step + start
-    with step = (stop - start) / (num - 1), the last point exactly stop."""
-    if num == 1:
-        return [start]
-    step = (stop - start) / (num - 1)
-    return [i * step + start for i in range(num - 1)] + [stop]
-
-
 def _deviation_blocks(cfg: RunConfig, points: list):
     """The rows of each (scenario, n, slopes by J2) point as one block, made when the
     writer reaches it, in the order they are written: for each J2 in ascending order,
     its t grid from one ``scenario_deviations`` call, then its slope.  A grid point that
     breaks an invariant gives a ``fail:`` row, recorded in ``cfg.invariant_failures``.
     """
-    from .deviation import scenario_deviations
+    from .deviation import linspace, scenario_deviations
 
     t_points = cfg.parameters["t_points"]
     for name, n, slope in points:
         columns = {col: [] for col in ("record", "j2", "t", "exact_raw", "exact_phase_opt",
                                        "lower_bound", "bound_ok", "slope")}
         for x in sorted(slope):
-            t = _linspace(0.0, math.pi / (2.0 * abs(x) * n) if x != 0 else 1.0, t_points)
+            t = linspace(0.0, math.pi / (2.0 * abs(x) * n) if x != 0 else 1.0, t_points)
             batch = scenario_deviations(name, n, [x] * t_points, t)
             ok = [v is None for v in batch.violations]
             columns["record"] += ["deviation"] * t_points + ["slope"]
@@ -530,11 +523,7 @@ def run_gate_fidelity(cfg: RunConfig) -> tuple[list, Table]:
         Path(p["schedule_out"]).write_text(
             json.dumps(compiled, sort_keys=True, indent=1) + "\n", encoding="utf-8"
         )
-    header = [
-        "mode", "j1", "j2", "x1", "tau",
-        "fidelity", "deficit", "leakage", "phi", "phi_target", "phi_residual",
-    ]
-    return header, table
+    return list(row), table
 
 
 # ---------------------------------------------------------------------------
@@ -666,6 +655,12 @@ def main(argv=None) -> int:
             if args.jobs < 1:
                 raise ConfigError("--jobs must be at least 1")
             out_path = args.out or cfg.output_path or f"{args.scenario}.csv"
+            # a later write would replace an earlier one; realpath follows symlinks and,
+            # unlike Path.resolve, does not raise on a loop
+            paths = [os.path.realpath(path) for path in (out_path, cfg.json_mirror, cfg.parameters.get("schedule_out"),
+                                                         args.config) if path]
+            if len(set(paths)) < len(paths):
+                raise ConfigError("the CSV, json_mirror, schedule_out and --config paths must name different files")
             header, table = _RUNNERS[args.scenario](cfg)
             _write_outputs(cfg, header, table, out_path)
         except InvariantViolation as exc:

@@ -135,6 +135,15 @@ def lower_bound(scenario: Scenario, n: int, j2: float, t: float) -> float:
     return 2.0 * abs(math.sin(j2 * t * (n + 1 - MIN_QUBITS[scenario]) / 2.0))
 
 
+def linspace(start: float, stop: float, num: int) -> list:
+    """``np.linspace(start, stop, num)`` by numpy's arithmetic: i * step + start
+    with step = (stop - start) / (num - 1), the last point exactly stop."""
+    if num == 1:
+        return [start]
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [stop]
+
+
 def scenario_deviations(scenario: Scenario, n: int, j2, t) -> DeviationBatch:
     """Exact deviations in the scenario's frozen subspace at points (j2[i], t[i]).
 

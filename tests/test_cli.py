@@ -52,6 +52,11 @@ def write_config(tmp_path, tree, name="config.json"):
     return str(path)
 
 
+def files(root):
+    """Every file under ``root`` and its bytes."""
+    return {p: p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
 def read_rows(path):
     with open(path, newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -147,6 +152,7 @@ def test_non_string_output_path_rejected(tmp_path, capsys, key):
 
 
 BLOCKADE_CHECK = {"layout": "single-spin", "n_logical": 4, "couplings": [1.0]}
+PATHS_COLLIDE = "the CSV, json_mirror, schedule_out and --config paths must name different files"
 
 
 @pytest.mark.parametrize(
@@ -197,13 +203,47 @@ BLOCKADE_CHECK = {"layout": "single-spin", "n_logical": 4, "couplings": [1.0]}
          "c_g + c_j = inf is too large: C's diagonal C_0 (1 + 2 epsilon) overflows"),
         ("josephson-map", {"parameters": {"c_g": 8e307, "c_j": 8e307, "c_c": 1.6e307}}, [],
          "c_g + c_j = 1.6e+308 is too large: C's diagonal C_0 (1 + 2 epsilon) overflows"),
+        # two outputs, or an output and the config, that resolve to one file: the later
+        # write would replace the earlier one (relative paths are in tmp_path)
+        ("blockade-check", {"json_mirror": "o.csv"}, [], PATHS_COLLIDE),
+        ("gate-fidelity", {"parameters": {"schedule_out": "./o.csv"}}, [], PATHS_COLLIDE),
+        ("gate-fidelity", {"json_mirror": "s.json", "parameters": {"schedule_out": "./s.json"}}, [],
+         PATHS_COLLIDE),
+        ("deviation-sweep", {"json_mirror": "config.json"}, [], PATHS_COLLIDE),
+        ("gate-fidelity", {"parameters": {"schedule_out": "config.json"}}, [], PATHS_COLLIDE),
+        ("josephson-map", {}, ["--out", "config.json"], PATHS_COLLIDE),
+        # a pair-encoded layout and an array past the byte budget
+        ("blockade-check", {"parameters": {"checks": [{"layout": "pair-encoded", "n_logical": 16, "m": 100_000,
+                                                       "couplings": [1.0]}]}}, [],
+         f"checks[0]: a layout of 1700032 sites exceeds the budget of {LAYOUT_BYTES_CAP} bytes"),
+        ("josephson-map", {"parameters": {"n_boxes": 10**9}}, [],
+         f"an array of 1000000000 boxes exceeds the budget of {LAYOUT_BYTES_CAP} bytes"),
     ],
 )
-def test_config_error_is_one_line(tmp_path, capsys, scenario, tree, args, message):
-    out = tmp_path / "o.csv"
-    code = main([scenario, "--config", write_config(tmp_path, tree), "--out", str(out), *args])
+def test_config_error_is_one_line(tmp_path, capsys, monkeypatch, scenario, tree, args, message):
+    # a refused run creates no file and changes none, the config included
+    monkeypatch.chdir(tmp_path)
+    config = write_config(tmp_path, tree)
+    before = files(tmp_path)
+    code = main([scenario, "--config", config, "--out", str(tmp_path / "o.csv"), *args])
     assert (code, capsys.readouterr().err) == (EXIT_CONFIG, f"config error: {message}\n")
-    assert not out.exists()
+    assert files(tmp_path) == before
+
+
+def test_outputs_that_resolve_to_one_file_are_refused(tmp_path, capsys, monkeypatch):
+    # output_path reaches the mirror's file through a symlink: neither is written
+    monkeypatch.chdir(tmp_path)
+    Path("link.txt").symlink_to("same.txt")
+    config = write_config(tmp_path, {"output_path": "link.txt", "json_mirror": "same.txt"})
+    assert main(["blockade-check", "--config", config]) == EXIT_CONFIG
+    assert capsys.readouterr().err == f"config error: {PATHS_COLLIDE}\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["config.json", "link.txt"]
+    # a symlink loop resolves to no file, and opening it is a config error, not a traceback
+    Path("loop").symlink_to("loop")
+    config = write_config(tmp_path, {"json_mirror": "loop"})
+    assert main(["blockade-check", "--config", config, "--out", "o.csv"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
 
 
 def test_missing_config_file(tmp_path):
@@ -499,7 +539,7 @@ def test_streamed_sweep_holds_no_rows(tmp_path):
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 64), st.floats(1e-300, 1e300))
 def test_linspace_replica_matches_numpy(num, stop):
-    assert [x.hex() for x in cli._linspace(0.0, stop, num)] == [x.hex() for x in np.linspace(0.0, stop, num).tolist()]
+    assert [x.hex() for x in deviation.linspace(0.0, stop, num)] == [x.hex() for x in np.linspace(0.0, stop, num).tolist()]
 
 
 DEVIATION_HEADER = [

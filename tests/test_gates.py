@@ -609,6 +609,23 @@ def test_reachable_codes_step_budget_stops_before_propagating(monkeypatch):
         gates._propagate(ChainSpec(n, j1=1.0, j2=0.05), sweep, starts)
 
 
+@pytest.mark.parametrize("n", [10, 20])
+def test_code_bytes_is_close_to_the_traced_peak(n):
+    # safety: a propagation's traced peak stays within its codes' charge; honesty: the
+    # charge is at most twice the peak (two sweeps over every bond from four 3-excitation
+    # codes reach 120 and 553 codes, 1.84x and 1.75x their peak, CPython 3.11)
+    sweep = ControlSchedule([ControlSegment.bond_pulse(n, b, 0.3, 0.5) for b in range(1, n)] * 2)
+    starts = [(1 << n - 1 - q) | (1 << n // 2 - 1 - q) | (1 << q) for q in range(4)]
+    spec = ChainSpec(n, j1=1.0, j2=0.05)
+    tracemalloc.start()
+    try:
+        codes = len(gates._propagate(spec, sweep, starts))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= codes * (gates.CODE_BYTES + n // 30 * 4) <= 2 * peak
+
+
 @pytest.mark.parametrize(
     "seg",
     [
