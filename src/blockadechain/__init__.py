@@ -52,7 +52,6 @@ _EXPORTS = {
             "extract_couplings",
             "invert_capacitance",
         ),
-        "oracles": ("full_chain_deviation",),
     }.items()
     for name in names
 }

@@ -241,9 +241,6 @@ def _validate_parameters(cfg: RunConfig) -> None:
             raise ConfigError(f"an array of {p['n_boxes']} boxes exceeds the budget of {LAYOUT_BYTES_CAP} bytes")
         for key in ("c_g", "c_j", "c_c"):
             p[key] = _finite(p[key], key)
-        c0 = p["c_g"] + p["c_j"]
-        if c0 > 0 and 1.0 / c0 == math.inf:  # 1 / C_0 bounds every |C^-1_ij|
-            raise ConfigError(f"c_g + c_j = {c0!r} is too small: its reciprocal overflows")
         if p["gate_charges"] is not None:
             p["gate_charges"] = _finite_list(p["gate_charges"], "gate_charges")
         if p["units"] not in ("reduced", "si"):
@@ -458,10 +455,7 @@ def run_deviation_sweep(cfg: RunConfig) -> tuple[list, Table]:
     from .deviation import MIN_QUBITS, Scenario, deviation_speed
 
     p = cfg.parameters
-    header = [
-        "record", "scenario", "n", "j2", "t",
-        "exact_raw", "exact_phase_opt", "lower_bound", "bound_ok", "slope",
-    ]
+    header = ["record", "scenario", "n", "j2", "t", "exact_raw", "exact_phase_opt", "lower_bound", "bound_ok", "slope"]
     # every slope before any row, so a slope point that raises (the first in scenario,
     # n and config order) leaves no output
     points = []
@@ -655,12 +649,17 @@ def main(argv=None) -> int:
             if args.jobs < 1:
                 raise ConfigError("--jobs must be at least 1")
             out_path = args.out or cfg.output_path or f"{args.scenario}.csv"
+            outputs = [out_path, cfg.json_mirror, cfg.parameters.get("schedule_out")]
             # a later write would replace an earlier one; realpath follows symlinks and,
             # unlike Path.resolve, does not raise on a loop
-            paths = [os.path.realpath(path) for path in (out_path, cfg.json_mirror, cfg.parameters.get("schedule_out"),
-                                                         args.config) if path]
+            paths = [os.path.realpath(path) for path in outputs + [args.config] if path]
             if len(set(paths)) < len(paths):
                 raise ConfigError("the CSV, json_mirror, schedule_out and --config paths must name different files")
+            for path, real in zip(filter(None, outputs), paths):  # all open before any is written, unchanged
+                new = not os.path.exists(real)
+                open(path, "ab").close()
+                if new:
+                    os.remove(real)
             header, table = _RUNNERS[args.scenario](cfg)
             _write_outputs(cfg, header, table, out_path)
         except InvariantViolation as exc:

@@ -207,11 +207,13 @@ def deviation_speed(scenario: Scenario, n: int, j2: float) -> float:
     """Small-t growth rate of the scenario's phase-optimized deviation.
 
     Finite difference over the ``speed_stencil`` times; raises the first
-    invariant violation, the t1 point's before the t2 point's.  For the
-    idle chain the measured law is (n - 1) * |J2| exactly, the slope of
-    its lower bound.
+    invariant violation, the t1 point's before the t2 point's, and
+    ``ValueError`` where the two times coincide.  For the idle chain the
+    measured law is (n - 1) * |J2| exactly, the slope of its lower bound.
     """
     t1, t2 = speed_stencil(scenario, n, j2)
+    if t1 == t2:  # both 0: the scale (k + 1)|J2| overflowed
+        raise ValueError(f"j2 = {j2!r} is out of range: the slope stencil's scale (k + 1)|J2| overflows at n = {n}")
     batch = scenario_deviations(scenario, n, [j2, j2], [t1, t2])
     message = batch.violations[0] or batch.violations[1]
     if message:

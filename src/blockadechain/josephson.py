@@ -42,14 +42,21 @@ class JosephsonArraySpec(_Frozen):
     def __init__(self, n_boxes: int, c_g: float, c_j: float, c_c: float, gate_charges: tuple | None = None) -> None:
         if n_boxes < 2:
             raise ValueError("need at least two boxes")
+        for name, value in (("c_g", c_g), ("c_j", c_j), ("c_c", c_c)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
         if c_g <= 0 or c_j <= 0:
             raise ValueError("on-site capacitances must be positive")
+        if 1.0 / (c_g + c_j) == math.inf:  # 1 / C_0 bounds every |C^-1_ij|
+            raise ValueError(f"c_g + c_j = {c_g + c_j!r} is too small: its reciprocal overflows")
         if c_c < 0:
             raise ValueError("coupling capacitance must be nonnegative")
         if gate_charges is not None:
             gate_charges = tuple(float(v) for v in gate_charges)
             if len(gate_charges) != n_boxes:
                 raise ValueError("gate_charges length must equal n_boxes")
+            if not all(map(math.isfinite, gate_charges)):
+                raise ValueError("gate_charges must be finite")
         epsilon = c_c / (c_g + c_j)  # as the epsilon property computes it
         if epsilon >= 1.0:
             raise ValueError("coupling capacitance must stay below the on-site capacitance")

@@ -246,6 +246,42 @@ def test_outputs_that_resolve_to_one_file_are_refused(tmp_path, capsys, monkeypa
     assert err.startswith("config error: ") and err.count("\n") == 1
 
 
+def unopenable_paths(root):
+    """A symlink loop, a directory and a path under a missing directory, made in ``root``."""
+    (root / "loop").symlink_to("loop")
+    (root / "dir").mkdir()
+    return ["loop", "dir", "missing/file"]
+
+
+@pytest.mark.parametrize("csv", ["o.csv", "old.csv"], ids=["new-csv", "old-csv"])
+@pytest.mark.parametrize("bad", range(3), ids=["loop", "directory", "missing-directory"])
+def test_a_mirror_that_cannot_be_opened_leaves_no_csv(tmp_path, capsys, monkeypatch, bad, csv):
+    monkeypatch.chdir(tmp_path)
+    mirror = unopenable_paths(tmp_path)[bad]
+    Path("old.csv").write_text("kept\n", encoding="utf-8")
+    config = write_config(tmp_path, {"json_mirror": mirror})
+    before = files(tmp_path)
+    assert main(["blockade-check", "--config", config, "--out", csv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert files(tmp_path) == before
+
+
+@pytest.mark.parametrize("mirror", ["m.json", "old.json"], ids=["new-mirror", "old-mirror"])
+@pytest.mark.parametrize("bad", range(3), ids=["loop", "directory", "missing-directory"])
+def test_a_csv_that_cannot_be_opened_leaves_no_mirror_or_schedule(tmp_path, capsys, monkeypatch, bad, mirror):
+    monkeypatch.chdir(tmp_path)
+    out = unopenable_paths(tmp_path)[bad]
+    Path("old.json").write_text("kept\n", encoding="utf-8")
+    tree = {"json_mirror": mirror, "parameters": {"tau": [0.1], "schedule_out": "schedule.json"}}
+    config = write_config(tmp_path, tree)
+    before = files(tmp_path)
+    assert main(["gate-fidelity", "--config", config, "--out", out]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1
+    assert files(tmp_path) == before
+
+
 def test_missing_config_file(tmp_path):
     assert (
         main(["deviation-sweep", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path / "o.csv")])

@@ -258,6 +258,18 @@ def test_speed_stays_in_the_bound_window_at_large_coupling(scenario):
             assert deviation_speed(scenario, n, j2) == pytest.approx(k * abs(j2), rel=1e-7)
 
 
+@pytest.mark.parametrize("scenario", list(Scenario))
+def test_speed_refuses_a_stencil_whose_scale_overflows(scenario):
+    # (k+1)|J2| = inf collapses both stencil times to 0, where the difference
+    # quotient would divide by zero
+    n = MIN_QUBITS[scenario] + 3
+    for j2 in (1e308, -1e308):
+        with pytest.raises(ValueError) as info:
+            deviation_speed(scenario, n, j2)
+        assert str(info.value) == f"j2 = {j2!r} is out of range: the slope stencil's scale (k + 1)|J2| overflows at n = {n}"
+    assert math.isfinite(deviation_speed(scenario, n, 1e300))
+
+
 @pytest.mark.parametrize("messages, raised", [(["at t1", "at t2"], "at t1"), ([None, "at t2"], "at t2")])
 def test_speed_raises_the_t1_violation_first(monkeypatch, messages, raised):
     monkeypatch.setattr(deviation, "_violations", lambda *args: messages)

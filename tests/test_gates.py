@@ -1,3 +1,4 @@
+import gc
 import math
 import re
 import sys
@@ -131,6 +132,37 @@ def test_site_bytes_is_close_to_the_traced_peak(n_logical, m):
     finally:
         tracemalloc.stop()
     assert peak <= SITE_BYTES * layout.n_sites <= 2 * peak
+
+
+@pytest.mark.parametrize(
+    "layout, couplings",
+    [(pair_encoded_layout(12, 1), [1.0] * 22), (single_spin_layout(11), [1.0] * 22),
+     (single_spin_layout(12), [1.0, 0.05, 0.01] * 8)],
+    ids=["512-states", "4096-states", "8192-states-wide-sums"],
+)
+def test_state_bytes_is_close_to_the_traced_peak(monkeypatch, layout, couplings):
+    # a walk is charged its largest held-plus-new state count times the bytes of a state;
+    # that charge is the smallest LAYOUT_BYTES_CAP that check_residual_budget admits
+    weights, _ = blockade.check_residual_budget(layout, couplings)
+    state_bytes = blockade.STATE_BYTES + 8 * len(weights)
+    state_bytes += (layout.n_sites * sum(map(abs, weights))).bit_length() // 30 * 8
+    counts = [1, *state_counts(layout, len(weights))]
+    charge = max(map(sum, zip(counts, counts[1:]))) * state_bytes
+    monkeypatch.setattr(blockade, "LAYOUT_BYTES_CAP", charge - 1)
+    with pytest.raises(ValueError, match=f"budget of {charge - 1} bytes"):
+        blockade.check_residual_budget(layout, couplings)
+    monkeypatch.setattr(blockade, "LAYOUT_BYTES_CAP", charge)
+    # safety: the walk's traced peak stays within its charge; honesty: the charge is at
+    # most twice the peak (1.79x, 1.59x and 1.48x here, CPython 3.11).  A full collection
+    # first empties CPython's tuple free lists, which would hand the walk untraced tuples.
+    gc.collect()
+    tracemalloc.start()
+    try:
+        verify_blockade_cancellation(layout, couplings)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= charge <= 2 * peak
 
 
 def budget_error_peak(monkeypatch, n_logical, n_couplings):

@@ -31,7 +31,7 @@ PUBLIC_NAMES = [
     "InvariantViolation", "JosephsonArraySpec", "LogicalLayout", "PulseParameters",
     "Scenario", "ScenarioResult", "build_capacitance_matrix", "compile_cphase",
     "composite_pulse_parameters", "decay_check", "deviation_speed", "extract_couplings",
-    "full_chain_deviation", "invert_capacitance", "logical_background_energy",
+    "invert_capacitance", "logical_background_energy",
     "logical_sigma_x", "logical_sigma_z", "lower_bound", "pair_encoded_layout",
     "phase_set_distance", "scenario_deviation", "simulate_gate", "single_spin_layout",
     "verify_blockade_cancellation",
@@ -183,6 +183,19 @@ def test_subcommand_runs_without_dataclasses_typing_or_inspect(tmp_path, subcomm
     assert outputs["normal"][:2] == [0, ""]
 
 
+def test_package_runs_without_numpy(tmp_path):
+    # numpy is in the test extra only: with it unimportable, every public name resolves
+    # and every library module the subcommands use imports
+    code = (
+        "import sys; sys.modules['numpy'] = None; import importlib, blockadechain; "
+        "[importlib.import_module(f'blockadechain.{m}') for m in ('chain', 'deviation', 'blockade', 'gates', "
+        "'josephson', 'cli')]; print(len([getattr(blockadechain, name) for name in blockadechain.__all__]))"
+    )
+    out = run_python(["-c", code], tmp_path)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == str(len(PUBLIC_NAMES))
+
+
 def test_cli_import_and_load_config_load_no_numpy(tmp_path):
     code = (
         "import sys; from blockadechain.cli import load_config; "
@@ -234,7 +247,8 @@ def test_oracles_are_not_public_names():
     from blockadechain import oracles
 
     assert "oracles" not in blockadechain.__all__
-    for name in ("PauliTerm", "realize", "evolve", "reduced_hamiltonians", "phase_optimized_distance"):
+    for name in ("PauliTerm", "realize", "evolve", "reduced_hamiltonians", "phase_optimized_distance",
+                 "full_chain_deviation"):
         assert hasattr(oracles, name)
         assert name not in blockadechain.__all__
 

@@ -112,6 +112,24 @@ def test_spec_validation():
             JosephsonArraySpec(4, c_g, c_g, c_c)
     diag, _ = build_capacitance_matrix(JosephsonArraySpec(4, 8e307, 8e307, 8e306))
     assert all(map(math.isfinite, diag))
+    # a non-finite capacitance is named, not taken for a C_0 that is too large
+    for k, name in enumerate(("c_g", "c_j", "c_c")):
+        for bad in (math.nan, math.inf, -math.inf):
+            values = [0.5, 0.5, 0.01]
+            values[k] = bad
+            with pytest.raises(ValueError, match=f"^{name} must be finite$"):
+                JosephsonArraySpec(4, *values)
+    # a non-finite gate charge would give infinite linear fields
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="^gate_charges must be finite$"):
+            JosephsonArraySpec(4, 0.5, 0.5, 0.01, gate_charges=(0.5, bad, 0.5, 0.5))
+    # 1 / C_0 bounds every |C^-1_ij|, so a C_0 whose reciprocal overflows is refused
+    # before the inversion; a C_0 whose reciprocal is near the float maximum is admitted
+    for c_c in (0.0, 1e-310):
+        with pytest.raises(ValueError, match=r"^c_g \+ c_j = 2e-310 is too small: its reciprocal overflows$"):
+            JosephsonArraySpec(4, 1e-310, 1e-310, c_c)
+    tiny = 1.0 / sys.float_info.max
+    assert 1.0 / JosephsonArraySpec(4, tiny, tiny, 0.0).c0 < math.inf
 
 
 def test_decay_regime_warning_names_the_caller():
