@@ -8,12 +8,17 @@ the model.
 The public names resolve on first access (PEP 562), so importing the
 package, or one CLI subcommand, loads only the modules it uses.  The
 dense reference implementations live in ``blockadechain.oracles``.
-``InvariantViolation``, the byte budget ``LAYOUT_BYTES_CAP`` and the
-value types' base ``_Frozen`` are defined here, so the CLI can use them
-without loading numpy or ``dataclasses``.
+``InvariantViolation``, the byte budget ``LAYOUT_BYTES_CAP``, the value
+types' base ``_Frozen`` and the finiteness helpers ``_float`` and
+``_isfinite`` are defined here, where every module can use them without
+loading numpy or ``dataclasses``.  So are the names that the CLI's entry
+module and its subcommand modules share: under ``python -m`` the entry
+runs as ``__main__``, and a subcommand module that imported them from it
+would load a second copy of ``cli``.
 """
 
 import importlib
+import math
 
 #: Public name -> the submodule that defines it.
 _EXPORTS = {
@@ -105,6 +110,93 @@ class _Frozen:
 
     def __reduce__(self):
         return type(self), self._values()
+
+
+def _float(value) -> float:
+    """``float(value)``, but an infinity for an integer past the float range,
+    where ``float`` raises ``OverflowError``, so that a finiteness check
+    refuses it with its own ``ValueError``."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf if value > 0 else -math.inf
+
+
+def _isfinite(value) -> bool:
+    """``math.isfinite``, but False for an integer past the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+# ---------------------------------------------------------------------------
+# shared by the CLI's entry module and its subcommand modules
+
+class ConfigError(Exception):
+    """Invalid or unparseable run configuration."""
+
+
+def _check_keys(tree: dict, allowed: set, where: str) -> None:
+    unknown = set(tree) - allowed
+    if unknown:
+        raise ConfigError(f"unknown keys {sorted(unknown)} in {where}")
+
+
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, which is a subclass of int
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _finite(value, name: str) -> float:
+    if isinstance(value, bool):
+        raise ConfigError(f"{name} must be a number, not a boolean")
+    if not isinstance(value, (int, float)):  # a numeric string is not a number
+        raise ConfigError(f"{name} must be a number")
+    out = _float(value)
+    if not math.isfinite(out):
+        raise ConfigError(f"{name} must be finite")
+    return out
+
+
+def _finite_list(values, name: str) -> list:
+    if not isinstance(values, (list, tuple)) or not values:
+        raise ConfigError(f"{name} must be a nonempty list of numbers")
+    return [_finite(v, name) for v in values]
+
+
+def _fmt(value) -> str:
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, int):
+        return str(int(value))
+    if isinstance(value, float):
+        return f"{float(value):.12g}"
+    return str(value)
+
+
+class Table:
+    """Output rows as blocks ``(n, cells)``; ``len()`` is the row count, ``rows``.
+
+    ``cells`` maps a header name to a list, an ``array.array`` or a memoryview
+    of one with one cell per row, or to one value that is the same on every
+    row.  ``None`` marks a missing cell, and a name absent from a block is
+    missing on every row of it.  ``blocks`` is the list that ``append`` fills,
+    or an iterable that makes each block when the writer reaches it.  An
+    iterator passes once, so a mirror lists its blocks, each with its own
+    cells; any other iterable is passed once per output.
+    """
+
+    def __init__(self, blocks=None, rows: int = 0) -> None:
+        self.blocks, self.rows = [] if blocks is None else blocks, rows
+
+    def __len__(self) -> int:
+        return self.rows
+
+    def append(self, n: int, /, **cells) -> None:
+        """Add ``n`` rows as one block."""
+        self.blocks.append((n, cells))
+        self.rows += n
 
 
 def __getattr__(name: str):

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 
-from . import LAYOUT_BYTES_CAP, _Frozen
+from . import LAYOUT_BYTES_CAP, _Frozen, _float
 
 #: Peak bytes of the Python tuples that describe one site of a built layout;
 #: each builder charges them against ``LAYOUT_BYTES_CAP`` before it builds.
@@ -145,7 +145,7 @@ def check_residual_budget(layout: LogicalLayout, couplings) -> tuple[list, int]:
     K = min(len(couplings), n_sites - 1) sites (at least 1), and the one
     power-of-two denominator that scales the couplings to them.
     """
-    couplings = [float(j) for j in couplings]
+    couplings = list(map(_float, couplings))
     if not couplings:
         raise ValueError("need at least one coupling order")
     if not all(map(math.isfinite, couplings)):

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from . import _Frozen
+from . import _Frozen, _float, _isfinite
 
 
 class ChainSpec(_Frozen):
@@ -30,7 +30,7 @@ class ChainSpec(_Frozen):
         if n_spins < 2:
             raise ValueError("a chain needs at least two spins")
         for name, value in (("j1", j1), ("j2", j2), ("x1_max", x1_max)):
-            if not math.isfinite(value):
+            if not _isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if x1_max < 0:
             raise ValueError("x1_max must be nonnegative")
@@ -40,7 +40,7 @@ class ChainSpec(_Frozen):
 
 
 def _as_floats(values, length: int, name: str) -> tuple:
-    out = tuple(float(v) for v in values)
+    out = tuple(map(_float, values))
     if len(out) != length:
         raise ValueError(f"{name} must have length {length}, got {len(out)}")
     if not all(map(math.isfinite, out)):
@@ -58,10 +58,10 @@ class ControlSegment(_Frozen):
     __slots__ = ("duration", "bx", "bz", "jxy")
 
     def __init__(self, duration: float, bx, bz, jxy) -> None:
-        duration = float(duration)
+        duration = _float(duration)
         if not (math.isfinite(duration) and duration > 0):
             raise ValueError("segment duration must be positive and finite")
-        bx = tuple(float(v) for v in bx)
+        bx = tuple(map(_float, bx))
         n = len(bx)
         bz = _as_floats(bz, n, "bz")
         jxy = _as_floats(jxy, n - 1, "jxy")

@@ -17,7 +17,7 @@ import math
 from collections import namedtuple
 from enum import Enum
 
-from . import InvariantViolation, _Frozen
+from . import InvariantViolation, _Frozen, _float
 
 #: Finite-difference stencil for the small-t deviation speed, in 1/|J1|;
 #: divided by (k+1)|J2| where that exceeds 1, so both points stay inside
@@ -154,7 +154,7 @@ def scenario_deviations(scenario: Scenario, n: int, j2, t) -> DeviationBatch:
     other builds its row of k + 1 phases.
     """
     scenario = Scenario(scenario)
-    j2, t = [float(x) for x in j2], [float(x) for x in t]
+    j2, t = list(map(_float, j2)), list(map(_float, t))
     if any(x < 0 for x in t):
         raise ValueError("time must be nonnegative")
     sums = _reachable_sums(scenario, n)
@@ -199,7 +199,7 @@ def scenario_deviation(scenario: Scenario, n: int, j2: float, t: float) -> Scena
 def speed_stencil(scenario: Scenario, n: int, j2: float) -> tuple:
     """The two times ``deviation_speed`` samples at J2: SPEED_STEPS, scaled."""
     k = n + 1 - MIN_QUBITS[Scenario(scenario)]
-    scale = max(1.0, (k + 1) * abs(j2))
+    scale = max(1.0, (k + 1) * abs(_float(j2)))
     return SPEED_STEPS[0] / scale, SPEED_STEPS[1] / scale
 
 

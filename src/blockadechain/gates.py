@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from . import LAYOUT_BYTES_CAP, InvariantViolation
+from . import LAYOUT_BYTES_CAP, InvariantViolation, _isfinite
 from .blockade import LogicalLayout, pair_encoded_layout, verify_blockade_cancellation
 from .chain import ChainSpec, ControlSchedule, ControlSegment
 
@@ -139,7 +139,7 @@ def compile_cphase(
     schemes that omit the long-range coupling; simulated against the
     true chain this leaves a measurable fidelity deficit.
     """
-    if not (math.isfinite(tau) and tau >= 0):
+    if not (_isfinite(tau) and tau >= 0):
         raise ValueError("tau must be finite and nonnegative")
     period = _phase_period(spec)
     layout = pair_encoded_layout(2, 2) if layout is None else layout
@@ -296,7 +296,7 @@ def logical_sigma_x(spec: ChainSpec, layout: LogicalLayout, qubit: int, angle: f
     pair = layout.qubit_sites[qubit - 1]
     if len(pair) != 2:
         raise ValueError("x-rotations need the pair encoding")
-    if not math.isfinite(angle):
+    if not _isfinite(angle):
         raise ValueError("angle must be finite")
     if spec.x1_max <= 0:
         raise ValueError("chain has no tunable XY range (x1_max == 0)")
@@ -320,7 +320,7 @@ def logical_sigma_z(spec: ChainSpec, layout: LogicalLayout, qubit: int, phi: flo
         raise ValueError("the z-rotation composite needs two logical qubits")
     if qubit not in (1, 2):
         raise ValueError("qubit index out of range")
-    if not math.isfinite(phi):
+    if not _isfinite(phi):
         raise ValueError("phi must be finite")
     period = _phase_period(spec)
     other = 2 if qubit == 1 else 1

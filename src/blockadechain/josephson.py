@@ -23,7 +23,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import accumulate, repeat
 from operator import add, mul
 
-from . import InvariantViolation, _Frozen
+from . import InvariantViolation, _Frozen, _float, _isfinite
 from .chain import ChainSpec
 
 #: Cooper-pair charge squared, (2e)^2 in coulombs^2, for SI-mode energies.
@@ -43,7 +43,7 @@ class JosephsonArraySpec(_Frozen):
         if n_boxes < 2:
             raise ValueError("need at least two boxes")
         for name, value in (("c_g", c_g), ("c_j", c_j), ("c_c", c_c)):
-            if not math.isfinite(value):
+            if not _isfinite(value):
                 raise ValueError(f"{name} must be finite")
         if c_g <= 0 or c_j <= 0:
             raise ValueError("on-site capacitances must be positive")
@@ -52,7 +52,7 @@ class JosephsonArraySpec(_Frozen):
         if c_c < 0:
             raise ValueError("coupling capacitance must be nonnegative")
         if gate_charges is not None:
-            gate_charges = tuple(float(v) for v in gate_charges)
+            gate_charges = tuple(map(_float, gate_charges))
             if len(gate_charges) != n_boxes:
                 raise ValueError("gate_charges length must equal n_boxes")
             if not all(map(math.isfinite, gate_charges)):

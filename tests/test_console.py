@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from blockadechain import LAYOUT_BYTES_CAP, cli
+from blockadechain import LAYOUT_BYTES_CAP, _deviation_sweep, _josephson_map, cli
 from blockadechain.deviation import MIN_QUBITS, Scenario
 
 SRC = Path(cli.__file__).resolve().parents[1]
@@ -72,7 +72,7 @@ def test_josephson_map_at_the_largest_admitted_array(tmp_path):
     # the largest n_boxes whose n_boxes^2 * BOX_PAIR_BYTES + MAP_FIXED_BYTES fits the budget
     # runs (a CSV of about 400 MB, deleted once counted); one box more is a config error
     # found at load, before any output is opened
-    largest = math.isqrt((LAYOUT_BYTES_CAP - cli.MAP_FIXED_BYTES) // cli.BOX_PAIR_BYTES)
+    largest = math.isqrt((LAYOUT_BYTES_CAP - _josephson_map.MAP_FIXED_BYTES) // _josephson_map.BOX_PAIR_BYTES)
     for n_boxes in (largest, largest + 1):
         config = tmp_path / f"boxes_{n_boxes}.json"
         config.write_text(json.dumps({"scenario": "josephson-map", "parameters": {"n_boxes": n_boxes}}), encoding="utf-8")
@@ -99,12 +99,12 @@ def test_blockade_check_far_past_16_logical_qubits_across_hash_seeds(tmp_path):
 
 
 def largest_default_grid():
-    """The largest ``n_max`` whose default deviation-sweep rows fit ``cli.ROW_BYTES`` a row
-    into the budget: each scenario has one row per t and one slope per J2 for each n
-    from its ``MIN_QUBITS``."""
+    """The largest ``n_max`` whose default deviation-sweep rows fit
+    ``_deviation_sweep.ROW_BYTES`` a row into the budget: each scenario has one row
+    per t and one slope per J2 for each n from its ``MIN_QUBITS``."""
     p = cli.DEFAULT_PARAMETERS["deviation-sweep"]
     lows = [MIN_QUBITS[Scenario(name)] for name in p["scenarios"]]
-    blocks = LAYOUT_BYTES_CAP // cli.ROW_BYTES // (len(p["j2"]) * (p["t_points"] + 1))
+    blocks = LAYOUT_BYTES_CAP // _deviation_sweep.ROW_BYTES // (len(p["j2"]) * (p["t_points"] + 1))
     return (blocks + sum(lows)) // len(lows) - 1
 
 

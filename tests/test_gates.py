@@ -200,6 +200,21 @@ def test_cancellation_stops_at_the_step_budget(monkeypatch):
         verify_blockade_cancellation(pair_encoded_layout(400, 2), [1.0, 0.05, 0.01])
 
 
+def test_steps_cap_is_the_walks_exact_step_count(monkeypatch):
+    # the walk steps each state it holds before a site once per order in its window:
+    # the zero state, then the states the walk itself holds after each site but the
+    # last, (1 + 1 + 1 + 2 + 2 + 2 + 1 + 2 + 2 + 2) x 2 orders = 32 steps
+    layout, couplings = pair_encoded_layout(2, 2), [1.0, 0.05]
+    held = [1] + [len(states) for states in blockade._walk(layout, [1, 1])][:-1]
+    steps = sum(held) * len(couplings)
+    assert steps == 32
+    monkeypatch.setattr(blockade, "STEPS_CAP", steps)
+    blockade.check_residual_budget(layout, couplings)
+    monkeypatch.setattr(blockade, "STEPS_CAP", steps - 1)
+    with pytest.raises(ValueError, match=f"^the reachable states exceed the budget of {steps - 1} steps$"):
+        blockade.check_residual_budget(layout, couplings)
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.booleans(), st.integers(1, 7), st.integers(1, 4), st.integers(1, 14))
 def test_state_counts_match_the_walk(single, n_logical, m, width):
@@ -639,6 +654,32 @@ def test_reachable_codes_step_budget_stops_before_propagating(monkeypatch):
     monkeypatch.setattr(gates, "_energy", energy)
     with pytest.raises(ValueError, match=f"budget of {2**20} steps"):
         gates._propagate(ChainSpec(n, j1=1.0, j2=0.05), sweep, starts)
+
+
+def test_steps_cap_is_the_schedules_exact_step_count(monkeypatch):
+    # bond 1, bond 3 and an idle segment on four spins, from |1010> and |0000>: the dense
+    # propagator populates |1010>, |0110>, |1001>, |0101> and |0000> over the schedule's
+    # prefixes, and each code is stepped once per segment and start, 5 x 3 x 2 = 30 steps
+    n, starts = 4, [0b1010, 0b0000]
+    spec = ChainSpec(n, j1=1.0, j2=0.05)
+    segments = [ControlSegment.bond_pulse(n, 1, 0.3, 0.7), ControlSegment.bond_pulse(n, 3, 0.4, 0.9),
+                ControlSegment.idle(n, 0.5)]
+    basis = np.zeros((2**n, len(starts)), dtype=complex)
+    basis[starts, range(len(starts))] = 1.0
+    reached = set(starts)
+    for k in range(1, len(segments) + 1):
+        psi = _evolve_state(spec, ControlSchedule(segments[:k]), basis)
+        reached |= set(np.flatnonzero(np.abs(psi).max(axis=1) > 1e-12).tolist())
+    assert reached == {0b1010, 0b0110, 0b1001, 0b0101, 0b0000}
+    steps = len(reached) * len(segments) * len(starts)
+    assert steps == 30
+    schedule = ControlSchedule(segments)
+    monkeypatch.setattr(gates, "STEPS_CAP", steps)
+    assert gates._reachable_codes(schedule, starts) == sorted(reached)
+    monkeypatch.setattr(gates, "STEPS_CAP", steps - 1)
+    message = f"^propagating the reachable basis codes exceeds the budget of {steps - 1} steps$"
+    with pytest.raises(ValueError, match=message):
+        gates._reachable_codes(schedule, starts)
 
 
 @pytest.mark.parametrize("n", [10, 20])

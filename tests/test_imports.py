@@ -14,14 +14,15 @@ import blockadechain
 
 SRC = Path(blockadechain.__file__).resolve().parents[1]
 
-#: Package modules each subcommand loads besides the package root.  Under
-#: ``python -m`` the CLI itself runs as ``__main__``, so ``cli`` is listed
-#: here but never imported under its own name.
+#: Package modules each subcommand loads besides the package root: the CLI,
+#: the subcommand's own module and no other's, and the workflow modules it
+#: runs.  Under ``python -m`` the CLI itself runs as ``__main__``, so ``cli``
+#: is listed here but never imported under its own name.
 SUBCOMMAND_MODULES = {
-    "josephson-map": {"cli", "chain", "josephson"},
-    "gate-fidelity": {"cli", "chain", "blockade", "gates"},
-    "blockade-check": {"cli", "blockade"},
-    "deviation-sweep": {"cli", "deviation"},
+    "josephson-map": {"cli", "_josephson_map", "chain", "josephson"},
+    "gate-fidelity": {"cli", "_gate_fidelity", "chain", "blockade", "gates"},
+    "blockade-check": {"cli", "_blockade_check", "blockade"},
+    "deviation-sweep": {"cli", "_deviation_sweep", "deviation"},
 }
 
 #: The package's public names, pinned so that moving a name between modules
@@ -189,7 +190,8 @@ def test_package_runs_without_numpy(tmp_path):
     code = (
         "import sys; sys.modules['numpy'] = None; import importlib, blockadechain; "
         "[importlib.import_module(f'blockadechain.{m}') for m in ('chain', 'deviation', 'blockade', 'gates', "
-        "'josephson', 'cli')]; print(len([getattr(blockadechain, name) for name in blockadechain.__all__]))"
+        "'josephson', 'cli', '_deviation_sweep', '_gate_fidelity', '_josephson_map', '_blockade_check')]; "
+        "print(len([getattr(blockadechain, name) for name in blockadechain.__all__]))"
     )
     out = run_python(["-c", code], tmp_path)
     assert out.returncode == 0, out.stderr

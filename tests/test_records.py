@@ -1,4 +1,5 @@
-"""The value types and result records behave as the frozen dataclasses they replace."""
+"""The value types and result records behave as the frozen dataclasses they replace,
+and the library's input checks refuse integers past the float range."""
 
 import copy
 import pickle
@@ -6,10 +7,10 @@ from array import array
 
 import pytest
 
-from blockadechain.blockade import LogicalLayout
+from blockadechain.blockade import LogicalLayout, pair_encoded_layout, verify_blockade_cancellation
 from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment
-from blockadechain.deviation import DeviationBatch, Scenario, ScenarioResult
-from blockadechain.gates import GateReport, PulseParameters
+from blockadechain.deviation import DeviationBatch, Scenario, ScenarioResult, deviation_speed, scenario_deviation
+from blockadechain.gates import GateReport, PulseParameters, compile_cphase, logical_sigma_x, logical_sigma_z
 from blockadechain.josephson import CouplingReport, JosephsonArraySpec
 
 SEGMENT = ControlSegment(0.5, [0, 1], [0, 0], [0.25])
@@ -128,3 +129,35 @@ def test_layout_partition_check():
     with pytest.raises(ValueError, match="partition"):
         LogicalLayout(1, 1, ((2, 3),), ((1, 0), (3, 0)))  # site 3 twice
     assert LogicalLayout(1, 1, ((2, 3),), ((4, 0), (1, 0))).n_sites == 4  # in any order
+
+
+#: An integer past the float range, where float() and math.isfinite raise OverflowError.
+HUGE = 10**400
+SPEC = ChainSpec(10, 1.0, 0.05, 0.5)
+PAIRS = pair_encoded_layout(2, 2)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ChainSpec(3, HUGE, 0.0), "j1 must be finite"),
+    (lambda: ChainSpec(3, 1.0, -HUGE), "j2 must be finite"),
+    (lambda: ChainSpec(3, 1.0, 0.0, HUGE), "x1_max must be finite"),
+    (lambda: ControlSegment(HUGE, [0, 0], [0, 0], [0]), "segment duration must be positive and finite"),
+    (lambda: ControlSegment(1.0, [HUGE, 0], [0, 0], [0]), "bx has non-finite entries"),
+    (lambda: ControlSegment(1.0, [0, 0], [0, -HUGE], [0]), "bz has non-finite entries"),
+    (lambda: ControlSegment(1.0, [0, 0], [0, 0], [HUGE]), "jxy has non-finite entries"),
+    (lambda: verify_blockade_cancellation(PAIRS, [1.0, HUGE]), "couplings must be finite"),
+    (lambda: compile_cphase(SPEC, HUGE), "tau must be finite and nonnegative"),
+    (lambda: logical_sigma_x(SPEC, PAIRS, 1, -HUGE), "angle must be finite"),
+    (lambda: logical_sigma_z(SPEC, PAIRS, 1, HUGE), "phi must be finite"),
+    (lambda: scenario_deviation("idle", 4, HUGE, 1.0), "the phases J2 t m must be finite"),
+    (lambda: scenario_deviation("idle", 4, 0.01, -HUGE), "time must be nonnegative"),
+    (lambda: deviation_speed("idle", 4, HUGE), f"j2 = {HUGE} is out of range: .* overflows at n = 4"),
+    (lambda: JosephsonArraySpec(4, HUGE, 0.5, 0.0), "c_g must be finite"),
+    (lambda: JosephsonArraySpec(4, 0.5, 0.5, 0.0, [0.5, HUGE, 0.5, 0.5]), "gate_charges must be finite"),
+], ids=["chain-j1", "chain-j2", "chain-x1_max", "segment-duration", "segment-bx", "segment-bz", "segment-jxy",
+        "blockade-couplings", "cphase-tau", "sigma_x-angle", "sigma_z-phi", "deviation-j2", "deviation-t",
+        "speed-j2", "josephson-c_g", "josephson-gate_charges"])
+def test_integers_past_the_float_range_are_value_errors(call, message):
+    # each check's own message, the one a non-finite float gets, and no OverflowError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
