@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 
-from . import LAYOUT_BYTES_CAP, _Frozen, _float
+from . import LAYOUT_BYTES_CAP, _Frozen, _float, _is_int
 
 #: Peak bytes of the Python tuples that describe one site of a built layout;
 #: each builder charges them against ``LAYOUT_BYTES_CAP`` before it builds.
@@ -32,15 +32,17 @@ STEPS_CAP = 2**24
 class LogicalLayout(_Frozen):
     """Assignment of chain sites to logical qubits and frozen blockades.
 
-    ``qubit_sites`` holds one tuple per logical qubit (two sites for the
-    pair encoding, one for the single-spin encoding); ``blockade_sites``
-    holds (site, frozen_bit) entries.  Together they partition 1..N.
+    ``qubit_sites`` holds one tuple per logical qubit in site order (two
+    adjacent sites for the pair encoding, one for the single-spin encoding);
+    ``blockade_sites`` holds (site, frozen_bit) entries.  Together they
+    partition 1..N.  ``n_logical`` and the block width ``m`` are integers.
     """
 
     __slots__ = ("n_logical", "m", "qubit_sites", "blockade_sites")
 
     def __init__(self, n_logical: int, m: int, qubit_sites: tuple, blockade_sites: tuple) -> None:
         sites = [s for pair in qubit_sites for s in pair]
+        ordered = all(map(operator.lt, sites, sites[1:]))  # so a qubit q with q[-1] - q[0] < 2 is one site or a pair
         sites.extend(s for s, _ in blockade_sites)
         sites.sort()  # in place: a copy would pass the builders' SITE_BYTES
         if not sites or any(map(operator.ne, sites, range(1, len(sites) + 1))):
@@ -49,6 +51,8 @@ class LogicalLayout(_Frozen):
             raise ValueError("qubit_sites length must equal n_logical")
         if any(bit not in (0, 1) for _, bit in blockade_sites):
             raise ValueError("frozen states must be 0 or 1")
+        if not (ordered and _is_int(n_logical) and _is_int(m) and all(q and q[-1] - q[0] < 2 for q in qubit_sites)):
+            raise ValueError("n_logical and m must be integers and each qubit one site or two adjacent sites, in order")
         self._set(n_logical, m, qubit_sites, blockade_sites)
 
     @property
@@ -86,19 +90,10 @@ def pair_encoded_layout(n_logical: int, m: int = 2) -> LogicalLayout:
     if n_logical < 1 or m < 1:
         raise ValueError("need n_logical >= 1 and m >= 1")
     _charge_sites((n_logical + 1) * m + 2 * n_logical)
-    qubits = []
-    blockades = []
-    site = 1
-    for _ in range(m):
-        blockades.append((site, 0))
-        site += 1
-    for _ in range(n_logical):
-        qubits.append((site, site + 1))
-        site += 2
-        for _ in range(m):
-            blockades.append((site, 0))
-            site += 1
-    return LogicalLayout(n_logical, m, tuple(qubits), tuple(blockades))
+    period = m + 2  # a block, then a pair
+    qubits = tuple((s, s + 1) for s in range(m + 1, n_logical * period, period))
+    blockades = tuple((s, 0) for s in range(1, n_logical * period + m + 1) if (s - 1) % period < m)
+    return LogicalLayout(n_logical, m, qubits, blockades)
 
 
 def layout_choices(layout: LogicalLayout) -> list:
@@ -117,22 +112,15 @@ def state_counts(layout: LogicalLayout, width: int) -> list:
     """States the residual walk holds after each site, for a window of
     ``width`` >= 1 sites: 2^(logical qubits with a site among the last
     ``width`` sites), since each such qubit doubles the window's sigma^z
-    patterns and nothing else varies in it."""
-    owner = [None] * layout.n_sites
-    for q, sites in enumerate(layout.qubit_sites):
-        for site in sites:
-            owner[site - 1] = q
-    inside: dict = {}  # qubit -> its sites in the window
-    counts = []
-    for i, q in enumerate(owner):
-        if q is not None:
-            inside[q] = inside.get(q, 0) + 1
-        if i >= width and owner[i - width] is not None:  # site i - width leaves
-            gone = owner[i - width]
-            inside[gone] -= 1
-            if not inside[gone]:
-                del inside[gone]
-        counts.append(1 << len(inside))
+    patterns and nothing else varies in it: the free sites of
+    ``layout_choices``, plus one if the window opens on a pair's second site."""
+    choices = layout_choices(layout)
+    counts, free = [], 0
+    for i, c in enumerate(choices):
+        free += c == (-1, 1)
+        if i >= width:
+            free -= choices[i - width] == (-1, 1)
+        counts.append(1 << (free + (0 < width <= i + 1 and choices[i + 1 - width] is None)))
     return counts
 
 
@@ -202,9 +190,8 @@ def verify_blockade_cancellation(layout: LogicalLayout, couplings) -> float:
     weights, den = check_residual_budget(layout, couplings)
     for states in _walk(layout, weights):
         pass  # only the states after the last site are needed
-    hi = max(h for h, _ in states.values())
-    lo = min(low for _, low in states.values())
+    his, los = zip(*states.values())
     try:
-        return (hi - lo) / (2 * den)
+        return (max(his) - min(los)) / (2 * den)
     except OverflowError:
         raise ValueError("the couplings overflow the residual") from None

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import warnings
 
-from . import _Frozen, _float, _isfinite
+from . import _Frozen, _float, _is_int, _isfinite
 
 
 class ChainSpec(_Frozen):
@@ -27,6 +27,8 @@ class ChainSpec(_Frozen):
     __slots__ = ("n_spins", "j1", "j2", "x1_max")
 
     def __init__(self, n_spins: int, j1: float, j2: float, x1_max: float = 0.0) -> None:
+        if not _is_int(n_spins):
+            raise ValueError("n_spins must be an integer")
         if n_spins < 2:
             raise ValueError("a chain needs at least two spins")
         for name, value in (("j1", j1), ("j2", j2), ("x1_max", x1_max)):

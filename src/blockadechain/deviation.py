@@ -55,11 +55,14 @@ def phase_set_distance(phases) -> tuple:
     ``(phi*, d*)`` with ``d* = min_phi max_k |1 - e^{i(phi + theta_k)}|``,
     located exactly through the largest circular gap of the phase set
     (the first of equal gaps).  ``oracles.phase_set_distance`` is the
-    row-wise numpy reference, equal to this bit for bit.
+    row-wise numpy reference, equal to this bit for bit.  Raises
+    ``ValueError`` for an empty or non-finite phase set.
     """
-    p = sorted(float(x) % math.tau for x in phases)
+    p = sorted(_float(x) % math.tau for x in phases)  # a non-finite phase leaves nan
     if not p:
         raise ValueError("empty phase set")
+    if not all(map(math.isfinite, p)):
+        raise ValueError("phases must be finite")
     gaps = [b - a for a, b in zip(p, p[1:])]
     gaps.append(p[0] + math.tau - p[-1])
     g = gaps.index(max(gaps))
@@ -131,8 +134,15 @@ def _reachable_sums(scenario: Scenario, n: int) -> range:
 
 
 def lower_bound(scenario: Scenario, n: int, j2: float, t: float) -> float:
-    """Analytic deviation bound 2|sin(J2 t k / 2)| for the scenario."""
-    return 2.0 * abs(math.sin(j2 * t * (n + 1 - MIN_QUBITS[scenario]) / 2.0))
+    """Analytic deviation bound 2|sin(J2 t k / 2)| for the scenario; ``ValueError``
+    for a chain below ``MIN_QUBITS`` and for a non-finite J2 t k."""
+    k = n + 1 - MIN_QUBITS[scenario]
+    if k < 1:
+        raise ValueError(f"{Scenario(scenario).value} scenario needs n >= {MIN_QUBITS[scenario]}")
+    x = _float(j2) * _float(t) * k / 2.0
+    if not math.isfinite(x):
+        raise ValueError("J2 t k must be finite")
+    return 2.0 * abs(math.sin(x))
 
 
 def linspace(start: float, stop: float, num: int) -> list:

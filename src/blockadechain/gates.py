@@ -23,7 +23,7 @@ import math
 from collections import namedtuple
 
 from . import LAYOUT_BYTES_CAP, InvariantViolation, _isfinite
-from .blockade import LogicalLayout, pair_encoded_layout, verify_blockade_cancellation
+from .blockade import LogicalLayout, layout_choices, pair_encoded_layout, verify_blockade_cancellation
 from .chain import ChainSpec, ControlSchedule, ControlSegment
 
 #: Bytes charged per basis code a gate simulation reaches, plus 4 per 30 spins:
@@ -45,12 +45,13 @@ def _energy(spec: ChainSpec, code: int, n: int) -> float:
 
 def _logical_code(layout: LogicalLayout, value: int) -> int:
     """Basis code of the logical basis state ``value``, qubit 1 its most
-    significant bit, with every blockade in its frozen state."""
-    bits = list(layout.blockade_sites)
-    for q, sites in enumerate(layout.qubit_sites):
-        one = value >> (layout.n_logical - 1 - q) & 1
-        bits += zip(sites, (one, 1 - one))  # |1>_L = |10>, |0>_L = |01>; a single site holds the bit
-    return sum(bit << (layout.n_sites - site) for site, bit in bits)
+    significant bit, from ``layout_choices``: a frozen site holds its state,
+    a qubit's first site its bit and a pair's second site the opposite."""
+    bits = (value >> q & 1 for q in reversed(range(layout.n_logical)))
+    code = 0
+    for choices in layout_choices(layout):
+        code = code << 1 | (~code & 1 if choices is None else next(bits) if len(choices) == 2 else choices[0] > 0)
+    return code
 
 
 class PulseParameters(namedtuple("PulseParameters", "x1 theta x2 t_r1 t_r2")):
@@ -77,6 +78,8 @@ def composite_pulse_parameters(x1: float, delta: float) -> PulseParameters:
     (2 J2 for the first transfer step of the CPHASE protocol).  The
     untilted case delta = 0 returns x2 = x1, three plain pi pulses.
     """
+    if not (_isfinite(x1) and _isfinite(delta)):
+        raise ValueError("x1 and delta must be finite")
     if x1 <= 0:
         raise ValueError("pulse amplitude x1 must be positive")
     theta = math.atan2(delta, x1)
@@ -99,7 +102,7 @@ def logical_background_energy(spec: ChainSpec, layout: LogicalLayout) -> float:
 
 
 def _cphase_bonds(layout: LogicalLayout) -> tuple[int, int]:
-    if layout.n_logical != 2 or layout.m != 2 or any(len(p) != 2 for p in layout.qubit_sites):
+    if layout_choices(layout) != layout_choices(pair_encoded_layout(2, 2)):
         raise ValueError("CPHASE compilation supports the two-qubit pair layout with m = 2")
     (_, b1), (a2, _) = layout.qubit_sites
     return b1, a2 - 1  # bonds (b1, b1+1) and (a2-1, a2)
@@ -157,19 +160,14 @@ def compile_cphase(
     # equals +4 J1 tau modulo 2 pi
     t_hold = ((-4.0 * spec.j1 * tau - transit) / (4.0 * spec.j1)) % period
 
-    n = spec.n_spins
-
     def pulses(bond: int, p: PulseParameters, flip: bool) -> list:
         sgn = -1.0 if flip else 1.0
-        segs = []
-        for strength, dur in ((p.x1, p.t_r1), (p.x2, p.t_r2), (p.x1, p.t_r1)):
-            if dur > 0:
-                segs.append(ControlSegment.bond_pulse(n, bond, sgn * strength / 2.0, dur))
-        return segs
+        return [ControlSegment.bond_pulse(spec.n_spins, bond, sgn * strength / 2.0, dur)
+                for strength, dur in ((p.x1, p.t_r1), (p.x2, p.t_r2), (p.x1, p.t_r1)) if dur > 0]
 
     segments = pulses(bond1, p1, False) + pulses(bond2, p2, False)
     if t_hold > 0:
-        segments.append(ControlSegment.idle(n, t_hold))
+        segments.append(ControlSegment.idle(spec.n_spins, t_hold))
     segments += pulses(bond2, p2, True) + pulses(bond1, p1, True)
     return ControlSchedule(segments)
 

@@ -23,7 +23,7 @@ from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
 from itertools import accumulate, repeat
 from operator import add, mul
 
-from . import InvariantViolation, _Frozen, _float, _isfinite
+from . import InvariantViolation, _Frozen, _float, _is_int, _isfinite
 from .chain import ChainSpec
 
 #: Cooper-pair charge squared, (2e)^2 in coulombs^2, for SI-mode energies.
@@ -40,6 +40,8 @@ class JosephsonArraySpec(_Frozen):
     __slots__ = ("n_boxes", "c_g", "c_j", "c_c", "gate_charges")
 
     def __init__(self, n_boxes: int, c_g: float, c_j: float, c_c: float, gate_charges: tuple | None = None) -> None:
+        if not _is_int(n_boxes):
+            raise ValueError("n_boxes must be an integer")
         if n_boxes < 2:
             raise ValueError("need at least two boxes")
         for name, value in (("c_g", c_g), ("c_j", c_j), ("c_c", c_c)):

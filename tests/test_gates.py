@@ -16,6 +16,7 @@ from blockadechain import InvariantViolation, blockade, gates
 from blockadechain.blockade import (
     LAYOUT_BYTES_CAP,
     SITE_BYTES,
+    LogicalLayout,
     pair_encoded_layout,
     single_spin_layout,
     state_counts,
@@ -123,8 +124,8 @@ def test_layout_byte_budget_admits_large_layouts():
 @pytest.mark.parametrize("n_logical, m", [(10_000, None), (10_000, 2), (2_000, 6), (10, 10_000)])
 def test_site_bytes_is_close_to_the_traced_peak(n_logical, m):
     # safety: a build's traced peak stays within its charge; honesty: the charge is
-    # at most twice the peak (96-113 bytes a site here against 160, CPython 3.11;
-    # the wide blocks of (10, 10_000) are the most)
+    # at most twice the peak (91-104 bytes a site here against 160, CPython 3.11;
+    # the single-spin layout is the most)
     tracemalloc.start()
     try:
         layout = build_layout(n_logical, m)
@@ -215,11 +216,37 @@ def test_steps_cap_is_the_walks_exact_step_count(monkeypatch):
         blockade.check_residual_budget(layout, couplings)
 
 
-@settings(max_examples=120, deadline=None)
-@given(st.booleans(), st.integers(1, 7), st.integers(1, 4), st.integers(1, 14))
-def test_state_counts_match_the_walk(single, n_logical, m, width):
+@st.composite
+def admitted_layouts(draw, max_parts=12):
+    """Any layout ``LogicalLayout`` admits: frozen sites of either bit, single-site
+    qubits and adjacent pairs in any sequence, the blockades listed in any order,
+    and an ``m`` label that no reader uses."""
+    qubits, blockades, site = [], [], 1
+    for part in draw(st.lists(st.sampled_from(["0", "1", "single", "pair"]), min_size=1, max_size=max_parts)):
+        if part == "pair":
+            qubits.append((site, site + 1))
+        elif part == "single":
+            qubits.append((site,))
+        else:
+            blockades.append((site, int(part)))
+        site += 2 if part == "pair" else 1
+    blockades = draw(st.permutations(blockades))
+    return LogicalLayout(len(qubits), draw(st.integers(1, 4)), tuple(qubits), tuple(blockades))
+
+
+def any_layouts(n_logical):
+    """The two builders' layouts with up to ``n_logical`` qubits, and any admitted layout."""
+    return (
+        st.builds(single_spin_layout, st.integers(1, n_logical))
+        | st.builds(pair_encoded_layout, st.integers(1, n_logical), st.integers(1, 4))
+        | admitted_layouts()
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_layouts(7), st.integers(1, 14))
+def test_state_counts_match_the_walk(layout, width):
     # the walk's own state count after every site, windows past the chain included
-    layout = single_spin_layout(n_logical) if single else pair_encoded_layout(n_logical, m)
     walked = [len(states) for states in blockade._walk(layout, [1] * width)]
     assert state_counts(layout, width) == walked
 
@@ -249,19 +276,61 @@ def enumerated_residual(layout, couplings):
     return float((max(energies) - min(energies)) / 2)
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(
-    st.sampled_from(["single-spin", "pair-encoded"]),
-    st.integers(1, 12),
-    st.integers(1, 4),
+    any_layouts(12),
     st.lists(
         st.sampled_from([0.0, -0.0, -1.0, 0.1, 0.3, -0.1]) | st.floats(-2.0, 2.0), min_size=1, max_size=12
     ),
 )
-def test_cancellation_matches_pattern_enumeration(kind, n_logical, m, couplings):
-    layout = single_spin_layout(n_logical) if kind == "single-spin" else pair_encoded_layout(n_logical, m)
+def test_cancellation_matches_pattern_enumeration(layout, couplings):
     expected = enumerated_residual(layout, couplings)
     assert verify_blockade_cancellation(layout, couplings).hex() == expected.hex()
+
+
+@settings(max_examples=100, deadline=None)
+@given(any_layouts(10))
+def test_logical_code_matches_the_pattern_index(layout):
+    # the basis code of every logical state, read from layout_choices, against the oracle's patterns
+    expected = pattern_index(layout_patterns(layout)).tolist()
+    assert [gates._logical_code(layout, v) for v in range(2**layout.n_logical)] == expected
+
+
+#: The one message of the layout rules that ``LogicalLayout`` adds to the partition.
+LAYOUT_RULES = "^n_logical and m must be integers and each qubit one site or two adjacent sites, in order$"
+
+
+@pytest.mark.parametrize(
+    "qubits, blockades",
+    [(((2, 4),), ((1, 0), (3, 0), (5, 1))),
+     (((2, 3, 4),), ((1, 0), (5, 1))),
+     (((3, 2),), ((1, 0), (4, 1))),
+     (((4,), (2,)), ((1, 0), (3, 1), (5, 0))),
+     (((5, 6), (2, 3)), ((1, 0), (4, 0), (7, 0))),
+     (((),), ((1, 0),))],
+    ids=["pair-not-adjacent", "three-sites", "pair-reversed", "qubits-out-of-order", "pairs-out-of-order",
+         "no-site"],
+)
+def test_layout_refuses_qubits_that_no_reading_expresses(qubits, blockades):
+    # each partitions 1..N; the walk read the non-adjacent pair as (2, 3) and gave
+    # a residual of 1.5 for couplings [1.0, 0.5], where enumeration gives 2.0
+    with pytest.raises(ValueError, match=LAYOUT_RULES):
+        LogicalLayout(len(qubits), 1, qubits, blockades)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: LogicalLayout(1.0, 1, ((2,),), ((1, 0), (3, 1))),
+     lambda: LogicalLayout(1, 2.5, ((2, 3),), ((1, 0), (4, 0))),
+     lambda: LogicalLayout(1, None, ((2, 3),), ((1, 0), (4, 0))),
+     lambda: single_spin_layout(True),
+     lambda: pair_encoded_layout(True, 2),
+     lambda: pair_encoded_layout(1, True)],
+    ids=["n_logical-float", "m-float", "m-none", "single-spin-bool", "pair-encoded-bool-n", "pair-encoded-bool-m"],
+)
+def test_layout_refuses_labels_that_are_not_integers(build):
+    with pytest.raises(ValueError, match=LAYOUT_RULES):
+        build()
 
 
 def test_single_spin_layout_next_nearest_survives():
@@ -449,6 +518,20 @@ def test_cphase_rejects_bad_inputs():
         compile_cphase(degenerate, 0.1, layout=LAYOUT)
     with pytest.raises(ValueError, match="layout"):
         compile_cphase(ChainSpec(6, j1=1.0, j2=0.05, x1_max=0.5), 0.1, layout=LAYOUT)
+
+
+def test_cphase_checks_the_layout_reading_not_its_labels():
+    # ten sites labelled as two pairs with m = 2, but three blockades between the pairs:
+    # compiled for the bonds of (3, 4) and (7, 8), its simulated phase was 6.073 against 0.8
+    labelled = LogicalLayout(2, 2, ((2, 3), (7, 8)), tuple((s, 0) for s in (1, 4, 5, 6, 9, 10)))
+    message = "^CPHASE compilation supports the two-qubit pair layout with m = 2$"
+    with pytest.raises(ValueError, match=message):
+        compile_cphase(SPEC, 0.2, layout=labelled)
+    with pytest.raises(ValueError, match=message):
+        logical_sigma_z(SPEC, labelled, 1, 0.4)
+    # the canonical sites compile whatever m they are labelled with: only the reading counts
+    relabelled = LogicalLayout(2, 5, LAYOUT.qubit_sites, LAYOUT.blockade_sites)
+    assert compile_cphase(SPEC, 0.2, layout=relabelled) == compile_cphase(SPEC, 0.2, layout=LAYOUT)
 
 
 @pytest.mark.parametrize("tau", [np.nan, np.inf])

@@ -58,15 +58,25 @@ def imported_package_modules(importtime_log: str) -> set:
     return names
 
 
+#: Runs the CLI as ``python -m blockadechain.cli`` does, and prints the package
+#: modules in ``sys.modules`` when the run ends.  ``-X importtime`` does not list
+#: a module loaded through ``importlib.import_module``, as the package root's
+#: ``__getattr__`` loads every public name; ``sys.modules`` holds it.
+RUN_AS_MAIN = (
+    "import atexit, runpy, sys; "
+    "atexit.register(lambda: print(sorted(m for m in sys.modules if m.partition('.')[0] == 'blockadechain'))); "
+    "runpy.run_module('blockadechain.cli', run_name='__main__', alter_sys=True)"
+)
+
+
 @pytest.mark.parametrize("subcommand", sorted(SUBCOMMAND_MODULES))
 def test_subcommand_loads_only_its_modules(tmp_path, subcommand):
-    out = run_python(
-        ["-X", "importtime", "-m", "blockadechain.cli", subcommand, "--out", "out.csv"], tmp_path
-    )
+    out = run_python(["-X", "importtime", "-c", RUN_AS_MAIN, subcommand, "--out", "out.csv"], tmp_path)
     assert out.returncode == 0, out.stderr
     assert (tmp_path / "out.csv").stat().st_size > 0
     expected = {"blockadechain"} | {f"blockadechain.{m}" for m in SUBCOMMAND_MODULES[subcommand] - {"cli"}}
     assert imported_package_modules(out.stderr) == expected
+    assert out.stdout.splitlines()[-1] == str(sorted(expected))
 
 
 def test_blockade_check_runs_without_numpy(tmp_path):

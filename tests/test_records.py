@@ -1,5 +1,6 @@
 """The value types and result records behave as the frozen dataclasses they replace,
-and the library's input checks refuse integers past the float range."""
+and the library's input checks refuse integers past the float range, non-finite
+numbers and sizes that are not integers."""
 
 import copy
 import pickle
@@ -9,8 +10,23 @@ import pytest
 
 from blockadechain.blockade import LogicalLayout, pair_encoded_layout, verify_blockade_cancellation
 from blockadechain.chain import ChainSpec, ControlSchedule, ControlSegment
-from blockadechain.deviation import DeviationBatch, Scenario, ScenarioResult, deviation_speed, scenario_deviation
-from blockadechain.gates import GateReport, PulseParameters, compile_cphase, logical_sigma_x, logical_sigma_z
+from blockadechain.deviation import (
+    DeviationBatch,
+    Scenario,
+    ScenarioResult,
+    deviation_speed,
+    lower_bound,
+    phase_set_distance,
+    scenario_deviation,
+)
+from blockadechain.gates import (
+    GateReport,
+    PulseParameters,
+    compile_cphase,
+    composite_pulse_parameters,
+    logical_sigma_x,
+    logical_sigma_z,
+)
 from blockadechain.josephson import CouplingReport, JosephsonArraySpec
 
 SEGMENT = ControlSegment(0.5, [0, 1], [0, 0], [0.25])
@@ -154,10 +170,48 @@ PAIRS = pair_encoded_layout(2, 2)
     (lambda: deviation_speed("idle", 4, HUGE), f"j2 = {HUGE} is out of range: .* overflows at n = 4"),
     (lambda: JosephsonArraySpec(4, HUGE, 0.5, 0.0), "c_g must be finite"),
     (lambda: JosephsonArraySpec(4, 0.5, 0.5, 0.0, [0.5, HUGE, 0.5, 0.5]), "gate_charges must be finite"),
+    (lambda: phase_set_distance([HUGE]), "phases must be finite"),
+    (lambda: lower_bound("idle", 4, HUGE, 1.0), "J2 t k must be finite"),
+    (lambda: composite_pulse_parameters(HUGE, 0.5), "x1 and delta must be finite"),
+    (lambda: composite_pulse_parameters(0.5, -HUGE), "x1 and delta must be finite"),
 ], ids=["chain-j1", "chain-j2", "chain-x1_max", "segment-duration", "segment-bx", "segment-bz", "segment-jxy",
         "blockade-couplings", "cphase-tau", "sigma_x-angle", "sigma_z-phi", "deviation-j2", "deviation-t",
-        "speed-j2", "josephson-c_g", "josephson-gate_charges"])
+        "speed-j2", "josephson-c_g", "josephson-gate_charges", "phases", "bound-j2", "pulse-x1", "pulse-delta"])
 def test_integers_past_the_float_range_are_value_errors(call, message):
     # each check's own message, the one a non-finite float gets, and no OverflowError
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: phase_set_distance([INF]), "phases must be finite"),
+    (lambda: phase_set_distance([0.0, NAN]), "phases must be finite"),
+    (lambda: lower_bound("idle", 4, INF, 1.0), "J2 t k must be finite"),
+    (lambda: lower_bound("idle", 4, 0.1, NAN), "J2 t k must be finite"),
+    (lambda: lower_bound("idle", 4, 1e308, 1e308), "J2 t k must be finite"),
+    (lambda: lower_bound("sigma_x", 1, 0.1, 1.0), "sigma_x scenario needs n >= 4"),
+    (lambda: lower_bound(Scenario.INTER_QUBIT, 2, 0.1, 1.0), "inter_qubit scenario needs n >= 3"),
+    (lambda: composite_pulse_parameters(0.5, NAN), "x1 and delta must be finite"),
+    (lambda: composite_pulse_parameters(INF, 0.5), "x1 and delta must be finite"),
+], ids=["phases-inf", "phases-nan", "bound-j2-inf", "bound-t-nan", "bound-overflow", "bound-sigma_x-n1",
+        "bound-inter_qubit-n2", "pulse-delta-nan", "pulse-x1-inf"])
+def test_deviation_and_pulse_helpers_refuse_non_finite_input(call, message):
+    # unchecked, each gives nan, ZeroDivisionError or math's "domain error", and a chain below MIN_QUBITS
+    # a bound that scenario_deviation refuses to compute
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ChainSpec(2.5, 1.0, 0.05), "n_spins must be an integer"),
+    (lambda: ChainSpec(4.0, 1.0, 0.05), "n_spins must be an integer"),
+    (lambda: ChainSpec(True, 1.0, 0.05), "n_spins must be an integer"),
+    (lambda: JosephsonArraySpec(2.5, 0.5, 0.5, 0.01), "n_boxes must be an integer"),
+    (lambda: JosephsonArraySpec(3.0, 0.5, 0.5, 0.01), "n_boxes must be an integer"),
+], ids=["chain-float", "chain-integral-float", "chain-bool", "josephson-float", "josephson-integral-float"])
+def test_value_types_refuse_sizes_that_are_not_integers(call, message):
     with pytest.raises(ValueError, match=f"^{message}$"):
         call()
