@@ -11,13 +11,14 @@ from . import LAYOUT_BYTES_CAP, ConfigError, InvariantViolation, Table, _finite,
 
 #: Peak bytes of josephson-map per pair of boxes, and its fixed allowance: a run of
 #: n_boxes is charged n_boxes^2 * BOX_PAIR_BYTES + MAP_FIXED_BYTES against
-#: LAYOUT_BYTES_CAP at load.  The run holds C^{-1} row-major, 8 bytes a pair, and O(n)
-#: beside it; the writer adds the texts of the distinct cells, which stop growing once
+#: LAYOUT_BYTES_CAP at load.  The run holds C^{-1} as O(n) factors and makes each row when
+#: it is read; the writer adds the texts of the distinct cells, which stop growing once
 #: the entries underflow.  Traced run plus write with a mirror at c_c = 0.99 (CPython
-#: 3.11): 2.83 / 8.90 / 14.0 / 48.2 MB at 300 / 700 / 965 / 2200 boxes, against charges
-#: of 4.5 / 10.5 / 17.1 / 75.8 MB.  Admits up to 2064 boxes (2.7-2.9 s, 52 MiB RSS on 2 cores).
-BOX_PAIR_BYTES = 15
-MAP_FIXED_BYTES = 3 * 2**20
+#: 3.11): 1.82 / 2.69 / 3.80 / 5.36 MB at 300 / 400 / 635 / 800 boxes, 12.4 bytes a pair
+#: and 0.70 MB between the first two, against charges of 2.74 / 3.65 / 6.82 / 9.89 MB.
+#: Admits up to 2245 boxes.
+BOX_PAIR_BYTES = 13
+MAP_FIXED_BYTES = 3 * 2**19
 
 
 def validate(cfg) -> None:
@@ -70,7 +71,6 @@ def run(cfg) -> tuple[list, Table]:
     couplings = [report.couplings_by_order[k] for k in orders]
     ratios = list(report.decay_ratios)
     chain = report.effective_chain
-    inverse = memoryview(cinv)
     tail = [
         (len(orders), dict(base, record="coupling", order=orders, value=couplings)),
         (len(ratios), dict(base, record="decay_ratio", order=list(range(len(ratios))), value=ratios)),
@@ -88,7 +88,20 @@ def run(cfg) -> tuple[list, Table]:
             yield n, dict(base, record="capacitance", i=i + 1, j=index,
                           value=edges[n:] if i == 0 else edges[:n] if i == n - 1 else band[n - i : 2 * n - i])
         for i in range(n):
-            yield n, dict(base, record="inverse", i=i + 1, j=index, value=inverse[i * n : (i + 1) * n])
+            yield n, dict(base, record="inverse", i=i + 1, j=index, value=cinv.row(i))
         yield from tail
 
-    return header, Table(blocks(), rows=2 * n * n + len(orders) + len(ratios) + n + 5)
+    return header, Table(_Passes(blocks), rows=2 * n * n + len(orders) + len(ratios) + n + 5)
+
+
+class _Passes:
+    """Blocks made anew on each pass, so that a mirror's second pass makes each row of
+    C^{-1} again and the writer holds none of them past its own block."""
+
+    __slots__ = ("blocks",)
+
+    def __init__(self, blocks) -> None:
+        self.blocks = blocks
+
+    def __iter__(self):
+        return self.blocks()

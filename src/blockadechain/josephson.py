@@ -7,9 +7,10 @@ the diagonal.  Expanding the charging energy
 H = (2e)^2 / 2 * (n - n_g)^T C^{-1} (n - n_g) with n_i = (1 + Z_i)/2
 turns each inverse entry into an always-on Ising coupling of the
 matching range; at the degeneracy point n_g = 1/2 no linear fields
-survive.  C is held as its diagonal and off-diagonal, and every entry
-of C^{-1} comes in closed form from two O(n) pivot recurrences, so the
-module runs on the standard library alone.
+survive.  C is held as its diagonal and off-diagonal, and C^{-1} as the
+O(n) factors of its closed form from two pivot recurrences (``_inverse``),
+which make each row when it is read, so the module runs on the standard
+library alone and holds no n x n array.
 """
 
 from __future__ import annotations
@@ -19,11 +20,10 @@ import sys
 import warnings
 from array import array
 from collections import namedtuple
-from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal, localcontext
-from itertools import accumulate, repeat
-from operator import add, mul
+from decimal import Decimal, localcontext
 
 from . import InvariantViolation, _Frozen, _float, _is_int, _isfinite
+from ._inverse import _DECIMAL, CapacitanceInverse, _closed_form, _pivots, _residual
 from .chain import ChainSpec
 
 #: Cooper-pair charge squared, (2e)^2 in coulombs^2, for SI-mode energies.
@@ -118,62 +118,10 @@ def build_capacitance_matrix(spec: JosephsonArraySpec) -> tuple[array, array]:
     return diag, array("d", [-c0 * eps]) * (n - 1)
 
 
-#: The decimal arithmetic of the pivots: 40 digits (about 133 bits), so that each float
-#: taken from it is rounded once, from a value good far past its last bit, and an exponent
-#: range that no product of ratios leaves.
-_DECIMAL = Context(prec=40, Emin=MIN_EMIN, Emax=MAX_EMAX)
-
-
-def _pivots(diag, off) -> tuple:
-    """The off-diagonal b of a symmetric tridiagonal matrix with diagonal a, as
-    decimals, and its forward pivots delta_0 = a_0, delta_i = a_i - b_{i-1}^2 /
-    delta_{i-1} and backward pivots d_{n-1} = a_{n-1}, d_i = a_i - b_i^2 / d_{i+1},
-    in the current decimal context.  A zero pivot, as a singular matrix has,
-    raises ``ArithmeticError``."""
-    a, b = [Decimal(v) for v in diag], [Decimal(v) for v in off]
-    forward = [a[0]]
-    for ai, bi in zip(a[1:], b):
-        forward.append(ai - bi * bi / forward[-1])
-    backward = [a[-1]]
-    for ai, bi in zip(a[-2::-1], b[::-1]):
-        backward.append(ai - bi * bi / backward[-1])
-    return b, forward, backward[::-1]
-
-
-def _split(d: Decimal) -> tuple[float, int]:
-    """A nonzero decimal as m * 2**e with 0.5 <= |m| < 1, m a float: no float range limits it."""
-    e = int(d.adjusted() * 3.321928094887362)  # about log2 |d|
-    m, k = math.frexp(float(d / Decimal(2) ** e))
-    return m, e + k
-
-
-def _restart(product: Decimal, ratio: Decimal) -> Decimal:
-    # a zero ratio ends a block of C (a zero coupling); the product starts again after it
-    return product * ratio if ratio else Decimal(1)
-
-
-def _closed_form(diag, off) -> tuple:
-    """The floats that entry (i, j >= i) of C^{-1} is built from: C^{-1}_ii, the
-    split C^{-1}_ii / P_i and P_j, and the end of row i's block."""
-    n = len(diag)
-    with localcontext(_DECIMAL):
-        b, forward, backward = _pivots(diag, off)
-        diagonal = [1 / (p - bi * bi / d) for p, bi, d in zip(forward, b, backward[1:])]
-        diagonal.append(1 / forward[-1])
-        ratios = [-bi / d for bi, d in zip(b, backward[1:])]
-        prefix = list(accumulate(ratios, _restart, initial=Decimal(1)))
-        mantissas, exponents = zip(*map(_split, prefix))
-        scales = [_split(x / p) for x, p in zip(diagonal, prefix)]
-        ends = [n]  # ends[i]: the first column past row i's block
-        for m in range(n - 1, 0, -1):
-            ends.append(m if not ratios[m - 1] else ends[-1])
-        return [float(x) for x in diagonal], scales, mantissas, exponents, ends[::-1]
-
-
-def invert_capacitance(c: tuple) -> array:
-    """C^{-1} of a symmetric tridiagonal C = (diagonal, off-diagonal) as one
-    row-major ``array('d')`` of n^2 entries, with a residual certificate
-    C C^{-1} = I to 1e-12.
+def invert_capacitance(c: tuple) -> CapacitanceInverse:
+    """C^{-1} of a symmetric tridiagonal C = (diagonal, off-diagonal) as a
+    ``CapacitanceInverse``: O(n) factors that make each row when it is read, with a
+    residual certificate C C^{-1} = I to 1e-12 kept as its ``residual``.
 
     Each entry is in closed form from the forward pivots delta and the
     backward pivots d (G. Meurant, SIAM J. Matrix Anal. Appl. 13(3), 1992):
@@ -185,8 +133,9 @@ def invert_capacitance(c: tuple) -> array:
     C^{-1}_ii / P_i and P_j, each rounded once, scaled by a power of two: it
     lies within 1.5 ulp of the exact inverse however far it is from the
     diagonal, and the diagonal itself is rounded once.  The lower triangle is
-    copied from the upper one, so C^{-1} is exactly symmetric.  The
-    certificate takes every entry of C C^{-1} from C's three diagonals.
+    read from the upper one, so C^{-1} is exactly symmetric.  The certificate
+    takes every entry of C C^{-1} from C's three diagonals, three rows of
+    C^{-1} at a time, so no n x n array is held.
 
     Malformed input, or a zero pivot, as a singular C has, raises
     ``ValueError``; a failed residual certificate raises ``InvariantViolation``.
@@ -196,55 +145,30 @@ def invert_capacitance(c: tuple) -> array:
     if n == 0 or len(off) != n - 1:
         raise ValueError("capacitance matrix must be square")
     try:
-        diagonal, scales, mantissas, exponents, ends = _closed_form(diag, off)
+        factors = _closed_form(diag, off)
     except ArithmeticError:
         raise ValueError("capacitance matrix is singular") from None
-    inv = array("d", [0.0]) * (n * n)
-    for i, ((m, e), end) in enumerate(zip(scales, ends)):
-        row = array("d", map(math.ldexp, map(mul, repeat(m), mantissas[i + 1 : end]),
-                             map(add, repeat(e), exponents[i + 1 : end])))
-        inv[i * n + i] = diagonal[i]
-        inv[i * n + i + 1 : i * n + end] = row
-        inv[(i + 1) * n + i : end * n : n] = row  # column i below the diagonal
+    inv = CapacitanceInverse(*factors)
     residual = _residual(diag, off, inv)
     if not residual <= 1e-12:
         raise InvariantViolation(f"inversion residual {residual:.3e} exceeds 1e-12 (ill-conditioned input)")
+    inv.residual = residual
     return inv
 
 
-def _residual(diag, off, inv) -> float:
-    """max |C C^{-1} - I| over all n^2 entries, row i of C C^{-1} being
-    b_{i-1} C^{-1}[i-1] + a_i C^{-1}[i] + b_i C^{-1}[i+1]; nan if any entry is."""
-    n = len(diag)
-    zero = array("d", [0.0]) * n
-    coupling = [0.0, *off, 0.0]
-    above, here = zero, inv[:n]
-    worst = 0.0
-    for i in range(n):
-        below = inv[(i + 1) * n : (i + 2) * n] or zero
-        p, a, q = coupling[i], diag[i], coupling[i + 1]
-        row = [p * x + a * y + q * z for x, y, z in zip(above, here, below)]
-        row[i] -= 1.0
-        if math.isnan(sum(row)):  # max() passes over a nan
-            return math.nan
-        worst = max(worst, max(map(abs, row)))
-        above, here = here, below
-    return worst
-
-
-def decay_check(c_inv: array, eps: float) -> tuple[tuple, bool]:
+def decay_check(c_inv: CapacitanceInverse, eps: float) -> tuple[tuple, bool]:
     """Consecutive off-diagonal ratios of the central row against eps.
 
-    Takes C^{-1} row-major, as ``invert_capacitance`` returns it.  Returns
-    the ratios |C^{-1}[i0, i0+k+1] / C^{-1}[i0, i0+k]| and whether each
-    lies in the band [(1 - 5 eps) eps, (1 + 5 eps) eps].  Edge rows are
-    asymmetric and excluded by construction.
+    Takes C^{-1} as ``invert_capacitance`` returns it and reads its central
+    row.  Returns the ratios |C^{-1}[i0, i0+k+1] / C^{-1}[i0, i0+k]| and
+    whether each lies in the band [(1 - 5 eps) eps, (1 + 5 eps) eps].  Edge
+    rows are asymmetric and excluded by construction.
     """
-    n = math.isqrt(len(c_inv))
+    n = c_inv.n
     if n < 5:
         raise ValueError("decay check needs at least five boxes")
     i0 = (n - 1) // 2  # central row, 0-based
-    row = c_inv[i0 * n : (i0 + 1) * n]
+    row = c_inv.row(i0)
     scale = abs(row[i0])
     ratios = []
     for k in range(0, n - 1 - i0):
@@ -258,12 +182,13 @@ def decay_check(c_inv: array, eps: float) -> tuple[tuple, bool]:
     return tuple(ratios), in_band
 
 
-def extract_couplings(spec: JosephsonArraySpec, c_inv: array, units: str = "reduced") -> CouplingReport:
+def extract_couplings(spec: JosephsonArraySpec, c_inv: CapacitanceInverse, units: str = "reduced") -> CouplingReport:
     """Ising couplings from the charging-energy quadratic form.
 
     With n_i = (1 + Z_i)/2 the pair (i, j) term collects the (i, j) and
-    (j, i) entries of C^{-1} (row-major, as ``invert_capacitance`` returns
-    it) into (2e)^2 C^{-1}_{ij} / 4 * Z_i Z_j; gate charges away from 1/2
+    (j, i) entries of C^{-1} (as ``invert_capacitance`` returns it, read
+    one ``entry`` per order and the central ``row`` for the decay check)
+    into (2e)^2 C^{-1}_{ij} / 4 * Z_i Z_j; gate charges away from 1/2
     additionally produce linear fields (2e)^2 / 2 * [C^{-1} (1/2 - n_g)]_i,
     which come from an O(n) tridiagonal solve on C's forward pivots.  The
     emitted chain takes the central-row nearest and next-nearest couplings
@@ -276,7 +201,7 @@ def extract_couplings(spec: JosephsonArraySpec, c_inv: array, units: str = "redu
     else:
         raise ValueError("units must be 'reduced' or 'si'")
     n = spec.n_boxes
-    if len(c_inv) != n * n:
+    if c_inv.n != n:
         raise ValueError("inverse matrix size does not match the array")
 
     # C x = 1/2 - n_g by elimination with the forward pivots, then back substitution
@@ -293,7 +218,7 @@ def extract_couplings(spec: JosephsonArraySpec, c_inv: array, units: str = "redu
     by_order = {}
     for k in range(1, n):
         i0 = (n - k - 1) // 2  # centers the representative pair
-        by_order[k] = e2 * c_inv[i0 * n + i0 + k] / 4.0
+        by_order[k] = e2 * c_inv.entry(i0, i0 + k) / 4.0
     residual = max((abs(v) for o, v in by_order.items() if o >= 3), default=0.0)
 
     if n >= 5:

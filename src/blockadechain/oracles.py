@@ -8,20 +8,25 @@ Hamiltonian builders and time-ordered evolution, a grid search for the
 optimal global phase, the CPHASE transfer blocks, the deviation kernel in
 numpy (``phase_set_distance`` row by row, ``deviation_batch``), and the
 frozen deviation layouts with the full-chain deviation
-``full_chain_deviation`` built on them, and LAPACK's inverse of a
-capacitance matrix.  No CLI subcommand imports this
+``full_chain_deviation`` built on them, and two inverses of a
+capacitance matrix: LAPACK's, and the n^2 fill of the closed form.  No CLI subcommand imports this
 module: the library's closed forms run on the basis codes they reach,
 and these dense paths check them in tests.
 """
 
 from __future__ import annotations
 
+import math
+from array import array
 from collections.abc import Mapping
 from dataclasses import dataclass
+from itertools import repeat
+from operator import add, mul
 
 import numpy as np
 
 from . import InvariantViolation
+from ._inverse import _closed_form
 from .blockade import LogicalLayout, pair_encoded_layout, single_spin_layout
 from .chain import ChainSpec, ControlSchedule, ControlSegment
 from .deviation import MIN_QUBITS, Scenario, _reachable_sums
@@ -622,7 +627,7 @@ def full_chain_deviation(scenario: Scenario, n: int, j2: float, t: float) -> tup
 
 
 # ---------------------------------------------------------------------------
-# Capacitance matrices: dense forms and the LAPACK inverse
+# Capacitance matrices: dense forms, the LAPACK inverse and the closed form filled in
 
 def dense_tridiagonal(c) -> np.ndarray:
     """The n x n matrix of a symmetric tridiagonal (diagonal, off-diagonal) pair,
@@ -640,3 +645,21 @@ def lapack_inverse(c) -> np.ndarray:
     reference for ``josephson.invert_capacitance``."""
     inv = np.linalg.inv(dense_tridiagonal(c))
     return (inv + inv.T) / 2.0
+
+
+def closed_form_fill(c) -> array:
+    """C^{-1} of a (diagonal, off-diagonal) pair as one row-major ``array('d')`` of
+    n^2 entries, each upper row filled from ``_inverse._closed_form`` by ldexp and
+    copied into its column: the dense reference that every row and entry of
+    ``josephson.invert_capacitance``'s result equals bit for bit."""
+    diag, off = c
+    n = len(diag)
+    diagonal, scales, mantissas, exponents, ends = _closed_form(diag, off)
+    inv = array("d", [0.0]) * (n * n)
+    for i, ((m, e), end) in enumerate(zip(scales, ends)):
+        row = array("d", map(math.ldexp, map(mul, repeat(m), mantissas[i + 1 : end]),
+                             map(add, repeat(e), exponents[i + 1 : end])))
+        inv[i * n + i] = diagonal[i]
+        inv[i * n + i + 1 : i * n + end] = row
+        inv[(i + 1) * n + i : end * n : n] = row  # column i below the diagonal
+    return inv

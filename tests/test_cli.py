@@ -1,5 +1,4 @@
 import csv
-import itertools
 import json
 import math
 import os
@@ -950,11 +949,11 @@ def test_josephson_size_checked_at_load(tmp_path, n_boxes, admitted):
         load_config("josephson-map", cfg, 0)
 
 
-def josephson_peak(tmp_path, n_boxes):
-    """Traced peak of josephson-map's run and write with a mirror, at c_c = 0.99,
-    where the writer holds the most distinct cell texts."""
+def josephson_peak(tmp_path, n_boxes, c_c=0.99):
+    """Traced peak of josephson-map's run and write with a mirror, by default at
+    c_c = 0.99, where the writer holds the most distinct cell texts."""
     tree = {"scenario": "josephson-map", "json_mirror": str(tmp_path / "jj.json"),
-            "parameters": {"n_boxes": n_boxes, "c_g": 0.4, "c_j": 0.6, "c_c": 0.99}}
+            "parameters": {"n_boxes": n_boxes, "c_g": 0.4, "c_j": 0.6, "c_c": c_c}}
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")  # epsilon 0.99 is out of the decay regime
         cfg = load_config("josephson-map", write_config(tmp_path, tree), 0)
@@ -971,10 +970,21 @@ def josephson_peak(tmp_path, n_boxes):
 @pytest.mark.parametrize("n_boxes", [300, 400])
 def test_box_pair_bytes_is_close_to_the_traced_peak(tmp_path, n_boxes):
     # safety: the traced peak stays within the charge; honesty: the charge is at most
-    # twice the peak (2.83 MB against 4.5 MB at 300 boxes, CPython 3.11)
+    # twice the peak (1.82 MB against 2.74 MB at 300 boxes, 2.69 against 3.65 at 400,
+    # CPython 3.11)
     charge = n_boxes**2 * _josephson_map.BOX_PAIR_BYTES + _josephson_map.MAP_FIXED_BYTES
     peak = josephson_peak(tmp_path, n_boxes)
-    assert peak <= charge <= 2 * peak
+    assert peak <= charge <= 2 * peak, f"{n_boxes} boxes: traced peak {peak} B, charge {charge} B, {charge / peak:.2f}x"
+
+
+def test_josephson_map_with_a_mirror_traces_no_n_squared_term(tmp_path):
+    # C^-1 is made a row at a time for the certificate, the CSV and the mirror: from 300 to
+    # 600 boxes at c_c = 0.02, whose entries underflow 180 columns off the diagonal, the
+    # traced peak grows by under 2 bytes a box pair (1.92, CPython 3.11); an n x n array
+    # of floats would add 8 (10.9 when the run held C^-1 and the writer listed its rows)
+    peaks = {n: josephson_peak(tmp_path, n, c_c=0.02) for n in (300, 600)}
+    per_pair = (peaks[600] - peaks[300]) / (600**2 - 300**2)
+    assert per_pair < 4, f"traced peaks {peaks} B: {per_pair:.2f} B a box pair"
 
 
 def test_largest_array_under_a_small_cap_fits_it(tmp_path, monkeypatch):
@@ -1034,6 +1044,22 @@ def test_josephson_refuses_a_capacitance_matrix_that_is_not_one_band(monkeypatch
     params = dict(DEFAULT_PARAMETERS["josephson-map"], c_c=c_c)
     with pytest.raises(InvariantViolation, match="^capacitance matrix is not one band"):
         run_subcommand(cli.RunConfig("josephson-map", params))
+
+
+@pytest.mark.parametrize("failure", ["certificate", "band"])
+def test_josephson_check_failures_leave_no_output(tmp_path, capsys, monkeypatch, failure):
+    # the certificate and the band check run before the writer opens a file
+    if failure == "certificate":
+        monkeypatch.setattr(josephson, "_residual", lambda diag, off, inv: 1e-9)
+        message = "inversion residual 1.000e-09 exceeds 1e-12 (ill-conditioned input)"
+    else:
+        build, uneven = josephson.build_capacitance_matrix, array("d", [-0.01, -0.02] * 3 + [-0.01])
+        monkeypatch.setattr(josephson, "build_capacitance_matrix", lambda spec: (build(spec)[0], uneven))
+        message = "capacitance matrix is not one band: interior diagonal or off-diagonal varies"
+    tree = {"scenario": "josephson-map", "json_mirror": str(tmp_path / "m.json")}
+    code = main(["josephson-map", "--config", write_config(tmp_path, tree), "--out", str(tmp_path / "o.csv")])
+    assert (code, capsys.readouterr().err) == (EXIT_INVARIANT, f"numerical invariant violation: {message}\n")
+    assert not (tmp_path / "o.csv").exists() and not (tmp_path / "m.json").exists()
 
 
 def test_josephson_rejects_single_box(tmp_path):
@@ -1246,7 +1272,7 @@ def reference_josephson_rows(p):
             rows.append(dict(base, record="capacitance", i=i + 1, j=j + 1, value=value))
     for i in range(n):
         for j in range(n):
-            rows.append(dict(base, record="inverse", i=i + 1, j=j + 1, value=cinv[i * n + j]))
+            rows.append(dict(base, record="inverse", i=i + 1, j=j + 1, value=cinv.entry(i, j)))
     for order, value in sorted(report.couplings_by_order.items()):
         rows.append(dict(base, record="coupling", order=order, value=value))
     for k, ratio in enumerate(report.decay_ratios):
@@ -1482,8 +1508,7 @@ def test_shared_column_texts_are_taken_once_while_blocks_hold_it(tmp_path, monke
     cfg = load_config("josephson-map", None, 0)
     cfg.json_mirror = str(tmp_path / "m.json")
     header, table = run_subcommand(cfg)
-    first = next(table.blocks)  # the blocks pass once: put the first one back
-    index, table.blocks = first[1]["j"], itertools.chain([first], table.blocks)
+    index = next(iter(table.blocks))[1]["j"]  # each pass makes its blocks anew, sharing this column
     taken, texts = [], cli._Texts.texts
     monkeypatch.setattr(cli._Texts, "texts", lambda memo, column, lo, hi: (
         taken.append(column is index), texts(memo, column, lo, hi))[1])

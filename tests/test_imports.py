@@ -19,7 +19,7 @@ SRC = Path(blockadechain.__file__).resolve().parents[1]
 #: runs.  Under ``python -m`` the CLI itself runs as ``__main__``, so ``cli``
 #: is listed here but never imported under its own name.
 SUBCOMMAND_MODULES = {
-    "josephson-map": {"cli", "_josephson_map", "chain", "josephson"},
+    "josephson-map": {"cli", "_josephson_map", "chain", "josephson", "_inverse"},
     "gate-fidelity": {"cli", "_gate_fidelity", "chain", "blockade", "gates"},
     "blockade-check": {"cli", "_blockade_check", "blockade"},
     "deviation-sweep": {"cli", "_deviation_sweep", "deviation"},
@@ -200,7 +200,7 @@ def test_package_runs_without_numpy(tmp_path):
     code = (
         "import sys; sys.modules['numpy'] = None; import importlib, blockadechain; "
         "[importlib.import_module(f'blockadechain.{m}') for m in ('chain', 'deviation', 'blockade', 'gates', "
-        "'josephson', 'cli', '_deviation_sweep', '_gate_fidelity', '_josephson_map', '_blockade_check')]; "
+        "'josephson', '_inverse', 'cli', '_deviation_sweep', '_gate_fidelity', '_josephson_map', '_blockade_check')]; "
         "print(len([getattr(blockadechain, name) for name in blockadechain.__all__]))"
     )
     out = run_python(["-c", code], tmp_path)

@@ -1,8 +1,10 @@
 import math
 import sys
 import tracemalloc
+import warnings
 from array import array
 from fractions import Fraction
+from itertools import repeat
 
 import numpy as np
 import pytest
@@ -17,8 +19,15 @@ from blockadechain.josephson import (
     extract_couplings,
     invert_capacitance,
 )
-from blockadechain import InvariantViolation
-from blockadechain.oracles import OperatorSum, PauliTerm, dense_tridiagonal, lapack_inverse, realize
+from blockadechain import InvariantViolation, _inverse
+from blockadechain.oracles import (
+    OperatorSum,
+    PauliTerm,
+    closed_form_fill,
+    dense_tridiagonal,
+    lapack_inverse,
+    realize,
+)
 
 
 def array_spec(n, eps, c0=1.0, gate_charges=None):
@@ -29,9 +38,8 @@ def array_spec(n, eps, c0=1.0, gate_charges=None):
 
 
 def as_matrix(inv):
-    """The n x n numpy view of a row-major C^{-1}."""
-    n = math.isqrt(len(inv))
-    return np.frombuffer(inv, dtype=float).reshape(n, n)
+    """The n x n numpy array of C^{-1}, built from its rows."""
+    return np.array([np.frombuffer(inv.row(i), dtype=float) for i in range(inv.n)])
 
 
 def continuant_inverse(diag, off):
@@ -146,7 +154,8 @@ def test_decay_regime_warning_names_the_caller():
         (lambda: JosephsonArraySpec(4, 0.5, 0.5, 0.01, gate_charges=(0.5,)), "gate_charges length must equal n_boxes"),
         # two diagonal entries and two off-diagonal ones: not the halves of a square matrix
         (lambda: invert_capacitance(([1.0, 1.0], [0.1, 0.1])), "capacitance matrix must be square"),
-        (lambda: extract_couplings(JosephsonArraySpec(4, 0.5, 0.5, 0.01), array("d", [0.0]) * 9),
+        (lambda: extract_couplings(JosephsonArraySpec(4, 0.5, 0.5, 0.01),
+                                   invert_capacitance(build_capacitance_matrix(JosephsonArraySpec(3, 0.5, 0.5, 0.01)))),
          "inverse matrix size does not match the array"),
     ],
 )
@@ -252,19 +261,119 @@ def test_inverse_rejects_singular():
         invert_capacitance(([0.0] * 3, [0.0] * 2))
 
 
-def test_inverse_holds_two_matrices_beside_its_input():
-    # the n^2 result and O(n) beside it, about 300 bytes a box (the split factors,
-    # one row of C^{-1} and one of C C^{-1}); C C^{-1} - I built whole would hold n^2 more
-    n = 300
+#: Traced bytes per box that ``invert_capacitance`` may peak at: its 40-digit decimal
+#: pivots, ratios and prefix products, about 890 bytes a box on CPython 3.11, and what it
+#: keeps, about 70; one row of C^{-1} and one of C C^{-1} at a time beside them.
+INVERSE_BOX_BYTES = 1024
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_inverse_traces_bytes_linear_in_the_boxes(n):
+    # no n x n array: 300 boxes of C^{-1} as one array would be 720 kB, 1000 boxes 8 MB
     c = build_capacitance_matrix(array_spec(n, 0.01))
     invert_capacitance(c)  # the decimal module's first use allocates once
     tracemalloc.start()
     try:
-        invert_capacitance(c)
-        peak = tracemalloc.get_traced_memory()[1]
+        inv = invert_capacitance(c)
+        kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert n * n * 8 <= peak <= n * n * 8 + 512 * n
+    assert inv.n == n
+    assert peak <= INVERSE_BOX_BYTES * n, (
+        f"{n} boxes: traced peak {peak} B, {peak / n:.0f} B a box against {INVERSE_BOX_BYTES} (kept {kept} B)")
+
+
+def test_inverse_keeps_the_residual_its_certificate_compared():
+    c = build_capacitance_matrix(array_spec(40, 0.05))
+    inv = invert_capacitance(c)
+    assert inv.residual == _inverse._residual(*c, inv)
+    assert 0.0 < inv.residual <= 1e-12
+    # the max |C C^-1 - I| that numpy takes, within the rounding of its own sums near 1
+    dense = dense_tridiagonal(c) @ as_matrix(inv) - np.eye(40)
+    assert inv.residual == pytest.approx(np.max(np.abs(dense)), abs=2 * sys.float_info.epsilon)
+
+
+def test_rows_and_entries_refuse_indices_outside_the_matrix():
+    inv = invert_capacitance(build_capacitance_matrix(array_spec(4, 0.01)))
+    assert inv.row(-1).tobytes() == inv.row(3).tobytes() and inv.entry(-1, 0) == inv.entry(3, 0)
+    for read in (lambda: inv.row(4), lambda: inv.entry(0, 4), lambda: inv.entry(-5, 0)):
+        with pytest.raises(IndexError):
+            read()
+
+
+def assert_equals_the_fill(inv, c):
+    """Every row and every entry of ``inv`` is, bit for bit, that of the dense fill."""
+    n, dense = inv.n, closed_form_fill(c)
+    for i in range(n):
+        expected = dense[i * n : (i + 1) * n].tobytes()
+        assert inv.row(i).tobytes() == expected, f"row {i}"
+        assert array("d", map(inv.entry, repeat(i), range(n))).tobytes() == expected, f"entries of row {i}"
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.floats(0.0, 0.99, exclude_max=True),
+    st.floats(-300.0, 300.0).map(lambda x: 10.0**x),
+    st.data(),
+)
+def test_rows_and_entries_equal_the_dense_fill(n, eps, c0, data):
+    # C_0 from 1e-300 to 1e300 puts entries past 2^513, into subnormals and to signed
+    # zeros; mixed signs and a zero coupling, which cuts the chain, as a C may have
+    signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n - 1, max_size=n - 1))
+    cut = data.draw(st.none() | st.integers(0, n - 2))
+    diag = array("d", [c0 * (1.0 + 2.0 * eps)]) * n
+    diag[0] = diag[-1] = c0 * (1.0 + eps)
+    off = array("d", [s * c0 * eps for s in signs])
+    if cut is not None:
+        off[cut] = 0.0
+    assert_equals_the_fill(invert_capacitance((diag, off)), (diag, off))
+
+
+ANY_ENTRY = st.just(0.0) | st.floats(0.25, 4.0) | st.floats(-4.0, -0.25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(ANY_ENTRY, ANY_ENTRY), min_size=2, max_size=12))
+def test_rows_of_any_tridiagonal_equal_the_dense_fill(pairs):
+    # exponents that do not rise or fall monotonically along a block take the ldexp path;
+    # the factors are compared without the certificate, which such a C may fail
+    diag, off = array("d", [a for a, _ in pairs]), array("d", [b for _, b in pairs[1:]])
+    try:
+        inv = _inverse.CapacitanceInverse(*_inverse._closed_form(diag, off))
+    except ArithmeticError:  # a zero pivot
+        return
+    assert_equals_the_fill(inv, (diag, off))
+
+
+def test_an_entry_past_the_float_range_raises_as_the_fill_does():
+    # diagonal entries of 2.2e-309 put C^{-1}_01 near 1e308 times the coupling
+    c = (array("d", [2.225073858507203e-309, 0.0, 2.225073858507203e-309]), array("d", [1.0, 1.0]))
+    with pytest.raises(OverflowError):
+        closed_form_fill(c)
+    with pytest.raises(OverflowError):
+        invert_capacitance(c)
+
+
+def test_a_matrix_whose_factors_are_not_monotone_takes_the_ldexp_path():
+    c = ([1.0, 4.0, 1.0, 4.0, 1.0], [1.5, 1.5, 1.5, 1.5])
+    inv = _inverse.CapacitanceInverse(*_inverse._closed_form(*c))
+    assert not inv._rows.monotone and not inv._columns.monotone
+    assert_equals_the_fill(inv, c)
+
+
+#: c_g and c_c of the josephson-array benchmark at seeds 1-3 (300 boxes, c_j = 1 - c_g).
+BENCH_ARRAYS = [(0.35374569764496044, 0.04313451816217547), (0.6824137087556997, 0.047652236917670725),
+                (0.3951858508367565, 0.029490315138317836)]
+
+
+@pytest.mark.parametrize("n, c_g, c_c", [(300, *p) for p in BENCH_ARRAYS] + [(965, 0.5, 0.01), (965, 0.4, 0.99)],
+                         ids=["bench-1", "bench-2", "bench-3", "965-boxes", "965-boxes-0.99"])
+def test_large_arrays_equal_the_dense_fill(n, c_g, c_c):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # epsilon 0.99 is out of the decay regime
+        c = build_capacitance_matrix(JosephsonArraySpec(n, c_g, 1.0 - c_g, c_c))
+    assert_equals_the_fill(invert_capacitance(c), c)
 
 
 def test_inverse_residual_failure_is_an_invariant_violation():
