@@ -161,34 +161,43 @@ class CapacitanceInverse:
             return self._diagonal[i] if i == j else 0.0
         return math.ldexp(self._rows.m[i] * self._columns.m[j], self._rows.g[i] - self._columns.g[j])
 
-    def _list(self, i: int) -> list:
+    def _list(self, i: int) -> tuple:
+        """Row i as a list, and the columns lo, hi outside which it is +0.0."""
         block, rows, columns = (self._starts[i], self._ends[i]), self._rows, self._columns
         left = rows.entries(block[0], i, columns.m[i], -columns.g[i], block)
-        row = [0.0] * (i - len(left))
+        lo = i - len(left)
+        row = [0.0] * lo
         row += left
         row.append(self._diagonal[i])
         row += columns.entries(i + 1, block[1], rows.m[i], rows.g[i], block)
-        row.extend(repeat(0.0, self.n - len(row)))
-        return row
+        hi = len(row)
+        row.extend(repeat(0.0, self.n - hi))
+        return row, lo, hi
 
     def row(self, i: int) -> array:
         """Row i of C^{-1}."""
-        return array("d", struct.pack(f"{self.n}d", *self._list(range(self.n)[i])))  # faster than fromlist
+        return array("d", struct.pack(f"{self.n}d", *self._list(range(self.n)[i])[0]))  # faster than fromlist
 
 
 def _residual(diag, off, inv: CapacitanceInverse) -> float:
     """max |C C^{-1} - I| over all n^2 entries, row i of C C^{-1} being
-    b_{i-1} C^{-1}[i-1] + a_i C^{-1}[i] + b_i C^{-1}[i+1]; nan if any entry is."""
+    b_{i-1} C^{-1}[i-1] + a_i C^{-1}[i] + b_i C^{-1}[i+1]; nan if any entry is.
+
+    Where the three rows of C^{-1} are +0.0 and the coefficients finite, the entry is a
+    signed zero, which changes neither the max nor the nan: only the columns between
+    are computed."""
     n = len(diag)
-    zero = [0.0] * n
     coupling = [0.0, *off, 0.0]
-    above, here = zero, inv._list(0)
+    above, here = ([0.0] * n, n, 0), inv._list(0)
     worst = 0.0
     for i in range(n):
-        below = inv._list(i + 1) if i + 1 < n else zero
+        below = inv._list(i + 1) if i + 1 < n else ([0.0] * n, n, 0)
         p, a, q = coupling[i], diag[i], coupling[i + 1]
-        row = [p * x + a * y + q * z for x, y, z in zip(above, here, below)]
-        row[i] -= 1.0
+        lo, hi = 0, n
+        if math.isfinite(p * a * q):
+            lo, hi = min(above[1], here[1], below[1]), max(above[2], here[2], below[2])
+        row = [p * x + a * y + q * z for x, y, z in zip(above[0][lo:hi], here[0][lo:hi], below[0][lo:hi])]
+        row[i - lo] -= 1.0
         if math.isnan(sum(row)):  # max() passes over a nan
             return math.nan
         worst = max(worst, max(row), -min(row))

@@ -310,16 +310,8 @@ def assert_equals_the_fill(inv, c):
         assert array("d", map(inv.entry, repeat(i), range(n))).tobytes() == expected, f"entries of row {i}"
 
 
-@settings(max_examples=150, deadline=None)
-@given(
-    st.integers(2, 40),
-    st.floats(0.0, 0.99, exclude_max=True),
-    st.floats(-300.0, 300.0).map(lambda x: 10.0**x),
-    st.data(),
-)
-def test_rows_and_entries_equal_the_dense_fill(n, eps, c0, data):
-    # C_0 from 1e-300 to 1e300 puts entries past 2^513, into subnormals and to signed
-    # zeros; mixed signs and a zero coupling, which cuts the chain, as a C may have
+def drawn_chain(n, eps, c0, data):
+    """C_0 (I + eps L) of n boxes with couplings of either sign, one of them maybe 0."""
     signs = data.draw(st.lists(st.sampled_from([-1.0, 1.0]), min_size=n - 1, max_size=n - 1))
     cut = data.draw(st.none() | st.integers(0, n - 2))
     diag = array("d", [c0 * (1.0 + 2.0 * eps)]) * n
@@ -327,7 +319,58 @@ def test_rows_and_entries_equal_the_dense_fill(n, eps, c0, data):
     off = array("d", [s * c0 * eps for s in signs])
     if cut is not None:
         off[cut] = 0.0
-    assert_equals_the_fill(invert_capacitance((diag, off)), (diag, off))
+    return diag, off
+
+
+CHAINS = (st.integers(2, 40), st.floats(0.0, 0.99, exclude_max=True), st.floats(-300.0, 300.0).map(lambda x: 10.0**x),
+          st.data())
+
+
+@settings(max_examples=150, deadline=None)
+@given(*CHAINS)
+def test_rows_and_entries_equal_the_dense_fill(n, eps, c0, data):
+    # C_0 from 1e-300 to 1e300 puts entries past 2^513, into subnormals and to signed
+    # zeros; mixed signs and a zero coupling, which cuts the chain, as a C may have
+    c = drawn_chain(n, eps, c0, data)
+    assert_equals_the_fill(invert_capacitance(c), c)
+
+
+def residual_of_the_fill(diag, off, dense):
+    """max |C C^-1 - I| over every entry, the rows of C^-1 taken whole from the dense fill,
+    in the certificate's float order; nan where a row's sum is."""
+    n, coupling = len(diag), [0.0, *off, 0.0]
+    rows = [[0.0] * n] + [list(dense[i * n : (i + 1) * n]) for i in range(n)] + [[0.0] * n]
+    worst = 0.0
+    for i in range(n):
+        row = [coupling[i] * x + diag[i] * y + coupling[i + 1] * z for x, y, z in zip(*rows[i : i + 3])]
+        row[i] -= 1.0
+        if math.isnan(sum(row)):
+            return math.nan
+        worst = max(worst, *map(abs, row))
+    return worst
+
+
+@settings(max_examples=100, deadline=None)
+@given(*CHAINS)
+def test_certificate_is_the_max_over_every_entry(n, eps, c0, data):
+    # the certificate computes only the columns where a row of C^-1 is not +0.0 past its
+    # underflowed tail or a cut; the max over all n^2 entries is the same float
+    c = drawn_chain(n, eps, c0, data)
+    assert invert_capacitance(c).residual == residual_of_the_fill(*c, closed_form_fill(c))
+
+
+@pytest.mark.parametrize("c, coefficients", [
+    # an infinite coefficient times the +0.0 past a block of two boxes, whose entries are
+    # all positive, so that the columns of the block alone sum to inf, not nan
+    (([2.0] * 4, [-0.5, 0.0, -0.5]), ([math.inf, 2.0, 2.0, 2.0], [-0.5, 0.0, -0.5])),
+    # C^-1_00 = 1e310 overflows, and the cut's zero coupling multiplies it in row 1
+    (([1e-310, 1.0, 1.0], [0.0, 0.5]), None),
+], ids=["infinite-coefficient", "infinite-entry"])
+def test_certificate_is_nan_where_a_column_it_may_skip_is(c, coefficients):
+    coefficients = coefficients or c
+    inv = _inverse.CapacitanceInverse(*_inverse._closed_form(*c))
+    assert math.isnan(_inverse._residual(*coefficients, inv))
+    assert math.isnan(residual_of_the_fill(*coefficients, closed_form_fill(c)))
 
 
 ANY_ENTRY = st.just(0.0) | st.floats(0.25, 4.0) | st.floats(-4.0, -0.25)
